@@ -2,13 +2,8 @@
 //! closed-loop station population, the regime §5 projects staggered
 //! striping into ("systems with thousands of disk drives").
 //!
-//! The scenario runs twice over identical configs — once fully serial
-//! and once with `parallel_shards` armed at `--threads` — and reports
-//! wall-clock, interval throughput, the serial/sharded speedup, and the
-//! process's peak resident set. The two runs' `RunReport`s must be
-//! byte-identical (the determinism contract of the sharded kernel);
-//! the bench asserts it on every invocation, so it doubles as an
-//! at-scale equivalence check.
+//! The scenario runs once, serially, and reports wall-clock, interval
+//! throughput, and the process's peak resident set.
 //!
 //! `--quick` shrinks the station population and measurement window for
 //! CI smoke runs (same farm width). In full mode the result is also
@@ -21,15 +16,13 @@
 
 use serde::Serialize;
 use ss_bench::HarnessOpts;
-use ss_server::{RunReport, ServerConfig, StripingServer};
+use ss_server::{ServerConfig, StripingServer};
 use ss_types::SimDuration;
 use std::time::Instant;
 
 /// One timed run of the 100k-disk scenario.
 #[derive(Debug, Serialize)]
 struct CellMetrics {
-    /// `parallel_shards` armed for this run (1 = serial path).
-    shards: u64,
     /// Interval boundaries actually simulated.
     ticks: u64,
     /// Boundaries skipped by event-driven quiescence.
@@ -51,18 +44,15 @@ struct FarmScaleReport {
     /// Simulated seconds covered (warmup + measurement).
     simulated_seconds: u64,
     serial: CellMetrics,
-    sharded: CellMetrics,
-    /// `serial.seconds / sharded.seconds`.
-    speedup_vs_serial: f64,
     /// Peak resident set (VmHWM) of this process, in kilobytes — the
-    /// at-scale memory footprint (both runs share the peak).
+    /// at-scale memory footprint.
     peak_rss_kb: u64,
 }
 
 /// The 100,000-disk scenario. The catalog keeps the Table-3 object
 /// shape (M = 5, 3000 subobjects) so per-display work matches the
 /// paper; only the farm width and station population scale up.
-fn scale_config(opts: &HarnessOpts, shards: Option<u32>) -> ServerConfig {
+fn scale_config(opts: &HarnessOpts) -> ServerConfig {
     let stations = if opts.quick { 256 } else { 2048 };
     let mut c = ServerConfig::paper_striping(stations, 20.0, opts.seed);
     c.disks = 100_000;
@@ -71,14 +61,12 @@ fn scale_config(opts: &HarnessOpts, shards: Option<u32>) -> ServerConfig {
     // full display cycles or the run measures only startup.
     c.warmup = SimDuration::from_secs(if opts.quick { 300 } else { 1800 });
     c.measure = SimDuration::from_secs(if opts.quick { 3600 } else { 7200 });
-    c.parallel_shards = shards;
     c
 }
 
 /// Runs one cell to completion, timing the whole lifecycle (construction
 /// + preload + every tick).
-fn run_cell(config: ServerConfig) -> (CellMetrics, RunReport) {
-    let shards = u64::from(config.parallel_shards.unwrap_or(1));
+fn run_cell(config: ServerConfig) -> CellMetrics {
     let t0 = Instant::now();
     let mut server = StripingServer::new(config).expect("farm-scale config");
     let mut ticks = 0u64;
@@ -89,15 +77,13 @@ fn run_cell(config: ServerConfig) -> (CellMetrics, RunReport) {
     let ticks_skipped = server.model().ticks_skipped();
     // The event queue is drained, so `run` just assembles the report.
     let report = server.run();
-    let metrics = CellMetrics {
-        shards,
+    CellMetrics {
         ticks,
         ticks_skipped,
         displays_completed: report.displays_completed,
         seconds: dt,
         ticks_per_sec: ticks as f64 / dt,
-    };
-    (metrics, report)
+    }
 }
 
 /// Peak resident set size of this process (VmHWM), in kB.
@@ -148,44 +134,21 @@ fn merge_into_baseline(report: &FarmScaleReport) {
 fn main() {
     let opts = HarnessOpts::from_args();
     let mode = if opts.quick { "quick" } else { "full" };
-    let shards = u32::try_from(opts.threads).unwrap_or(u32::MAX).max(2);
-    eprintln!(
-        "farm_scale ({mode} mode, seed {}, {shards} shards)",
-        opts.seed
-    );
+    eprintln!("farm_scale ({mode} mode, seed {})", opts.seed);
 
-    let serial_cfg = scale_config(&opts, None);
-    let (disks, stations, objects) = (serial_cfg.disks, serial_cfg.stations, serial_cfg.objects);
+    let config = scale_config(&opts);
+    let (disks, stations, objects) = (config.disks, config.stations, config.objects);
     let simulated_seconds =
-        serial_cfg.warmup.as_secs_f64() as u64 + serial_cfg.measure.as_secs_f64() as u64;
-    let (serial, serial_report) = run_cell(serial_cfg);
+        config.warmup.as_secs_f64() as u64 + config.measure.as_secs_f64() as u64;
+    let serial = run_cell(config);
     eprintln!(
-        "serial:  {} ticks (+{} skipped) in {:.3} s ({:.0} ticks/s), {} displays",
+        "serial: {} ticks (+{} skipped) in {:.3} s ({:.0} ticks/s), {} displays",
         serial.ticks,
         serial.ticks_skipped,
         serial.seconds,
         serial.ticks_per_sec,
         serial.displays_completed
     );
-
-    let (sharded, sharded_report) = run_cell(scale_config(&opts, Some(shards)));
-    eprintln!(
-        "sharded: {} ticks (+{} skipped) in {:.3} s ({:.0} ticks/s), {} displays",
-        sharded.ticks,
-        sharded.ticks_skipped,
-        sharded.seconds,
-        sharded.ticks_per_sec,
-        sharded.displays_completed
-    );
-
-    // The determinism contract, enforced at scale on every invocation.
-    let serial_json = serde_json::to_string_pretty(&serial_report).expect("serialize report");
-    let sharded_json = serde_json::to_string_pretty(&sharded_report).expect("serialize report");
-    assert_eq!(
-        serial_json, sharded_json,
-        "sharded farm-scale run diverged from serial"
-    );
-    eprintln!("reports byte-identical across serial and {shards}-shard runs");
 
     let report = FarmScaleReport {
         mode: mode.to_string(),
@@ -194,9 +157,7 @@ fn main() {
         stations,
         objects,
         simulated_seconds,
-        speedup_vs_serial: serial.seconds / sharded.seconds,
         serial,
-        sharded,
         peak_rss_kb: peak_rss_kb(),
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

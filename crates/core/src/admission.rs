@@ -141,18 +141,13 @@ pub struct IntervalScheduler {
     /// 1000 disks with hundreds of waiters retrying per interval that is
     /// the admission hot path. The rebuild happens eagerly in `&mut`
     /// methods ([`Self::refresh_index`], called at every `try_admit`
-    /// entry) rather than behind interior mutability, which keeps the
-    /// scheduler `Sync` so read-only admission probes can fan out across
-    /// threads; `&self` readers that catch it stale fall back to an
-    /// exact `O(D)` sweep of `free_from`.
+    /// entry) rather than behind interior mutability, so the planners stay
+    /// plain `&self` reads with no borrow-flag traffic; `&self` readers
+    /// that catch it stale fall back to an exact `O(D)` sweep of
+    /// `free_from`.
     sorted: Vec<u64>,
     /// True when `free_from` has mutated since `sorted` was rebuilt.
     index_dirty: bool,
-    /// Bumped by every mutation that can change a planner's verdict
-    /// (commits, horizon overrides, outage and parity changes). Parallel
-    /// probe passes snapshot it and discard any probe computed against a
-    /// stale version.
-    version: u64,
     /// Known unavailability windows (fault injection). Empty in a
     /// fault-free run, in which case every outage-aware code path below
     /// reduces to the baseline behavior exactly.
@@ -173,7 +168,6 @@ impl IntervalScheduler {
             sorted: vec![0; frame.disks() as usize],
             frame,
             index_dirty: false,
-            version: 0,
             outages: Vec::new(),
             parity_group: None,
         }
@@ -189,7 +183,6 @@ impl IntervalScheduler {
             assert!(g >= 1, "parity group must cover at least one fragment");
         }
         self.parity_group = group;
-        self.version = self.version.wrapping_add(1);
     }
 
     /// The configured parity-group size, if any.
@@ -206,13 +199,11 @@ impl IntervalScheduler {
             until: outage.until,
         });
         self.outages.push(outage);
-        self.version = self.version.wrapping_add(1);
     }
 
     /// Drops windows that have fully elapsed by interval `now`.
     pub fn prune_outages(&mut self, now: u64) {
         self.outages.retain(|o| o.until > now);
-        self.version = self.version.wrapping_add(1);
     }
 
     /// The currently registered unavailability windows.
@@ -415,24 +406,15 @@ impl IntervalScheduler {
         &self.frame
     }
 
-    /// Marks the sorted index stale and bumps the mutation version after
-    /// a `free_from` change.
+    /// Marks the sorted index stale after a `free_from` change.
     fn invalidate_index(&mut self) {
         self.index_dirty = true;
-        self.version = self.version.wrapping_add(1);
-    }
-
-    /// The scheduler's mutation version: bumped by every state change
-    /// that can alter a planner's verdict. A read-only probe computed at
-    /// version `v` is valid exactly while `version() == v`.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Rebuilds the ascending free-horizon index if stale. `try_admit`
-    /// calls this on entry; parallel callers invoke it (or the sharded
-    /// variant) before fanning out read-only probes so every shard sees
-    /// the fast clean-index path.
+    /// calls this on entry; callers that split admission into
+    /// [`Self::plan`] and [`Self::commit`] call it before planning so the
+    /// planner sees the fast clean-index path.
     #[inline]
     pub fn refresh_index(&mut self) {
         if !self.index_dirty {
@@ -441,60 +423,6 @@ impl IntervalScheduler {
         self.sorted.clear();
         self.sorted.extend_from_slice(&self.free_from);
         self.sorted.sort_unstable();
-        self.index_dirty = false;
-    }
-
-    /// Sharded index rebuild: copies `free_from`, hands `exec` one
-    /// mutable chunk per shard to sort (typically on pool workers), then
-    /// merges the sorted chunks in fixed shard order. The merged result
-    /// is the ascending multiset of horizons — element-for-element
-    /// identical to the serial `sort_unstable`, whatever the thread
-    /// interleaving, because equal `u64` keys are indistinguishable.
-    ///
-    /// `exec` must leave every chunk sorted ascending; this is checked
-    /// in debug builds.
-    pub fn refresh_index_sharded(&mut self, shards: usize, exec: impl FnOnce(&mut [&mut [u64]])) {
-        if !self.index_dirty {
-            return;
-        }
-        let shards = shards.max(1);
-        if shards == 1 || self.free_from.len() < 2 * shards {
-            self.refresh_index();
-            return;
-        }
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&self.free_from);
-        let chunk = self.sorted.len().div_ceil(shards);
-        {
-            let mut parts: Vec<&mut [u64]> = self.sorted.chunks_mut(chunk).collect();
-            exec(&mut parts);
-        }
-        debug_assert!(self
-            .sorted
-            .chunks(chunk)
-            .all(|c| c.windows(2).all(|w| w[0] <= w[1])));
-        // Fixed-order k-way merge of the sorted chunks.
-        let mut merged = Vec::with_capacity(self.sorted.len());
-        let mut cursors: Vec<usize> = self.sorted.chunks(chunk).map(|_| 0).collect();
-        let starts: Vec<usize> = (0..cursors.len()).map(|i| i * chunk).collect();
-        let len = self.sorted.len();
-        while merged.len() < len {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, &cur) in cursors.iter().enumerate() {
-                let at = starts[i] + cur;
-                let end = (starts[i] + chunk).min(len);
-                if at < end {
-                    let key = self.sorted[at];
-                    if best.is_none_or(|(k, _)| key < k) {
-                        best = Some((key, i));
-                    }
-                }
-            }
-            let (key, i) = best.expect("cursors exhausted before merge filled");
-            merged.push(key);
-            cursors[i] += 1;
-        }
-        self.sorted = merged;
         self.index_dirty = false;
     }
 
@@ -540,8 +468,9 @@ impl IntervalScheduler {
     /// disks are committed through their reading windows.
     ///
     /// Equivalent to [`Self::refresh_index`] + [`Self::plan`] +
-    /// (on success) [`Self::commit`]; parallel admission runs the plan
-    /// step on worker threads and replays only the commit serially.
+    /// (on success) [`Self::commit`]; the striping server runs those
+    /// steps itself so its interconnect gate can sit between the last
+    /// two.
     pub fn try_admit(
         &mut self,
         now: u64,
@@ -559,9 +488,8 @@ impl IntervalScheduler {
 
     /// The read-only planning half of [`Self::try_admit`]: computes the
     /// verdict — grant or the exact rejection error — without touching
-    /// any state. Safe to run concurrently from many threads; a verdict
-    /// is valid for [`Self::commit`] only while [`Self::version`] is
-    /// unchanged from when the plan ran.
+    /// any state. A grant is valid for [`Self::commit`] only while the
+    /// scheduler has not mutated since the plan ran.
     pub fn plan(
         &self,
         now: u64,
@@ -595,8 +523,8 @@ impl IntervalScheduler {
     /// The mutating half of [`Self::try_admit`]: books every granted
     /// virtual disk (and parity companion) through its reading window and
     /// emits the observability events. `grant` must have been produced by
-    /// [`Self::plan`] at the current [`Self::version`] — committing a
-    /// stale grant would double-book disks, which debug builds catch.
+    /// [`Self::plan`] against the current state — committing a stale
+    /// grant would double-book disks, which debug builds catch.
     pub fn commit(&mut self, now: u64, grant: &AdmissionGrant, subobjects: u32) {
         for (idx, &v) in grant.virtual_disks.iter().enumerate() {
             let end = grant.read_start[idx] + u64::from(subobjects);
@@ -1390,56 +1318,6 @@ mod tests {
         }
         for v in 0..20 {
             assert_eq!(mono.free_from(v), split.free_from(v));
-        }
-    }
-
-    #[test]
-    fn version_changes_on_every_verdict_relevant_mutation() {
-        let mut s = sched(12, 1);
-        let v0 = s.version();
-        s.try_admit(0, ObjectId(0), 4, 3, 13, AdmissionPolicy::Contiguous)
-            .unwrap();
-        let v1 = s.version();
-        assert_ne!(v0, v1, "a commit must bump the version");
-        // A rejection plans without mutating.
-        assert!(s
-            .try_admit(0, ObjectId(1), 5, 3, 13, AdmissionPolicy::Contiguous)
-            .is_err());
-        assert_eq!(s.version(), v1, "a rejection must not bump the version");
-        s.set_free_from(0, 9);
-        assert_ne!(s.version(), v1);
-        let v2 = s.version();
-        s.add_outage(Outage {
-            disk: 2,
-            from: 0,
-            until: 5,
-            hard: true,
-        });
-        assert_ne!(s.version(), v2);
-    }
-
-    #[test]
-    fn sharded_index_refresh_matches_serial() {
-        for shards in [1usize, 2, 3, 5, 8] {
-            let mut serial = sched(37, 3);
-            let mut sharded = sched(37, 3);
-            for v in 0..37u32 {
-                let horizon = u64::from((v * 7919) % 23);
-                serial.set_free_from(v, horizon);
-                sharded.set_free_from(v, horizon);
-            }
-            serial.refresh_index();
-            sharded.refresh_index_sharded(shards, |parts| {
-                for part in parts.iter_mut() {
-                    part.sort_unstable();
-                }
-            });
-            for t in 0..25u64 {
-                assert_eq!(serial.free_count(t), sharded.free_count(t), "t={t}");
-            }
-            for m in 0..=38u32 {
-                assert_eq!(serial.earliest_free(m), sharded.earliest_free(m), "m={m}");
-            }
         }
     }
 

@@ -21,7 +21,6 @@
 use crate::config::{ArrivalModel, MaterializeMode, QueuePolicy, Scheme, ServerConfig};
 use crate::metrics::{MetricsCollector, RunReport};
 use crate::router::NodeRouter;
-use crate::shard::{sharded_min, ProbeArg, ProbeVerdict, ShardEngine};
 use crate::storage::{ScrubChunk, StoragePlane};
 use ss_core::admission::{AdmissionGrant, AdmissionPolicy, IntervalScheduler, Outage};
 use ss_core::buffers::BufferTracker;
@@ -293,10 +292,6 @@ pub struct StripingModel {
     /// Disks returned to service by an early rebuild; the next scheduled
     /// `Repair` timeline event for each is spent as a no-op.
     rebuilt_early: Vec<u32>,
-    /// Sharded-scan driver, armed by `parallel_shards > 1`. `None` runs
-    /// the fully serial tick kernel (the default, and the reference the
-    /// parallel-equivalence sweep compares against).
-    shard: Option<ShardEngine>,
     /// Stream-sharing prefix cache, armed by `config.sharing`.
     cache: Option<PrefixCache>,
     /// Viewers currently watching: every non-completed primary plus every
@@ -465,10 +460,6 @@ impl StripingModel {
             .as_ref()
             .map(|r| RebuildScheduler::new(r.fragments_per_interval, r.spares));
         let mask = AvailabilityMask::new(config.disks);
-        let shard = match config.parallel_shards {
-            Some(s) if s > 1 => Some(ShardEngine::new(s, &rng)),
-            _ => None,
-        };
         // `derive` is a pure function of (seed, label): adding the cache
         // stream moves none of the existing streams above.
         let cache = config.sharing.map(|s| {
@@ -564,7 +555,6 @@ impl StripingModel {
             rebuild,
             pending_rebuilds: Vec::new(),
             rebuilt_early: Vec::new(),
-            shard,
             cache,
             active_viewers: 0,
             catchup_in_use: 0,
@@ -716,6 +706,11 @@ impl StripingModel {
     /// stays byte-identical to the single-box path). A refused booking
     /// surfaces as `AdmissionRejected`, flowing into the ordinary
     /// reject/backoff path without the scheduler ever mutating.
+    ///
+    /// Kept out of line: inlined into `try_admissions`, its single caller,
+    /// the span walk in `remote_spans` ran about 2× slower on the
+    /// benchmark's `degraded` workload, where it dominates tick time.
+    #[inline(never)]
     fn admit_gate(&mut self, grant: &AdmissionGrant, subobjects: u32) -> Result<(NodeId, u64)> {
         let Some(dist) = self.dist.as_mut() else {
             return Ok((NodeId(0), 0));
@@ -782,56 +777,7 @@ impl StripingModel {
             .parity
             .as_ref()
             .map_or((0, 1), |p| (p.max_retries, p.max_backoff_intervals.max(1)));
-        // Sharded probe pass: plan every eligible waiter read-only against
-        // the tick-start scheduler state on the worker pool. The serial
-        // drain below consumes a verdict only while the scheduler version
-        // is unchanged — the first grant invalidates the rest, so the
-        // drain's fixed order (and therefore the report) is untouched. At
-        // saturation nothing mutates and the whole scan parallelizes.
-        let mut probes: Vec<ProbeVerdict> = Vec::new();
-        let mut probe_version = 0u64;
-        if self.shard.is_some() && waiters.len() >= 2 {
-            let mut args = Vec::with_capacity(waiters.len());
-            let mut gates = Vec::with_capacity(waiters.len());
-            for w in &waiters {
-                // The same pre-planning gates the drain loop applies;
-                // neither input changes before the drain reaches this
-                // waiter (only the scheduler mutates mid-drain, and the
-                // version check covers that).
-                if (backoff && w.next_attempt > t) || !self.displayable(w.object, now) {
-                    args.push(ProbeArg {
-                        object: w.object,
-                        start_disk: 0,
-                        degree: 1,
-                        subobjects: 1,
-                    });
-                    gates.push(false);
-                    continue;
-                }
-                let layout = self
-                    .placement
-                    .layout(w.object)
-                    .expect("displayable object is placed");
-                let spec = self.catalog.get(w.object).expect("catalog object");
-                let (start_disk, degree) = match self.cluster_round {
-                    Some(c) => (layout.start_disk - layout.start_disk % c, c),
-                    None => (layout.start_disk, layout.degree),
-                };
-                args.push(ProbeArg {
-                    object: w.object,
-                    start_disk,
-                    degree,
-                    subobjects: spec.subobjects,
-                });
-                gates.push(true);
-            }
-            if let Some(engine) = self.shard.as_mut() {
-                engine.refresh_index(&mut self.scheduler);
-                probe_version = self.scheduler.version();
-                probes = engine.probe_admissions(&self.scheduler, t, self.policy, &args, &gates);
-            }
-        }
-        for (wi, mut w) in waiters.drain(..).enumerate() {
+        for mut w in waiters.drain(..) {
             if backoff && w.next_attempt > t {
                 self.wait_disk.push(w);
                 continue;
@@ -842,11 +788,7 @@ impl StripingModel {
                 continue;
             }
             if self.config.sharing.is_some() && self.try_join_shared(&w, now, t) {
-                // Joined an in-flight shared stream. The waiter's probe
-                // verdict (if any) is deliberately left unconsumed: joins
-                // never touch the scheduler, so its version — and every
-                // later verdict — stays valid, and the sharded drain stays
-                // byte-identical to the serial one.
+                // Joined an in-flight shared stream.
                 continue;
             }
             let layout = self
@@ -865,57 +807,19 @@ impl StripingModel {
             // gate (which needs `&mut self` for the router and ledger).
             let subobjects = spec.subobjects;
             let media_degree = spec.degree(self.b_disk);
-            // Consume the sharded verdict when still valid (scheduler
-            // untouched since the probe pass); otherwise plan serially.
-            // Rejections never mutate, so a consumed `Err` leaves the
-            // version — and every later verdict — intact.
-            let verdict = probes
-                .get_mut(wi)
-                .and_then(Option::take)
-                .filter(|_| probe_version == self.scheduler.version());
-            let attempt = match verdict {
-                Some(Ok(grant)) => {
-                    self.shard
-                        .as_mut()
-                        .expect("verdicts exist only with an engine")
-                        .note_consumed();
-                    // The interconnect gate sits between plan and commit:
-                    // a refused booking consumes the verdict but leaves
-                    // the scheduler (and its version) untouched, so every
-                    // later verdict stays valid.
-                    match self.admit_gate(&grant, subobjects) {
-                        Ok((home, extra)) => {
-                            self.scheduler.commit(t, &grant, subobjects);
-                            Ok((grant, home, extra))
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-                Some(Err(e)) => {
-                    self.shard
-                        .as_mut()
-                        .expect("verdicts exist only with an engine")
-                        .note_consumed();
-                    Err(e)
-                }
-                None if self.dist.is_some() => {
-                    // `refresh_index` + `plan` + `commit` is exactly
-                    // `try_admit` (admission.rs), split open so the
-                    // interconnect gate can run between the last two.
-                    self.scheduler.refresh_index();
-                    self.scheduler
-                        .plan(t, w.object, start_disk, degree, subobjects, self.policy)
-                        .and_then(|grant| {
-                            let (home, extra) = self.admit_gate(&grant, subobjects)?;
-                            self.scheduler.commit(t, &grant, subobjects);
-                            Ok((grant, home, extra))
-                        })
-                }
-                None => self
-                    .scheduler
-                    .try_admit(t, w.object, start_disk, degree, subobjects, self.policy)
-                    .map(|grant| (grant, NodeId(0), 0)),
-            };
+            // `refresh_index` + `plan` + `commit` is exactly `try_admit`
+            // (admission.rs), split open so the interconnect gate can run
+            // between the last two; with the tier off the gate admits as
+            // `(NodeId(0), 0)` and touches nothing.
+            self.scheduler.refresh_index();
+            let attempt = self
+                .scheduler
+                .plan(t, w.object, start_disk, degree, subobjects, self.policy)
+                .and_then(|grant| {
+                    let (home, extra) = self.admit_gate(&grant, subobjects)?;
+                    self.scheduler.commit(t, &grant, subobjects);
+                    Ok((grant, home, extra))
+                });
             match attempt {
                 Ok((grant, home, extra_buffers)) => {
                     // (Naive cluster-rounding reserves more disks than the
@@ -1965,19 +1869,13 @@ impl StripingModel {
         // dense model's behavior (`complete_displays` precedes
         // `issue_requests`, so completions re-issue the same tick).
         if self.trace.is_none() && self.open.is_none() {
-            let n = self.stations.len();
-            let thinking_ready = |s: usize| {
-                let station = StationId(s as u32);
-                matches!(self.stations.state(station), StationState::Thinking)
-                    .then(|| self.activate_at[s].max(self.stations.ready_from(station)))
-            };
-            // Shard the scan only at station counts where the fan-out
-            // pays for itself; `min` is order-insensitive, so the result
-            // is identical either way.
-            let station_min = match &self.shard {
-                Some(engine) if n >= 64 => sharded_min(engine.shards(), n, thinking_ready),
-                _ => (0..n).filter_map(thinking_ready).min(),
-            };
+            let station_min = (0..self.stations.len())
+                .filter_map(|s| {
+                    let station = StationId(s as u32);
+                    matches!(self.stations.state(station), StationState::Thinking)
+                        .then(|| self.activate_at[s].max(self.stations.ready_from(station)))
+                })
+                .min();
             if let Some(ready) = station_min {
                 horizon = horizon.min(ready);
             }
@@ -2249,13 +2147,6 @@ impl StripingModel {
     /// Interval boundaries skipped (proved quiescent) so far.
     pub fn ticks_skipped(&self) -> u64 {
         self.metrics.ticks_skipped
-    }
-
-    /// `(planned, consumed)` sharded admission-probe counters — both zero
-    /// for a serial run. Non-vacuousness checks of the serial≡parallel
-    /// equivalence sweep assert a sharded run actually probed.
-    pub fn probe_stats(&self) -> (u64, u64) {
-        self.shard.as_ref().map_or((0, 0), ShardEngine::probe_stats)
     }
 
     /// The per-disk availability mask (fault-injection diagnostics).

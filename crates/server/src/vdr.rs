@@ -141,11 +141,6 @@ pub struct VdrModel {
     /// Disks returned to service by an early rebuild; the next scheduled
     /// `Repair` timeline event for each is spent as a no-op.
     rebuilt_early: Vec<u32>,
-    /// Effective strand count for the sharded wakeup-horizon reduction
-    /// (`1` = serial; the VDR farm's lazy status transitions take `&mut`,
-    /// so unlike the striping model only the read-only station scan
-    /// shards here).
-    shards: usize,
     /// Stream-sharing prefix cache, armed by `config.sharing`.
     cache: Option<PrefixCache>,
     /// Catch-up buffer accounting for shared viewers (the striping model's
@@ -275,10 +270,6 @@ impl VdrModel {
         };
         let mask = AvailabilityMask::new(config.disks);
         let clusters = vdr.clusters as usize;
-        let shards = config.parallel_shards.map_or(1, |s| s.max(1) as usize);
-        if shards > 1 {
-            ss_sim::WorkerPool::global().ensure_workers(shards - 1);
-        }
         // `derive` is a pure function of (seed, label): adding the cache
         // stream moves none of the existing streams above.
         let cache = config.sharing.map(|s| {
@@ -356,7 +347,6 @@ impl VdrModel {
                 .map(|r| RebuildScheduler::new(r.fragments_per_interval, r.spares)),
             pending_rebuilds: Vec::new(),
             rebuilt_early: Vec::new(),
-            shards,
             cache,
             buffers: BufferTracker::new(config.fragment_size(), None),
             freq: vec![0; config.objects as usize],
@@ -1237,20 +1227,14 @@ impl VdrModel {
             horizon = horizon.min(self.tertiary.busy_until());
         }
         // (b) Station activation / think expiry (the VDR baseline is
-        // closed-loop only). Sharded at large station counts: `min` is
-        // order-insensitive, so the reduction is identical to the serial
-        // scan.
-        let n = self.stations.len();
-        let thinking_ready = |s: usize| {
-            let station = StationId(s as u32);
-            matches!(self.stations.state(station), StationState::Thinking)
-                .then(|| self.activate_at[s].max(self.stations.ready_from(station)))
-        };
-        let station_min = if self.shards > 1 && n >= 64 {
-            crate::shard::sharded_min(self.shards, n, thinking_ready)
-        } else {
-            (0..n).filter_map(thinking_ready).min()
-        };
+        // closed-loop only).
+        let station_min = (0..self.stations.len())
+            .filter_map(|s| {
+                let station = StationId(s as u32);
+                matches!(self.stations.state(station), StationState::Thinking)
+                    .then(|| self.activate_at[s].max(self.stations.ready_from(station)))
+            })
+            .min();
         if let Some(ready) = station_min {
             horizon = horizon.min(ready);
         }

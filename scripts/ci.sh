@@ -14,17 +14,23 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> cargo test --workspace -q (every crate's unit tests)"
+# Tier-1 runs only the root package; the crate-level unit tests (rescue
+# geometry, crash-plane reconciliation, scrub/parity repair, ...) are
+# gated here.
+cargo test --workspace -q
+
 echo "==> fault suites (per-suite test counts)"
 # The degraded-mode harness: property sweep + goldens (now spanning the
 # parity/rebuild axes), coalescing proptest, backoff retry-queue
 # properties, seed-stability digests, dense-vs-sparse under fault plans,
-# serial-vs-sharded byte identity, delivery-machine properties (incl.
+# delivery-machine properties (incl.
 # the recorded proptest regression, re-run both via its sidecar and as a
 # directed case), the distributed-tier equivalence sweep, and the
 # crash-consistent storage plane (recovery reconciliation + scrub
 # completeness properties), and the SLO/QoS plane (ledger
 # reconciliation, alert determinism, root-cause attribution).
-for suite in fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence parallel_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties; do
+for suite in fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties; do
   count=$(cargo test -q --test "$suite" 2>&1 | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p')
   if [ -z "$count" ] || [ "$count" -eq 0 ]; then
     echo "ci.sh: suite $suite reported no passing tests" >&2
@@ -219,9 +225,9 @@ if [ "${CI_FULL:-0}" = "1" ]; then
     --check-against BENCH_engine.json --gate-parallel --append-history
 fi
 
-echo "==> farm_scale --quick (100k-disk smoke + at-scale equivalence)"
-# Runs the 100,000-disk scenario serial and sharded and asserts the two
-# reports are byte-identical (the bench exits non-zero on divergence).
+echo "==> farm_scale --quick (100k-disk smoke)"
+# Runs the 100,000-disk scenario once; exits non-zero if it cannot build
+# or complete the farm.
 cargo run --release -p ss-bench --bin farm_scale -- --quick --out target/ci-farm-scale
 
 echo "ci.sh: all checks passed"

@@ -1,13 +1,12 @@
 //! Cross-node equivalence and invariants for the distributed tier.
 //!
-//! The correctness spine, proven the same way serial ≡ sharded was in
-//! the parallel-equivalence sweep:
+//! The correctness spine:
 //!
 //! 1. **1 node ≡ single box.** A `distributed` config with one node and
 //!    an infinite interconnect produces a `RunReport` byte-identical to
 //!    the same run with `distributed: None` — across schemes, arrival
-//!    models, fault plans, stream sharing, and `parallel_shards`. Every
-//!    fragment is local, so the router and ledger are provably inert.
+//!    models, fault plans, and stream sharing. Every fragment is local,
+//!    so the router and ledger are provably inert.
 //! 2. **No unbooked crossing.** On a multi-node farm, every fragment a
 //!    display reads from another node's disk has a booked interconnect
 //!    interval behind it, at every processed tick (re-plans may overbook,
@@ -23,10 +22,10 @@ use staggered_striping::server::config::{
 };
 use staggered_striping::server::vdr::vdr_config_for;
 
-/// A randomized small configuration plus a shard count in `{2, 3, 5}`.
-/// The axes mirror `sharing_equivalence`'s strategy with the sharing
-/// knob swept on/off — the distributed tier must compose with all of it.
-fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
+/// A randomized small configuration. The axes mirror
+/// `sharing_equivalence`'s strategy with the sharing knob swept on/off —
+/// the distributed tier must compose with all of it.
+fn config_strategy() -> impl Strategy<Value = ServerConfig> {
     (
         1u32..=6,                    // stations
         0u64..1_000,                 // seed
@@ -35,9 +34,9 @@ fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
         prop::bool::ANY,             // preload
         0u8..3,                      // queue policy selector
         (60u64..=240, 300u64..=900), // warmup / measure seconds
-        // fault plan / self-healing (striping only) / shards -> {2,3,5} /
+        // fault plan / self-healing (striping only) /
         // sharing on-off-tight / router policy
-        (0u8..4, 0u8..3, 0u8..3, 0u8..3, prop::bool::ANY),
+        (0u8..4, 0u8..3, 0u8..3, prop::bool::ANY),
     )
         .prop_map(
             |(
@@ -48,9 +47,8 @@ fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
                 preload,
                 queue,
                 (warmup, measure),
-                (faults, healing, shard_sel, sharing_sel, affinity),
+                (faults, healing, sharing_sel, affinity),
             )| {
-                let shards = [2u32, 3, 5][shard_sel as usize];
                 let mut c = ServerConfig::small_test(stations, seed);
                 c.warmup = SimDuration::from_secs(warmup);
                 c.measure = SimDuration::from_secs(measure);
@@ -111,12 +109,12 @@ fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
                     d.router = RouterPolicy::LocalityAffinity;
                 }
                 c.distributed = Some(d);
-                (c, shards)
+                c
             },
         )
 }
 
-/// The fault-plan axis, identical to `parallel_equivalence`'s.
+/// The fault-plan axis, identical to `sharing_equivalence`'s.
 fn fault_plan(selector: u8, warmup: u64, measure: u64) -> FaultPlan {
     let at = |s: u64| SimTime::from_secs(s);
     match selector {
@@ -146,24 +144,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A 1-node infinite-interconnect distributed run reproduces the
-    /// plain run's `RunReport` byte-for-byte — serial and sharded alike.
+    /// plain run's `RunReport` byte-for-byte.
     #[test]
-    fn one_node_report_is_byte_identical_to_single_box((cfg, shards) in config_strategy()) {
+    fn one_node_report_is_byte_identical_to_single_box(cfg in config_strategy()) {
         let mut plain = cfg.clone();
         plain.distributed = None;
         let a = staggered_striping::server::run(&plain).expect("plain run");
         let b = staggered_striping::server::run(&cfg).expect("distributed run");
         prop_assert!(b.distributed.is_none(), "N = 1 must not attach the section");
-        prop_assert_eq!(&a, &b);
-
-        let mut plain_sharded = plain;
-        plain_sharded.parallel_shards = Some(shards);
-        let mut dist_sharded = cfg;
-        dist_sharded.parallel_shards = Some(shards);
-        let c = staggered_striping::server::run(&plain_sharded).expect("plain sharded run");
-        let d = staggered_striping::server::run(&dist_sharded).expect("distributed sharded run");
-        prop_assert_eq!(&a, &c); // PR-6 contract still holds underneath
-        prop_assert_eq!(&c, &d);
+        prop_assert_eq!(a, b);
     }
 }
 

@@ -2,7 +2,7 @@
 //! ceilings, determinism, warm/cold behaviour, and cross-scheme sanity.
 
 use staggered_striping::prelude::*;
-use staggered_striping::server::experiment::run_batch;
+use staggered_striping::server::experiment::{run_batch, run_batch_stats};
 use staggered_striping::server::vdr::vdr_config_for;
 
 fn striping_cfg(stations: u32, seed: u64) -> ServerConfig {
@@ -187,4 +187,22 @@ fn open_arrivals_cross_crate() {
     }
     // 120/hour nominal.
     assert!((90..=150).contains(&n), "arrivals in one hour: {n}");
+}
+
+/// The batch runner at 2 threads returns reports in input order with
+/// bytes identical to the 1-thread batch (the `run_batch` contract the
+/// grid benches lean on).
+#[test]
+fn two_thread_batch_matches_one_thread_batch() {
+    let configs: Vec<ServerConfig> = [(1u32, 50u64), (4, 51), (2, 52), (3, 53)]
+        .into_iter()
+        .map(|(stations, seed)| ServerConfig::small_test(stations, seed))
+        .collect();
+    let one = run_batch(configs.clone(), 1);
+    let (two, stats) = run_batch_stats(configs, 2);
+    assert_eq!(stats.threads_used, 2);
+    let stations: Vec<u32> = two.iter().map(|r| r.stations).collect();
+    assert_eq!(stations, vec![1, 4, 2, 3], "reports must keep input order");
+    let bytes = |rs: &[RunReport]| serde_json::to_string_pretty(rs).expect("reports serialize");
+    assert_eq!(bytes(&one), bytes(&two));
 }

@@ -18,6 +18,25 @@ fn server_config_roundtrips_through_json() {
     assert_eq!(cfg, back);
 }
 
+/// Configs stored before the intra-run sharded engine was removed may
+/// still carry `"parallel_shards"`. `ops_report` and `trace_dump
+/// --config` load such files from disk, so the retired key must be
+/// ignored: the config deserializes, validates, and runs to the same
+/// report bytes as the config without it.
+#[test]
+fn stored_config_with_retired_parallel_shards_key_still_runs() {
+    let cfg = ServerConfig::small_test(3, 5);
+    let json = serde_json::to_string_pretty(&cfg).unwrap();
+    let legacy = json.replacen('{', "{\n  \"parallel_shards\": 4,", 1);
+    assert!(legacy.contains("\"parallel_shards\": 4"));
+    let loaded: ServerConfig = serde_json::from_str(&legacy).expect("retired key is ignored");
+    loaded.validate().expect("legacy config validates");
+    assert_eq!(loaded, cfg);
+    let render =
+        |c: &ServerConfig| serde_json::to_string_pretty(&ss_server::run(c).unwrap()).unwrap();
+    assert_eq!(render(&loaded), render(&cfg));
+}
+
 #[test]
 fn vdr_config_roundtrips() {
     let cfg = ServerConfig::paper_vdr(16, 10.0, 3);

@@ -5,10 +5,10 @@
 //! 1. **Off ≡ absent.** A run whose arrivals never overlap produces — with
 //!    sharing armed — a report byte-identical to the unshared run except
 //!    for the `sharing` section itself. The knob is pay-for-what-you-use.
-//! 2. **Serial ≡ sharded with sharing on.** The join decisions live in
-//!    the serial drain and never touch the interval scheduler, so arming
-//!    `parallel_shards` alongside `sharing` keeps the full report
-//!    bit-identical to the serial engine (the PR-6 contract extended).
+//! 2. **Determinism with sharing on.** Across a randomized sweep of
+//!    schemes, arrivals, faults and self-healing, two runs of the same
+//!    config produce the same full report: cache salts, join order and
+//!    catch-up accounting replay exactly.
 //! 3. **Shared bandwidth is viewer-independent.** N arrivals riding one
 //!    stream book exactly the disk bandwidth of one arrival: the
 //!    utilization trace of a 1-viewer run and an N-viewer run of the same
@@ -19,10 +19,10 @@ use staggered_striping::prelude::*;
 use staggered_striping::server::config::{ArrivalModel, MaterializeMode, QueuePolicy, Scheme};
 use staggered_striping::server::vdr::vdr_config_for;
 
-/// A randomized small configuration with sharing armed, plus a shard
-/// count in `{2, 3, 5}`. The axes mirror `parallel_equivalence`'s
-/// strategy with the sharing knob swept instead of held off.
-fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
+/// A randomized small configuration with sharing armed. The axes mirror
+/// `tick_equivalence`'s strategy plus parity/rebuild, with the sharing
+/// knob swept instead of held off.
+fn config_strategy() -> impl Strategy<Value = ServerConfig> {
     (
         1u32..=6,                    // stations
         0u64..1_000,                 // seed
@@ -31,9 +31,9 @@ fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
         prop::bool::ANY,             // preload
         0u8..3,                      // queue policy selector
         (60u64..=240, 300u64..=900), // warmup / measure seconds
-        // fault plan / self-healing (striping only) / shards -> {2,3,5} /
+        // fault plan / self-healing (striping only) /
         // sharing axis: window sweep and a tight-cache variant
-        (0u8..4, 0u8..3, 0u8..3, 0u8..3),
+        (0u8..4, 0u8..3, 0u8..3),
     )
         .prop_map(
             |(
@@ -44,9 +44,8 @@ fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
                 preload,
                 queue,
                 (warmup, measure),
-                (faults, healing, shard_sel, sharing_sel),
+                (faults, healing, sharing_sel),
             )| {
-                let shards = [2u32, 3, 5][shard_sel as usize];
                 let mut c = ServerConfig::small_test(stations, seed);
                 c.warmup = SimDuration::from_secs(warmup);
                 c.measure = SimDuration::from_secs(measure);
@@ -99,12 +98,14 @@ fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
                         _ => {}
                     }
                 }
-                (c, shards)
+                c
             },
         )
 }
 
-/// The fault-plan axis, identical to `parallel_equivalence`'s.
+/// The fault-plan axis: none, one mid-run failure window, two
+/// overlapping failures with the drop policy armed, or a stochastic
+/// storm.
 fn fault_plan(selector: u8, warmup: u64, measure: u64) -> FaultPlan {
     let at = |s: u64| SimTime::from_secs(s);
     match selector {
@@ -134,15 +135,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The full `RunReport` — sharing section included — is identical
-    /// whether the tick kernel runs serial or sharded.
+    /// across two runs of the same config.
     #[test]
-    fn sharing_reports_are_shard_invariant((cfg, shards) in config_strategy()) {
-        let mut serial = cfg.clone();
-        serial.parallel_shards = None;
-        let mut sharded = cfg;
-        sharded.parallel_shards = Some(shards);
-        let a = staggered_striping::server::run(&serial).expect("serial run");
-        let b = staggered_striping::server::run(&sharded).expect("sharded run");
+    fn sharing_sweep_runs_are_deterministic(cfg in config_strategy()) {
+        let a = staggered_striping::server::run(&cfg).expect("first run");
+        let b = staggered_striping::server::run(&cfg).expect("second run");
         prop_assert_eq!(a, b);
     }
 }
