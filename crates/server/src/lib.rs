@@ -9,6 +9,10 @@
 //!
 //! * [`config`] — [`config::ServerConfig`]: every knob of Table 3 plus the
 //!   scheme selection and measurement window.
+//! * [`kernel`] — the shared server kernel: the §4.1 model (stations,
+//!   queue, active set and shared viewers, faults and rebuild, sharing,
+//!   the distributed tier, the storage plane, metrics) that both schemes
+//!   plug into through [`kernel::PlacementPolicy`].
 //! * [`striping`] — the striping server (simple striping is stride
 //!   `k = M`; staggered striping is any other stride; both run here).
 //! * [`vdr`] — the virtual-data-replication baseline server.
@@ -33,6 +37,7 @@
 pub mod analysis;
 pub mod config;
 pub mod experiment;
+pub mod kernel;
 pub mod metrics;
 pub mod router;
 pub mod storage;
@@ -49,7 +54,6 @@ pub use vdr::VdrServer;
 
 /// Runs one simulation to completion under `config`, returning its report.
 pub fn run(config: &ServerConfig) -> ss_types::Result<RunReport> {
-    config.validate()?;
     match config.scheme {
         Scheme::Striping { .. } => Ok(StripingServer::new(config.clone())?.run()),
         Scheme::Vdr { .. } => Ok(VdrServer::new(config.clone())?.run()),
