@@ -20,6 +20,15 @@ echo "==> cargo test --workspace -q (every crate's unit tests)"
 # gated here.
 cargo test --workspace -q
 
+echo "==> benchmark --quick (public-API build + pinned digests of all four workloads)"
+# The repository benchmark is a package of its own, built only against
+# the crates' public APIs, so this step also catches an API break the
+# workspace build cannot see. Its quick pass checks every workload's
+# reports against the digests pinned at seed 1994 and the end-of-run
+# invariants (storage reconciliation, lost reads, remote bookings). A
+# hard gate: no CI_PERF_STRICT escape.
+cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --quick
+
 echo "==> fault suites (per-suite test counts)"
 # The degraded-mode harness: property sweep + goldens (now spanning the
 # parity/rebuild axes), coalescing proptest, backoff retry-queue

@@ -20,6 +20,7 @@ use staggered_striping::prelude::*;
 use staggered_striping::server::config::{
     ArrivalModel, MaterializeMode, QueuePolicy, RouterPolicy, Scheme,
 };
+use staggered_striping::server::kernel::{PlacementPolicy, Server};
 use staggered_striping::server::vdr::vdr_config_for;
 
 /// A randomized small configuration. The axes mirror
@@ -166,28 +167,88 @@ fn multi_node(nodes: u32, seed: u64, policy: RouterPolicy) -> ServerConfig {
     c
 }
 
-/// Invariant 2, tick by tick: stepping a 4-node striping run event by
-/// event, no committed read ever crosses nodes without a booked
-/// interconnect interval — and the run actually reads remotely, so the
-/// check is not vacuous.
+/// Steps `server` to its deadline, asserting after every event that no
+/// committed read crosses nodes without a booked interconnect interval.
+/// Returns the fragment·intervals booked over the run.
+fn step_checking_bookings<P: PlacementPolicy>(mut server: Server<P>, run: &str) -> u64 {
+    while server.step() {
+        let now = server.now();
+        assert_eq!(
+            server.model().remote_booking_deficit(now),
+            0,
+            "unbooked cross-node read at {now:?} ({run})"
+        );
+    }
+    server.model().remote_fragment_intervals()
+}
+
+/// Invariant 2, tick by tick, on both server models: stepping a 4-node
+/// run event by event, with and without a disk failure (striping rescues
+/// and VDR replica fallbacks re-book the interconnect), no read ever
+/// crosses nodes unbooked — and the runs actually read remotely, so the
+/// check is not vacuous. (VDR clusters map onto nodes, so affinity
+/// routing homes every VDR display locally; least-loaded routing must
+/// cross nodes.)
 #[test]
 fn no_fragment_crosses_nodes_without_a_booked_interval() {
     for policy in [RouterPolicy::LeastLoaded, RouterPolicy::LocalityAffinity] {
-        let cfg = multi_node(4, 7, policy);
-        let mut server = StripingServer::new(cfg).expect("valid config");
-        while server.step() {
-            let now = server.now();
-            assert_eq!(
-                server.model().remote_booking_deficit(now),
-                0,
-                "unbooked cross-node read at {now:?} under {policy:?}"
+        for failure in [false, true] {
+            let mut cfg = multi_node(4, 7, policy);
+            if failure {
+                cfg.faults =
+                    FaultPlan::fail_window(2, SimTime::from_secs(600), SimTime::from_secs(900));
+            }
+            let run = format!("striping, {policy:?}, failure {failure}");
+            let server = StripingServer::new(cfg.clone()).expect("valid config");
+            let booked = step_checking_bookings(server, &run);
+            assert!(
+                booked > 0,
+                "a 4-node striped farm must read remotely ({run})"
             );
+
+            cfg.scheme = Scheme::Vdr {
+                vdr: vdr_config_for(&cfg),
+            };
+            cfg.materialize = MaterializeMode::AfterFull;
+            let run = format!("vdr, {policy:?}, failure {failure}");
+            let booked = step_checking_bookings(VdrServer::new(cfg).expect("valid config"), &run);
+            if matches!(policy, RouterPolicy::LeastLoaded) {
+                assert!(
+                    booked > 0,
+                    "least-loaded VDR must stream across nodes ({run})"
+                );
+            }
         }
-        assert!(
-            server.model().remote_fragment_intervals() > 0,
-            "a 4-node striped farm must read remotely under {policy:?}"
+    }
+}
+
+/// A VDR replica fallback that moves a locally served display onto a
+/// cluster on another node must force-book the rest of its window: the
+/// old cluster was local, so nothing booked earlier covers the new
+/// remote stream. Under this seed and skew the failure of disk 7
+/// (cluster 1) triggers exactly such a fallback.
+#[test]
+fn vdr_replica_fallback_books_its_new_remote_window() {
+    let mut cfg = ServerConfig::small_test(4, 17);
+    cfg.verify_delivery = false;
+    cfg.distributed = Some(DistributedConfig::even(4, cfg.disks));
+    cfg.popularity = Popularity::TruncatedGeometric { mean: 0.3 };
+    cfg.faults = FaultPlan::fail_window(7, SimTime::from_secs(600), SimTime::from_secs(900));
+    cfg.scheme = Scheme::Vdr {
+        vdr: vdr_config_for(&cfg),
+    };
+    cfg.materialize = MaterializeMode::AfterFull;
+    let mut server = VdrServer::new(cfg).expect("valid config");
+    while server.step() {
+        let now = server.now();
+        assert_eq!(
+            server.model().remote_booking_deficit(now),
+            0,
+            "unbooked cross-node stream at {now:?}"
         );
     }
+    let g = server.model().degraded().expect("the failure fired");
+    assert_eq!(g.rescues, 1, "the display falls back onto a replica: {g:?}");
 }
 
 /// Multi-node runs are seed-deterministic on both server models, and the
