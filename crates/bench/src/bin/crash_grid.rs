@@ -7,32 +7,38 @@
 //! next to the crash counters: recoveries (and how many verified
 //! clean), journal transactions replayed/discarded, forced refetches,
 //! and the latent-error injection/detection/repair ledger with its
-//! dwell time. Two headline numbers gate CI:
+//! dwell time. After writing its artifacts the bin gates two headline
+//! numbers, exiting non-zero on a miss:
 //!
 //! * `recovery_success_pct` — clean recoveries as a share of all
-//!   journal recoveries across every crash-armed cell (floor 99%).
+//!   journal recoveries across every crash-armed cell (floor 99%; a
+//!   correctness gate, so `CI_PERF_STRICT=0` never relaxes it).
 //! * `scrub_interference_pct` — throughput given up by arming the scrub
 //!   daemon on a crash-free run, worst case over the grid (ceiling
-//!   10%). VDR's scrub is a metadata-only walk, so its interference is
+//!   10%; `CI_PERF_STRICT=0` downgrades a miss to a warning). VDR's
+//!   scrub is a metadata-only walk, so its interference is
 //!   structurally zero; the striping scheme books real verification
 //!   bandwidth and pays for it here.
 //!
 //! Emits `crash_grid.csv` and `crash_grid.json`; in full mode the
 //! summary is also merged into `BENCH_engine.json` under a `crash` key.
 //! `--quick` runs one scrub rate on a shortened window — the CI smoke
-//! mode behind the recovery/interference gates in `scripts/ci.sh`.
+//! mode `scripts/ci.sh` runs.
 //!
 //! Run from the repo root:
 //! `cargo run --release -p ss-bench --bin crash_grid [-- --quick]`.
 
 use serde::Serialize;
+use ss_bench::grid::{
+    merge_section, pct_of, perf_strict, run_cells, success_pct, write_csv, write_json, Bound,
+};
 use ss_bench::HarnessOpts;
 use ss_server::config::ScrubConfig;
 use ss_server::{RunReport, ServerConfig};
 use ss_sim::CrashFaults;
 use ss_types::SimDuration;
 
-/// One (scheme, crash, scrub) cell.
+/// One (scheme, crash, scrub) cell — a `crash_grid.csv` row.
 #[derive(Debug, Serialize)]
 struct CrashCell {
     scheme: String,
@@ -100,8 +106,8 @@ fn cell_config(opts: &HarnessOpts, scheme: &str) -> ServerConfig {
     c
 }
 
-fn run_cell(opts: &HarnessOpts, scheme: &str, crash: bool, scrub_rate: u64) -> RunReport {
-    let mut cfg = cell_config(opts, scheme);
+/// `cfg` with the crash plane and the scrub daemon armed as asked.
+fn armed(mut cfg: ServerConfig, crash: bool, scrub_rate: u64) -> ServerConfig {
     if crash {
         cfg.faults.crash = Some(CrashFaults {
             power_loss_mtbf: Some(SimDuration::from_secs(POWER_LOSS_MTBF_S)),
@@ -112,7 +118,7 @@ fn run_cell(opts: &HarnessOpts, scheme: &str, crash: bool, scrub_rate: u64) -> R
     if scrub_rate > 0 {
         cfg.scrub = Some(ScrubConfig::rate(scrub_rate));
     }
-    ss_server::run(&cfg).expect("crash grid run")
+    cfg
 }
 
 fn cell(
@@ -122,18 +128,13 @@ fn cell(
     r: &RunReport,
     baseline: &RunReport,
 ) -> CrashCell {
-    let retention_pct = if baseline.displays_per_hour > 0.0 {
-        100.0 * r.displays_per_hour / baseline.displays_per_hour
-    } else {
-        f64::NAN
-    };
     let c = r.crash.clone().unwrap_or_default();
     CrashCell {
         scheme: scheme.to_string(),
         crash,
         scrub_rate,
         displays_per_hour: r.displays_per_hour,
-        retention_pct,
+        retention_pct: pct_of(r.displays_per_hour, baseline.displays_per_hour),
         power_loss_events: c.power_loss_events,
         torn_writes: c.torn_write_events,
         recoveries: c.recoveries,
@@ -151,50 +152,14 @@ fn cell(
     }
 }
 
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        100.0
-    } else {
-        100.0 * num as f64 / den as f64
-    }
+/// The two CI headlines: pooled recovery success, a correctness floor
+/// nothing downgrades, and scrub interference, a perf ceiling `strict`
+/// governs.
+fn crash_gates(recovery_success_pct: f64, scrub_interference_pct: f64, strict: bool) -> bool {
+    let recovered = Bound::Floor(99.0).gate("recovery_success_pct", recovery_success_pct, true);
+    let tithe = Bound::Ceiling(10.0).gate("scrub_interference_pct", scrub_interference_pct, strict);
+    recovered && tithe
 }
-
-/// Merges `report` into `BENCH_engine.json` under the `crash` key,
-/// replacing any previous section and leaving every other key intact
-/// (the `farm_scale` merge idiom; `perf_baseline` owns creating the
-/// file).
-fn merge_into_baseline(report: &CrashGridReport) {
-    const PATH: &str = "BENCH_engine.json";
-    let Ok(text) = std::fs::read_to_string(PATH) else {
-        eprintln!("{PATH} not found; run perf_baseline first to merge the crash section");
-        return;
-    };
-    let mut value: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot parse {PATH} ({e:?}); leaving it untouched");
-            return;
-        }
-    };
-    let serde_json::Value::Map(entries) = &mut value else {
-        eprintln!("{PATH} is not a JSON object; leaving it untouched");
-        return;
-    };
-    use serde::Serialize as _;
-    let section = report.to_value();
-    match entries.iter_mut().find(|(k, _)| k == "crash") {
-        Some((_, v)) => *v = section,
-        None => entries.push(("crash".to_string(), section)),
-    }
-    let json = serde_json::to_string_pretty(&value).expect("serialize merged baseline");
-    std::fs::write(PATH, format!("{json}\n")).expect("write merged baseline");
-    eprintln!("merged crash section into {PATH}");
-}
-
-const CSV_HEADER: &str = "scheme,crash,scrub_rate,displays_per_hour,retention_pct,\
-power_loss_events,torn_writes,recoveries,recoveries_clean,txns_journaled,txns_replayed,\
-txns_discarded,objects_refetched,latent_injected,latent_found,latent_repaired,\
-latent_dwell_s,scrub_passes,scrub_interference_intervals\n";
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -206,23 +171,32 @@ fn main() {
     // the interference ceiling CI holds the worst cell to.
     let scrub_rates: &[u64] = if opts.quick { &[2] } else { &[1, 2] };
     let schemes = ["striping", "vdr"];
-
-    let mut cells = Vec::new();
-    let mut worst_interference = 0.0_f64;
-    for scheme in schemes {
-        let baseline = run_cell(&opts, scheme, false, 0);
-        cells.push(cell(scheme, false, 0, &baseline, &baseline));
-        let crashed = run_cell(&opts, scheme, true, 0);
-        cells.push(cell(scheme, true, 0, &crashed, &baseline));
-        for &rate in scrub_rates {
-            let scrubbed = run_cell(&opts, scheme, false, rate);
-            let c = cell(scheme, false, rate, &scrubbed, &baseline);
-            worst_interference = worst_interference.max((100.0 - c.retention_pct).max(0.0));
-            cells.push(c);
-            let both = run_cell(&opts, scheme, true, rate);
-            cells.push(cell(scheme, true, rate, &both, &baseline));
-        }
-    }
+    // Every scheme's arming states, the unarmed baseline first: crash
+    // only, then scrub only and both at each rate.
+    let arms: Vec<(bool, u64)> = [(false, 0), (true, 0)]
+        .into_iter()
+        .chain(scrub_rates.iter().flat_map(|&r| [(false, r), (true, r)]))
+        .collect();
+    let grid = run_cells(
+        schemes
+            .iter()
+            .map(|s| {
+                arms.iter()
+                    .map(|&(crash, rate)| armed(cell_config(&opts, s), crash, rate))
+                    .collect()
+            })
+            .collect(),
+        opts.threads,
+    );
+    let cells: Vec<CrashCell> = schemes
+        .iter()
+        .zip(&grid)
+        .flat_map(|(s, runs)| {
+            arms.iter()
+                .zip(runs)
+                .map(|(&(crash, rate), r)| cell(s, crash, rate, r, &runs[0]))
+        })
+        .collect();
     for c in &cells {
         eprintln!(
             "{} crash={} scrub={}: {:.1} disp/h ({:.1}%), {} recoveries ({} clean), \
@@ -241,17 +215,24 @@ fn main() {
     }
 
     let sum = |get: &dyn Fn(&CrashCell) -> u64| cells.iter().map(get).sum::<u64>();
-    let recovery_success_pct = pct(sum(&|c| c.recoveries_clean), sum(&|c| c.recoveries));
-    let latent_find_pct = pct(
-        sum(&|c| if c.scrub_rate > 0 { c.latent_found } else { 0 }),
-        sum(&|c| {
-            if c.scrub_rate > 0 {
-                c.latent_injected
-            } else {
-                0
-            }
-        }),
+    let recovery_success_pct = success_pct(sum(&|c| c.recoveries_clean), sum(&|c| c.recoveries));
+    let scrubbed = |c: &CrashCell, n: u64| if c.scrub_rate > 0 { n } else { 0 };
+    let latent_find_pct = success_pct(
+        sum(&|c| scrubbed(c, c.latent_found)),
+        sum(&|c| scrubbed(c, c.latent_injected)),
     );
+    // The worst throughput a crash-free scrub cost; an undefined
+    // retention (zero baseline) makes the headline undefined too.
+    let interference: Vec<f64> = cells
+        .iter()
+        .filter(|c| !c.crash && c.scrub_rate > 0)
+        .map(|c| 100.0 - c.retention_pct)
+        .collect();
+    let scrub_interference_pct = if interference.iter().any(|x| x.is_nan()) {
+        f64::NAN
+    } else {
+        interference.into_iter().fold(0.0, f64::max)
+    };
 
     let probe = cell_config(&opts, "striping");
     let report = CrashGridReport {
@@ -263,45 +244,36 @@ fn main() {
         torn_write_mtbf_s: TORN_WRITE_MTBF_S,
         cells,
         recovery_success_pct,
-        scrub_interference_pct: worst_interference,
+        scrub_interference_pct,
         latent_find_pct,
     };
 
-    let mut csv = String::from(CSV_HEADER);
-    for c in &report.cells {
-        use std::fmt::Write;
-        writeln!(
-            csv,
-            "{},{},{},{:.3},{:.2},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{}",
-            c.scheme,
-            c.crash,
-            c.scrub_rate,
-            c.displays_per_hour,
-            c.retention_pct,
-            c.power_loss_events,
-            c.torn_writes,
-            c.recoveries,
-            c.recoveries_clean,
-            c.txns_journaled,
-            c.txns_replayed,
-            c.txns_discarded,
-            c.objects_refetched,
-            c.latent_injected,
-            c.latent_found,
-            c.latent_repaired,
-            c.latent_dwell_s,
-            c.scrub_passes,
-            c.scrub_interference_intervals,
-        )
-        .expect("write to String");
+    write_csv(&opts, "crash_grid.csv", &report.cells);
+    write_json(&opts, "crash_grid.json", &report);
+    merge_section(&opts, "crash", &report);
+    if !crash_gates(recovery_success_pct, scrub_interference_pct, perf_strict()) {
+        std::process::exit(1);
     }
-    opts.write_artifact("crash_grid.csv", &csv);
+}
 
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    opts.write_artifact("crash_grid.json", &format!("{json}\n"));
-    println!("{json}");
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    if !opts.quick {
-        merge_into_baseline(&report);
+    #[test]
+    fn recovery_floor_is_hard_and_interference_ceiling_escapable() {
+        assert!(crash_gates(100.0, 2.8, true));
+        assert!(!crash_gates(98.9, 0.0, true), "recovery below 99%");
+        assert!(
+            !crash_gates(98.9, 0.0, false),
+            "CI_PERF_STRICT=0 never relaxes the recovery floor"
+        );
+        assert!(
+            !crash_gates(f64::NAN, 0.0, false),
+            "NaN recovery fails hard"
+        );
+        assert!(!crash_gates(100.0, 10.5, true), "interference above 10%");
+        assert!(crash_gates(100.0, 10.5, false), "CI_PERF_STRICT=0 warns");
+        assert!(!crash_gates(100.0, f64::NAN, true), "NaN interference");
     }
 }

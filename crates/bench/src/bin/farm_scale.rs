@@ -15,6 +15,7 @@
 //! `cargo run --release -p ss-bench --bin farm_scale [-- --quick]`.
 
 use serde::Serialize;
+use ss_bench::grid::{merge_section, peak_rss_kb, write_json};
 use ss_bench::HarnessOpts;
 use ss_server::{ServerConfig, StripingServer};
 use ss_types::SimDuration;
@@ -86,51 +87,6 @@ fn run_cell(config: ServerConfig) -> CellMetrics {
     }
 }
 
-/// Peak resident set size of this process (VmHWM), in kB.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Merges `report` into `BENCH_engine.json` under the `farm_scale` key,
-/// replacing any previous section and leaving every other key intact.
-/// Missing or unparsable baselines are left alone (the full
-/// `perf_baseline` run owns creating the file).
-fn merge_into_baseline(report: &FarmScaleReport) {
-    const PATH: &str = "BENCH_engine.json";
-    let Ok(text) = std::fs::read_to_string(PATH) else {
-        eprintln!("{PATH} not found; run perf_baseline first to merge the farm_scale section");
-        return;
-    };
-    let mut value: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot parse {PATH} ({e:?}); leaving it untouched");
-            return;
-        }
-    };
-    let serde_json::Value::Map(entries) = &mut value else {
-        eprintln!("{PATH} is not a JSON object; leaving it untouched");
-        return;
-    };
-    use serde::Serialize as _;
-    let section = report.to_value();
-    match entries.iter_mut().find(|(k, _)| k == "farm_scale") {
-        Some((_, v)) => *v = section,
-        None => entries.push(("farm_scale".to_string(), section)),
-    }
-    let json = serde_json::to_string_pretty(&value).expect("serialize merged baseline");
-    std::fs::write(PATH, format!("{json}\n")).expect("write merged baseline");
-    eprintln!("merged farm_scale section into {PATH}");
-}
-
 fn main() {
     let opts = HarnessOpts::from_args();
     let mode = if opts.quick { "quick" } else { "full" };
@@ -160,11 +116,6 @@ fn main() {
         serial,
         peak_rss_kb: peak_rss_kb(),
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    opts.write_artifact("farm_scale.json", &format!("{json}\n"));
-    println!("{json}");
-
-    if !opts.quick {
-        merge_into_baseline(&report);
-    }
+    write_json(&opts, "farm_scale.json", &report);
+    merge_section(&opts, "farm_scale", &report);
 }

@@ -13,6 +13,10 @@
 //! steers admissions around the dark node, so the residual gap closes
 //! monotonically toward the interconnect-limited ceiling.
 //!
+//! After writing its artifacts the bin gates the widest split's
+//! retention at ≥ 70%, exiting non-zero on a miss (`CI_PERF_STRICT=0`
+//! downgrades it to a warning).
+//!
 //! `--quick` shrinks the window for CI smoke runs; the full run also
 //! merges the grid into `BENCH_engine.json` under a `distributed` key so
 //! the committed baseline carries the node-scaling numbers.
@@ -21,9 +25,9 @@
 //! `cargo run --release -p ss-bench --bin node_grid [-- --quick]`.
 
 use serde::Serialize;
+use ss_bench::grid::{merge_section, pct_of, perf_strict, run_cells, write_json, Bound};
 use ss_bench::HarnessOpts;
 use ss_server::config::NodeOutage;
-use ss_server::experiment::run_batch;
 use ss_server::{DistributedConfig, ParityConfig, RebuildConfig, RunReport, ServerConfig};
 use ss_types::{SimDuration, SimTime};
 
@@ -33,7 +37,7 @@ const DISKS: u32 = 24;
 const NODES: [u32; 4] = [1, 2, 4, 8];
 
 /// One (node count) cell: a healthy run and its single-node-outage twin.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Default, Serialize)]
 struct Cell {
     nodes: u32,
     disks_per_node: u32,
@@ -106,17 +110,12 @@ fn outage_window(c: &ServerConfig) -> (SimTime, SimTime) {
 fn cell(nodes: u32, baseline: &RunReport, outage: &RunReport) -> Cell {
     let ds = baseline.distributed.as_ref();
     let dg = outage.degraded.as_ref();
-    let retention = if baseline.displays_per_hour > 0.0 {
-        100.0 * outage.displays_per_hour / baseline.displays_per_hour
-    } else {
-        0.0
-    };
     Cell {
         nodes,
         disks_per_node: DISKS / nodes,
         baseline_per_hour: baseline.displays_per_hour,
         outage_per_hour: outage.displays_per_hour,
-        retention_pct: retention,
+        retention_pct: pct_of(outage.displays_per_hour, baseline.displays_per_hour),
         remote_fragment_intervals: ds.map_or(0, |d| d.remote_fragment_intervals),
         interconnect_rejections: ds.map_or(0, |d| d.interconnect_rejections),
         outage_hiccup_streams: dg.map_or(0, |g| g.hiccup_streams),
@@ -124,35 +123,15 @@ fn cell(nodes: u32, baseline: &RunReport, outage: &RunReport) -> Cell {
     }
 }
 
-/// Merges `report` into `BENCH_engine.json` under the `distributed` key,
-/// replacing any previous section and leaving every other key intact
-/// (same contract as `farm_scale`'s merge).
-fn merge_into_baseline(report: &NodeGridReport) {
-    const PATH: &str = "BENCH_engine.json";
-    let Ok(text) = std::fs::read_to_string(PATH) else {
-        eprintln!("{PATH} not found; run perf_baseline first to merge the distributed section");
-        return;
-    };
-    let mut value: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot parse {PATH} ({e:?}); leaving it untouched");
-            return;
-        }
-    };
-    let serde_json::Value::Map(entries) = &mut value else {
-        eprintln!("{PATH} is not a JSON object; leaving it untouched");
-        return;
-    };
-    use serde::Serialize as _;
-    let section = report.to_value();
-    match entries.iter_mut().find(|(k, _)| k == "distributed") {
-        Some((_, v)) => *v = section,
-        None => entries.push(("distributed".to_string(), section)),
-    }
-    let json = serde_json::to_string_pretty(&value).expect("serialize merged baseline");
-    std::fs::write(PATH, format!("{json}\n")).expect("write merged baseline");
-    eprintln!("merged distributed section into {PATH}");
+/// The CI floor: the widest split must retain at least 70% of its own
+/// healthy throughput through a single-node outage.
+fn node_gate(cells: &[Cell], strict: bool) -> bool {
+    let w = cells.iter().max_by_key(|c| c.nodes).expect("a grid cell");
+    Bound::Floor(70.0).gate(
+        &format!("N={} retention_pct", w.nodes),
+        w.retention_pct,
+        strict,
+    )
 }
 
 fn main() {
@@ -160,22 +139,22 @@ fn main() {
     let mode = if opts.quick { "quick" } else { "full" };
     eprintln!("node_grid ({mode} mode, seed {})", opts.seed);
 
-    // All 8 runs (healthy + outage per N) batched across --threads.
-    let configs: Vec<ServerConfig> = NODES
+    // One cell per N, its healthy run the baseline of its outage twin.
+    let configs: Vec<Vec<ServerConfig>> = NODES
         .iter()
-        .flat_map(|&n| [cell_config(&opts, n, false), cell_config(&opts, n, true)])
+        .map(|&n| vec![cell_config(&opts, n, false), cell_config(&opts, n, true)])
         .collect();
-    let probe = &configs[0];
+    let probe = &configs[0][0];
     let stations = probe.stations;
     let simulated_seconds = probe.warmup.as_secs_f64() as u64 + probe.measure.as_secs_f64() as u64;
     let (fail, repair) = outage_window(probe);
     let outage_seconds = (repair.as_micros() - fail.as_micros()) / 1_000_000;
-    let reports = run_batch(configs, opts.threads);
+    let grid = run_cells(configs, opts.threads);
 
     let cells: Vec<Cell> = NODES
         .iter()
-        .zip(reports.chunks(2))
-        .map(|(&n, pair)| cell(n, &pair[0], &pair[1]))
+        .zip(&grid)
+        .map(|(&n, runs)| cell(n, &runs[0], &runs[1]))
         .collect();
     for c in &cells {
         eprintln!(
@@ -200,11 +179,37 @@ fn main() {
         outage_seconds,
         cells,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    opts.write_artifact("node_grid.json", &format!("{json}\n"));
-    println!("{json}");
+    write_json(&opts, "node_grid.json", &report);
+    merge_section(&opts, "distributed", &report);
+    if !node_gate(&report.cells, perf_strict()) {
+        std::process::exit(1);
+    }
+}
 
-    if !opts.quick {
-        merge_into_baseline(&report);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn widest_split_holds_the_retention_floor() {
+        let cells = |retention_pct: [f64; 2]| {
+            let cell = |nodes, retention_pct| Cell {
+                nodes,
+                retention_pct,
+                ..Cell::default()
+            };
+            [cell(1, retention_pct[0]), cell(8, retention_pct[1])]
+        };
+        // N = 1 exposes every display; only the widest split is gated.
+        assert!(node_gate(&cells([40.0, 99.6]), true));
+        assert!(!node_gate(&cells([99.0, 69.9]), true));
+        assert!(
+            !node_gate(&cells([99.0, f64::NAN]), true),
+            "NaN never passes"
+        );
+        assert!(
+            node_gate(&cells([99.0, 69.9]), false),
+            "CI_PERF_STRICT=0 warns"
+        );
     }
 }

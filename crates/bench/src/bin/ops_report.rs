@@ -33,7 +33,7 @@
 //!   appended per alert (the breaches are evaluated offline, so they
 //!   land as an appendix after the live events).
 
-use ss_bench::HarnessOpts;
+use ss_bench::{flag_value, load_config, HarnessOpts};
 use ss_obs::{
     evaluate, Event, HealthBoard, HealthState, QosLedger, Registry, RegistrySpec, SloReport,
     SloSpec, VecRecorder,
@@ -491,43 +491,19 @@ fn render_json(
 fn main() {
     let mut config_path: Option<String> = None;
     let mut vdr = false;
-    let mut args = std::env::args().skip(1).peekable();
-    let mut rest: Vec<String> = Vec::new();
-    let opts = loop {
-        let Some(a) = args.next() else {
-            match HarnessOpts::parse_from(rest) {
-                Ok(o) => break o,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(2);
-                }
-            }
-        };
-        if a == "--config" {
-            config_path = Some(args.next().unwrap_or_else(|| {
-                eprintln!("--config takes a path; {USAGE}");
-                std::process::exit(2);
-            }));
-        } else if let Some(v) = a.strip_prefix("--config=") {
-            config_path = Some(v.to_string());
+    let opts = HarnessOpts::from_args_with(|a, rest| {
+        if let Some(v) = flag_value(a, "--config", "a path", USAGE, rest)? {
+            config_path = Some(v);
         } else if a == "--vdr" {
             vdr = true;
         } else {
-            rest.push(a);
+            return Ok(false);
         }
-    };
+        Ok(true)
+    });
 
     let cfg = match &config_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            serde_json::from_str::<ServerConfig>(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path} as a ServerConfig: {e}");
-                std::process::exit(2);
-            })
-        }
+        Some(path) => load_config(path),
         None => demo_config(opts.quick, vdr, opts.seed),
     };
     let interval_us = cfg.interval().as_micros();

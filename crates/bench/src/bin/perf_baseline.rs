@@ -59,6 +59,7 @@
 //! sections the grid bins own.
 
 use serde::{Deserialize, Serialize};
+use ss_bench::grid::{merge_into_baseline, peak_rss_kb, perf_strict, Bound, BASELINE};
 use ss_bench::HarnessOpts;
 use ss_core::admission::{AdmissionPolicy, IntervalScheduler};
 use ss_core::frame::VirtualFrame;
@@ -301,53 +302,12 @@ fn bench_grid(quick: bool, seed: u64, threads: usize) -> GridMetrics {
     }
 }
 
-/// Peak resident set size of this process (VmHWM), in kB.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Peels `--check-against PATH`, `--gate-parallel` and
-/// `--append-history` off the raw argument list (perf_baseline-specific
-/// flags `HarnessOpts` does not know about).
-fn split_local_flags(mut raw: Vec<String>) -> (Vec<String>, Option<String>, bool, bool) {
-    let mut peel = |flag: &str| match raw.iter().position(|a| a == flag) {
-        Some(i) => {
-            raw.remove(i);
-            true
-        }
-        None => false,
-    };
-    let gate_parallel = peel("--gate-parallel");
-    let append_history = peel("--append-history");
-    match raw.iter().position(|a| a == "--check-against") {
-        Some(i) => {
-            raw.remove(i);
-            if i < raw.len() {
-                let path = raw.remove(i);
-                (raw, Some(path), gate_parallel, append_history)
-            } else {
-                eprintln!("--check-against takes a path");
-                std::process::exit(2);
-            }
-        }
-        None => (raw, None, gate_parallel, append_history),
-    }
-}
-
 /// The `--gate-parallel` CI gate: with 4 or more cores available, the
 /// parallel grid must beat the serial grid by at least 1.5x. On smaller
 /// machines (this includes 1-core CI containers, where the batch runner
-/// cannot win) the gate reports and passes. `CI_PERF_STRICT=0`
-/// downgrades a failure to a warning.
-fn gate_parallel_speedup(grid: &GridMetrics, grid_parallel: &GridMetrics) -> bool {
+/// cannot win) the gate reports and passes. Without `strict`
+/// (`CI_PERF_STRICT=0`) a miss is only a warning.
+fn gate_parallel_speedup(grid: &GridMetrics, grid_parallel: &GridMetrics, strict: bool) -> bool {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let speedup = grid.seconds / grid_parallel.seconds;
     if cores < 4 {
@@ -356,33 +316,24 @@ fn gate_parallel_speedup(grid: &GridMetrics, grid_parallel: &GridMetrics) -> boo
         );
         return true;
     }
-    eprintln!(
-        "gate-parallel: {speedup:.2}x on {} threads ({cores} cores); need >= 1.5x",
-        grid_parallel.threads
-    );
-    if speedup >= 1.5 {
-        return true;
-    }
-    let strict = std::env::var("CI_PERF_STRICT").map_or(true, |v| v != "0");
-    if strict {
-        eprintln!(
-            "gate-parallel: FAIL — parallel grid only {speedup:.2}x vs serial (limit 1.5x); set CI_PERF_STRICT=0 to downgrade"
-        );
-        false
-    } else {
-        eprintln!("gate-parallel: WARN — parallel grid only {speedup:.2}x but CI_PERF_STRICT=0");
-        true
-    }
+    Bound::Floor(1.5).gate(
+        &format!(
+            "gate-parallel: grid_parallel speedup on {} threads ({cores} cores)",
+            grid_parallel.threads
+        ),
+        speedup,
+        strict,
+    )
 }
 
 /// Compares this run's quick-grid wall-clock to the baseline artifact
-/// at `path`; returns false on a >2x regression (unless
-/// `CI_PERF_STRICT=0` downgrades it to a warning). Also compares the
-/// parallel-grid speedup, but only when both this box and the baseline's
-/// had 2 or more cores — on a single core `speedup_vs_serial` measures
+/// at `path`; returns false on a >2x regression (unless `strict` is off,
+/// which downgrades it to a warning). Also compares the parallel-grid
+/// speedup, but only when both this box and the baseline's had 2 or
+/// more cores — on a single core `speedup_vs_serial` measures
 /// scheduling overhead (0.92x is normal), not engine speed, and judging
 /// it would flag every 1-core CI box as a regression.
-fn check_against(path: &str, report: &BenchReport) -> bool {
+fn check_against(path: &str, report: &BenchReport, strict: bool) -> bool {
     let current = &report.grid_quick;
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -406,35 +357,30 @@ fn check_against(path: &str, report: &BenchReport) -> bool {
             true
         }
         Some(baseline) => {
-            let ratio = current.seconds / baseline.seconds;
             eprintln!(
-                "check-against: quick grid {:.3} s vs baseline {:.3} s ({ratio:.2}x)",
+                "check-against: quick grid {:.3} s vs baseline {:.3} s",
                 current.seconds, baseline.seconds
             );
-            if ratio <= 2.0 {
-                true
-            } else {
-                let strict = std::env::var("CI_PERF_STRICT").map_or(true, |v| v != "0");
-                if strict {
-                    eprintln!("check-against: FAIL — quick grid regressed {ratio:.2}x (limit 2x); set CI_PERF_STRICT=0 to downgrade");
-                    false
-                } else {
-                    eprintln!(
-                        "check-against: WARN — quick grid regressed {ratio:.2}x but CI_PERF_STRICT=0"
-                    );
-                    true
-                }
-            }
+            Bound::Ceiling(2.0).gate(
+                "check-against: quick-grid slowdown vs baseline (x)",
+                current.seconds / baseline.seconds,
+                strict,
+            )
         }
     };
-    quick_ok && check_parallel_against(path, &probe, report)
+    quick_ok && check_parallel_against(path, &probe, report, strict)
 }
 
 /// The parallel leg of `--check-against`: this run's `speedup_vs_serial`
 /// must hold at least half the baseline's. Skipped — with a notice — when
 /// either box exposes fewer than 2 cores, or when the baseline predates
 /// the speedup field.
-fn check_parallel_against(path: &str, probe: &BaselineProbe, report: &BenchReport) -> bool {
+fn check_parallel_against(
+    path: &str,
+    probe: &BaselineProbe,
+    report: &BenchReport,
+    strict: bool,
+) -> bool {
     let speedup = report.grid_parallel.speedup_vs_serial.unwrap_or(1.0);
     if report.cores_available < 2 {
         eprintln!(
@@ -457,21 +403,12 @@ fn check_parallel_against(path: &str, probe: &BaselineProbe, report: &BenchRepor
         eprintln!("check-against: {path} records no parallel speedup; skipping that comparison");
         return true;
     };
-    let ratio = speedup / base;
-    eprintln!("check-against: parallel speedup {speedup:.2}x vs baseline {base:.2}x ({ratio:.2}x)");
-    if ratio >= 0.5 {
-        return true;
-    }
-    let strict = std::env::var("CI_PERF_STRICT").map_or(true, |v| v != "0");
-    if strict {
-        eprintln!("check-against: FAIL — parallel speedup fell to {ratio:.2}x of baseline (limit 0.5x); set CI_PERF_STRICT=0 to downgrade");
-        false
-    } else {
-        eprintln!(
-            "check-against: WARN — parallel speedup fell to {ratio:.2}x of baseline but CI_PERF_STRICT=0"
-        );
-        true
-    }
+    eprintln!("check-against: parallel speedup {speedup:.2}x vs baseline {base:.2}x");
+    Bound::Floor(0.5).gate(
+        "check-against: parallel speedup as a share of the baseline's (x)",
+        speedup / base,
+        strict,
+    )
 }
 
 /// Today's UTC date as `YYYY-MM-DD`, from the system clock alone
@@ -490,32 +427,6 @@ fn utc_date() -> String {
     let m = if mp < 10 { mp + 3 } else { mp - 9 };
     let y = yoe + era * 400 + i64::from(m <= 2);
     format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Carries over any top-level sections of the existing artifact that
-/// this run's report does not itself produce (`farm_scale`, `sharing`,
-/// `distributed`, `crash` — owned by the grid bins), so a full
-/// perf_baseline rerun refreshes the engine kernels without discarding
-/// the merged grid results.
-fn preserve_foreign_sections(report: &mut serde_json::Value, path: &str) {
-    let serde_json::Value::Map(new) = report else {
-        return;
-    };
-    let Some(old) = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| serde_json::from_str::<serde_json::Value>(&t).ok())
-    else {
-        return;
-    };
-    let serde_json::Value::Map(old) = old else {
-        return;
-    };
-    for (k, v) in old {
-        if !new.iter().any(|(nk, _)| *nk == k) {
-            eprintln!("preserving merged `{k}` section from the previous {path}");
-            new.push((k, v));
-        }
-    }
 }
 
 /// Reads `name.field` out of the merged artifact tree, if the grid bin
@@ -633,15 +544,18 @@ fn append_history(report: &BenchReport, merged: &serde_json::Value) {
 }
 
 fn main() {
-    let (raw, check_path, gate_parallel, append) =
-        split_local_flags(std::env::args().skip(1).collect());
-    let opts = match HarnessOpts::parse_from(raw) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
+    let (mut check_path, mut gate_parallel, mut append) = (None, false, false);
+    let opts = HarnessOpts::from_args_with(|a, rest| {
+        match a {
+            "--check-against" => {
+                check_path = Some(rest.next().ok_or("--check-against takes a path")?);
+            }
+            "--gate-parallel" => gate_parallel = true,
+            "--append-history" => append = true,
+            _ => return Ok(false),
         }
-    };
+        Ok(true)
+    });
     let mode = if opts.quick { "quick" } else { "full" };
     eprintln!("perf_baseline ({mode} mode, seed {})", opts.seed);
 
@@ -709,23 +623,23 @@ fn main() {
             as u64,
         peak_rss_kb: peak_rss_kb(),
     };
-    // Quick (smoke) runs get their own artifact so they never clobber
-    // the committed full baseline; full runs refresh the kernel
+    // Quick (smoke) runs write their own artifact fresh so they never
+    // clobber the committed full baseline; full runs refresh the kernel
     // sections in place, keeping whatever the grid bins merged.
-    let out = if opts.quick {
-        "BENCH_engine.quick.json"
-    } else {
-        "BENCH_engine.json"
-    };
     use serde::Serialize as _;
-    let mut merged = report.to_value();
-    if !opts.quick {
-        preserve_foreign_sections(&mut merged, out);
-    }
-    let json = serde_json::to_string_pretty(&merged).expect("serialize report");
-    std::fs::write(out, format!("{json}\n")).expect("write baseline artifact");
-    println!("{json}");
-    eprintln!("wrote {out}");
+    let merged = if opts.quick {
+        let out = "BENCH_engine.quick.json";
+        let json = serde_json::to_string_pretty(&report).expect("serialize report");
+        std::fs::write(out, format!("{json}\n")).expect("write quick artifact");
+        eprintln!("wrote {out}");
+        report.to_value()
+    } else {
+        merge_into_baseline(BASELINE, report.to_value(), true).expect("created if missing")
+    };
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&merged).expect("serialize report")
+    );
 
     if append {
         if opts.quick {
@@ -737,12 +651,13 @@ fn main() {
         }
     }
 
+    let strict = perf_strict();
     let mut ok = true;
     if let Some(path) = check_path {
-        ok &= check_against(&path, &report);
+        ok &= check_against(&path, &report, strict);
     }
     if gate_parallel {
-        ok &= gate_parallel_speedup(&report.grid, &report.grid_parallel);
+        ok &= gate_parallel_speedup(&report.grid, &report.grid_parallel, strict);
     }
     if !ok {
         std::process::exit(1);

@@ -13,15 +13,18 @@
 //! ratio is the multiplicative capacity win sharing buys (the
 //! prefix/multicast VoD design batched onto staggered striping).
 //!
-//! `--quick` runs the high-skew column only, with a shortened window —
-//! the CI smoke mode behind the capacity-floor gate in `scripts/ci.sh`
-//! (shared ≥ 2× baseline at high skew). In full mode the summary is also
-//! merged into `BENCH_engine.json` under a `sharing` key.
+//! After writing its artifacts the bin gates the high-skew ratio at
+//! ≥ 2×, exiting non-zero on a miss (`CI_PERF_STRICT=0` downgrades it to
+//! a warning). `--quick` runs the high-skew column only, with a
+//! shortened window — the CI smoke mode `scripts/ci.sh` runs. In full
+//! mode the summary is also merged into `BENCH_engine.json` under a
+//! `sharing` key.
 //!
 //! Run from the repo root:
 //! `cargo run --release -p ss-bench --bin sharing_capacity [-- --quick]`.
 
 use serde::Serialize;
+use ss_bench::grid::{merge_section, perf_strict, ratio_of, run_cells, write_json, Bound};
 use ss_bench::HarnessOpts;
 use ss_server::config::SharingConfig;
 use ss_server::{RunReport, ServerConfig};
@@ -92,22 +95,13 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-fn run_cell(
-    opts: &HarnessOpts,
+fn cell(
     skew_name: &str,
-    skew: &Popularity,
     window: u64,
     cache_fragments: u64,
+    baseline: &RunReport,
+    shared: &RunReport,
 ) -> CapacityCell {
-    let baseline_cfg = cell_config(opts, skew);
-    let mut shared_cfg = baseline_cfg.clone();
-    shared_cfg.sharing = Some(SharingConfig {
-        batch_window: window,
-        prefix_intervals: 16,
-        cache_fragments,
-    });
-    let baseline: RunReport = ss_server::run(&baseline_cfg).expect("baseline run");
-    let shared: RunReport = ss_server::run(&shared_cfg).expect("shared run");
     let s = shared.sharing.expect("shared run reports its section");
     CapacityCell {
         skew: skew_name.to_string(),
@@ -115,7 +109,7 @@ fn run_cell(
         cache_fragments,
         baseline_mean_active: baseline.mean_active_displays,
         shared_mean_active: shared.mean_active_displays,
-        capacity_ratio: shared.mean_active_displays / baseline.mean_active_displays,
+        capacity_ratio: ratio_of(shared.mean_active_displays, baseline.mean_active_displays),
         baseline_displays_per_hour: baseline.displays_per_hour,
         shared_displays_per_hour: shared.displays_per_hour,
         streams_opened: s.streams_opened,
@@ -127,36 +121,10 @@ fn run_cell(
     }
 }
 
-/// Merges `report` into `BENCH_engine.json` under the `sharing` key,
-/// replacing any previous section and leaving every other key intact
-/// (the `farm_scale` merge idiom; `perf_baseline` owns creating the
-/// file).
-fn merge_into_baseline(report: &SharingCapacityReport) {
-    const PATH: &str = "BENCH_engine.json";
-    let Ok(text) = std::fs::read_to_string(PATH) else {
-        eprintln!("{PATH} not found; run perf_baseline first to merge the sharing section");
-        return;
-    };
-    let mut value: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot parse {PATH} ({e:?}); leaving it untouched");
-            return;
-        }
-    };
-    let serde_json::Value::Map(entries) = &mut value else {
-        eprintln!("{PATH} is not a JSON object; leaving it untouched");
-        return;
-    };
-    use serde::Serialize as _;
-    let section = report.to_value();
-    match entries.iter_mut().find(|(k, _)| k == "sharing") {
-        Some((_, v)) => *v = section,
-        None => entries.push(("sharing".to_string(), section)),
-    }
-    let json = serde_json::to_string_pretty(&value).expect("serialize merged baseline");
-    std::fs::write(PATH, format!("{json}\n")).expect("write merged baseline");
-    eprintln!("merged sharing section into {PATH}");
+/// The CI floor: at high skew, sharing must sustain at least twice the
+/// baseline's concurrent displays.
+fn capacity_gate(high_skew_ratio: f64, strict: bool) -> bool {
+    Bound::Floor(2.0).gate("high-skew capacity_ratio", high_skew_ratio, strict)
 }
 
 fn main() {
@@ -179,42 +147,67 @@ fn main() {
     };
     let windows: &[u64] = if opts.quick { &[8] } else { &[2, 8] };
     let budgets: &[u64] = if opts.quick { &[512] } else { &[128, 512] };
+    let points: Vec<(u64, u64)> = windows
+        .iter()
+        .flat_map(|&w| budgets.iter().map(move |&b| (w, b)))
+        .collect();
 
     let probe = cell_config(&opts, &high.1);
     let stream_ceiling = probe.disks / probe.degree();
     let (stations, disks) = (probe.stations, probe.disks);
 
-    let mut cells = Vec::new();
-    for (name, skew) in skews {
-        for &window in windows {
-            for &budget in budgets {
-                let cell = run_cell(&opts, name, skew, window, budget);
-                eprintln!(
-                    "{name} window={window} cache={budget}: {:.2} -> {:.2} concurrent \
-                     ({:.2}x), {} joins ({} batched / {} patched), hit rate {:.2}",
-                    cell.baseline_mean_active,
-                    cell.shared_mean_active,
-                    cell.capacity_ratio,
-                    cell.viewers_joined,
-                    cell.batched_joins,
-                    cell.patched_joins,
-                    cell.cache_hit_rate,
-                );
-                cells.push(cell);
-            }
-        }
+    // One cell per skew: the unshared baseline, then one shared arm per
+    // (window, budget) point, all read against that one baseline.
+    let grid = run_cells(
+        skews
+            .iter()
+            .map(|(_, skew)| {
+                let baseline = cell_config(&opts, skew);
+                let shared = points.iter().map(|&(batch_window, cache_fragments)| {
+                    let mut c = baseline.clone();
+                    c.sharing = Some(SharingConfig {
+                        batch_window,
+                        prefix_intervals: 16,
+                        cache_fragments,
+                    });
+                    c
+                });
+                std::iter::once(baseline.clone()).chain(shared).collect()
+            })
+            .collect(),
+        opts.threads,
+    );
+    let cells: Vec<CapacityCell> = skews
+        .iter()
+        .zip(&grid)
+        .flat_map(|((name, _), runs)| {
+            points
+                .iter()
+                .zip(&runs[1..])
+                .map(|(&(w, b), shared)| cell(name, w, b, &runs[0], shared))
+        })
+        .collect();
+    for c in &cells {
+        eprintln!(
+            "{} window={} cache={}: {:.2} -> {:.2} concurrent \
+             ({:.2}x), {} joins ({} batched / {} patched), hit rate {:.2}",
+            c.skew,
+            c.batch_window,
+            c.cache_fragments,
+            c.baseline_mean_active,
+            c.shared_mean_active,
+            c.capacity_ratio,
+            c.viewers_joined,
+            c.batched_joins,
+            c.patched_joins,
+            c.cache_hit_rate,
+        );
     }
 
     let max_capacity_ratio = cells.iter().map(|c| c.capacity_ratio).fold(0.0, f64::max);
-    // The gate cell: high skew, widest window, largest budget.
-    let high_skew_ratio = cells
-        .iter()
-        .filter(|c| c.skew == high.0)
-        .filter(|c| c.batch_window == *windows.last().expect("nonempty"))
-        .filter(|c| c.cache_fragments == *budgets.last().expect("nonempty"))
-        .map(|c| c.capacity_ratio)
-        .next_back()
-        .expect("gate cell present");
+    // The gate cell: high skew (the first), widest window and largest
+    // budget (the last point).
+    let high_skew_ratio = cells[points.len() - 1].capacity_ratio;
 
     let report = SharingCapacityReport {
         mode: mode.to_string(),
@@ -226,11 +219,26 @@ fn main() {
         max_capacity_ratio,
         high_skew_ratio,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    opts.write_artifact("sharing_capacity.json", &format!("{json}\n"));
-    println!("{json}");
+    write_json(&opts, "sharing_capacity.json", &report);
+    merge_section(&opts, "sharing", &report);
+    if !capacity_gate(high_skew_ratio, perf_strict()) {
+        std::process::exit(1);
+    }
+}
 
-    if !opts.quick {
-        merge_into_baseline(&report);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capacity_floor_is_twice_the_baseline() {
+        assert!(capacity_gate(7.1, true));
+        assert!(capacity_gate(2.0, true));
+        assert!(!capacity_gate(1.99, true));
+        assert!(
+            !capacity_gate(f64::NAN, true),
+            "a zero baseline never passes"
+        );
+        assert!(capacity_gate(1.5, false), "CI_PERF_STRICT=0 warns");
     }
 }

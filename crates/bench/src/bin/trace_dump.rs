@@ -31,7 +31,7 @@
 //! Any mismatch exits nonzero — CI runs `--quick` in both trace formats
 //! as a regression gate.
 
-use ss_bench::HarnessOpts;
+use ss_bench::{flag_value, load_config, HarnessOpts};
 use ss_obs::{Event, Registry, RegistrySpec, TraceMeta, VecRecorder};
 use ss_server::config::Scheme;
 use ss_server::{run, DistributedConfig, RunReport, ServerConfig};
@@ -158,56 +158,23 @@ fn main() {
     let mut config_path: Option<String> = None;
     let mut vdr = false;
     let mut overhead = false;
-    let mut args = std::env::args().skip(1).peekable();
-    let mut rest: Vec<String> = Vec::new();
-    let opts = loop {
-        let Some(a) = args.next() else {
-            match HarnessOpts::parse_from(rest) {
-                Ok(o) => break o,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(2);
-                }
-            }
-        };
-        let fail = |msg: String| -> ! {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        };
-        if a == "--format" {
-            let v = args
-                .next()
-                .unwrap_or_else(|| fail(format!("--format takes a value; {USAGE}")));
-            format = parse_format(&v).unwrap_or_else(|e| fail(e));
-        } else if let Some(v) = a.strip_prefix("--format=") {
-            format = parse_format(v).unwrap_or_else(|e| fail(e));
-        } else if a == "--config" {
-            config_path = Some(
-                args.next()
-                    .unwrap_or_else(|| fail(format!("--config takes a path; {USAGE}"))),
-            );
-        } else if let Some(v) = a.strip_prefix("--config=") {
-            config_path = Some(v.to_string());
+    let opts = HarnessOpts::from_args_with(|a, rest| {
+        if let Some(v) = flag_value(a, "--format", "a value", USAGE, rest)? {
+            format = parse_format(&v)?;
+        } else if let Some(v) = flag_value(a, "--config", "a path", USAGE, rest)? {
+            config_path = Some(v);
         } else if a == "--vdr" {
             vdr = true;
         } else if a == "--overhead" {
             overhead = true;
         } else {
-            rest.push(a);
+            return Ok(false);
         }
-    };
+        Ok(true)
+    });
 
     let cfg = match &config_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            serde_json::from_str::<ServerConfig>(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path} as a ServerConfig: {e}");
-                std::process::exit(2);
-            })
-        }
+        Some(path) => load_config(path),
         // The export demo finishes in tens of milliseconds — too short
         // to resolve a few percent of overhead — so `--overhead` times
         // a saturated paper-scale cell (D = 1000, the quick perf-grid

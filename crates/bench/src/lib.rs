@@ -16,13 +16,25 @@
 //! | `coalescing` | Figure 6: fragmented delivery + dynamic coalescing trace |
 //! | `low_bandwidth` | Figure 7 / §3.2.3: pairing schedule and rounding waste |
 //! | `mixed_media` | staggered vs simple striping under a media mix |
+//! | `queue_policy` | §5: FCFS-with-skips vs smallest/largest-degree-first queueing |
 //! | `ablation_materialize` | pipelined vs full materialization |
 //! | `ablation_fragmentation` | contiguous vs time-fragmented admission |
 //! | `fault_grid` | Figure 8 under 0/1/2 concurrent disk failures, with degraded-mode statistics |
+//! | `crash_grid` | power-loss/torn-write recovery and scrub interference, both schemes |
+//! | `node_grid` | node-outage retention with the farm split 1/2/4/8 ways |
+//! | `sharing_capacity` | concurrent-display capacity with multicast batching + prefix caching |
+//! | `farm_scale` | one 100,000-disk run: wall-clock, tick rate, peak RSS |
+//! | `perf_baseline` | `BENCH_engine.json`: engine kernel timings and the perf regression gates |
+//! | `trace_dump` | the event journal as JSONL, Perfetto JSON, or metric CSVs |
+//! | `ops_report` | the SLO/QoS dashboard over a faulted replay |
 //!
-//! This library hosts the small amount of shared harness code (CLI
-//! parsing and output handling) the binaries use.
+//! This library hosts the harness code the binaries share: CLI parsing
+//! and output handling here, and the grid runner, artifact writers,
+//! baseline merge and CI gates in [`grid`].
 
+pub mod grid;
+
+use ss_server::ServerConfig;
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -54,19 +66,27 @@ impl Default for HarnessOpts {
 
 const USAGE: &str = "usage: [--seed N] [--out DIR] [--quick] [--threads N]";
 
+/// Prints a usage error and exits with status 2.
+fn usage_exit(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 impl HarnessOpts {
     /// Parses `std::env::args`, exiting with a usage message on bad
     /// input. Validation (e.g. `--threads >= 1`) happens here rather
     /// than as a downstream assertion so the operator sees a usage
     /// error, not a panic backtrace.
     pub fn from_args() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        Self::from_args_with(|_, _| Ok(false))
+    }
+
+    /// [`Self::from_args`] with the binary's own flags layered on
+    /// through [`Self::parse_with`].
+    pub fn from_args_with(
+        extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+    ) -> Self {
+        Self::parse_with(std::env::args().skip(1), extra).unwrap_or_else(|msg| usage_exit(msg))
     }
 
     /// Parses an argument iterator (excluding argv[0]); returns a usage
@@ -108,21 +128,25 @@ impl HarnessOpts {
         Ok(opts)
     }
 
-    /// Parses an argument iterator like [`Self::parse_from`], but hands
-    /// every argument `extra` claims (returning `true`) to the caller
-    /// instead of rejecting it — how binaries layer their own flags over
-    /// the common set without re-implementing the harness parsing.
+    /// Parses an argument iterator like [`Self::parse_from`], but first
+    /// offers every argument to `extra` along with the arguments after
+    /// it: `extra` returns `true` to claim the flag, pulling the flag's
+    /// value off the iterator if it takes one ([`flag_value`]), and
+    /// `false` to leave it to the common set. This is how binaries layer
+    /// their own flags over the common set without re-implementing the
+    /// harness parsing.
     pub fn parse_with<I>(
         args: I,
-        mut extra: impl FnMut(&str) -> Result<bool, String>,
+        mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
     ) -> Result<Self, String>
     where
         I: IntoIterator,
         I::Item: Into<String>,
     {
+        let mut args = args.into_iter().map(Into::into);
         let mut rest = Vec::new();
-        for a in args.into_iter().map(Into::into) {
-            if !extra(&a)? {
+        while let Some(a) = args.next() {
+            if !extra(&a, &mut args)? {
                 rest.push(a);
             }
         }
@@ -138,6 +162,39 @@ impl HarnessOpts {
         f.write_all(contents.as_bytes()).expect("write artifact");
         println!("wrote {}", path.display());
     }
+}
+
+/// The value of the flag `name` when `arg` is that flag, spelled
+/// `name V` (taking the next argument) or `name=V`; `Ok(None)` when
+/// `arg` is another flag. A missing value is the usage error
+/// "`name` takes `takes`; `usage`".
+pub fn flag_value(
+    arg: &str,
+    name: &str,
+    takes: &str,
+    usage: &str,
+    rest: &mut dyn Iterator<Item = String>,
+) -> Result<Option<String>, String> {
+    if arg == name {
+        return rest
+            .next()
+            .map(Some)
+            .ok_or_else(|| format!("{name} takes {takes}; {usage}"));
+    }
+    Ok(arg
+        .strip_prefix(name)
+        .and_then(|v| v.strip_prefix('='))
+        .map(str::to_string))
+}
+
+/// Loads the serialized [`ServerConfig`] a `--config PATH` flag names
+/// (the JSON shape the test goldens use), exiting with status 2 when it
+/// cannot be read or parsed.
+pub fn load_config(path: &str) -> ServerConfig {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_exit(format!("cannot read {path}: {e}")));
+    serde_json::from_str(&text)
+        .unwrap_or_else(|e| usage_exit(format!("cannot parse {path} as a ServerConfig: {e}")))
 }
 
 /// Options for the `fault_grid` harness: the common set plus the
@@ -184,22 +241,38 @@ const FAULT_GRID_USAGE: &str =
     "usage: fault_grid [--parity[=G]] [--rebuild[=R]] [--rebuild-sweep] [--sharing[=W]] \
      [--nodes=N] [--crash] [--scrub[=RATE]] [--seed N] [--out DIR] [--quick] [--threads N]";
 
+/// Parses one `fault_grid` knob spelled `spec` (`--flag=META`): `--flag`
+/// alone yields `bare` when the knob has a default, `--flag=V` parses
+/// `V`. `Ok(None)` when `arg` is another flag; `takes` names the value
+/// in the parse error.
+fn knob<T: std::str::FromStr>(
+    arg: &str,
+    spec: &str,
+    bare: Option<T>,
+    takes: &str,
+) -> Result<Option<T>, String> {
+    let flag = &spec[..spec.find('=').expect("knob spec is --flag=META")];
+    if arg == flag && bare.is_some() {
+        return Ok(bare);
+    }
+    match arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{spec} takes {takes}, got {v:?}; {FAULT_GRID_USAGE}")),
+        None => Ok(None),
+    }
+}
+
 impl FaultGridOpts {
     /// Parses `std::env::args`, printing warnings and exiting with a
     /// usage message on bad input.
     pub fn from_args() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(opts) => {
-                for w in &opts.warnings {
-                    eprintln!("{w}");
-                }
-                opts
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
+        let opts = Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(msg));
+        for w in &opts.warnings {
+            eprintln!("{w}");
         }
+        opts
     }
 
     /// Parses an argument iterator (excluding argv[0]); returns a usage
@@ -212,76 +285,55 @@ impl FaultGridOpts {
         I: IntoIterator,
         I::Item: Into<String>,
     {
-        let mut parity: Option<u32> = None;
-        let mut rebuild: Option<u64> = None;
-        let mut sweep = false;
-        let mut sharing: Option<u64> = None;
-        let mut nodes: Option<u32> = None;
-        let mut crash = false;
-        let mut scrub: Option<u64> = None;
-        let harness = HarnessOpts::parse_with(args, |a| {
-            if a == "--parity" {
-                parity = Some(5);
-            } else if let Some(v) = a.strip_prefix("--parity=") {
-                parity = Some(v.parse().map_err(|_| {
-                    format!("--parity=G takes a group size, got {v:?}; {FAULT_GRID_USAGE}")
-                })?);
-            } else if a == "--rebuild" {
-                rebuild = Some(8);
-            } else if let Some(v) = a.strip_prefix("--rebuild=") {
-                rebuild = Some(v.parse().map_err(|_| {
-                    format!("--rebuild=R takes a drain rate, got {v:?}; {FAULT_GRID_USAGE}")
-                })?);
+        let (mut parity, mut rebuild, mut sharing, mut nodes, mut scrub) =
+            (None, None, None, None, None);
+        let (mut sweep, mut crash) = (false, false);
+        let harness = HarnessOpts::parse_with(args, |a, _| {
+            if let Some(v) = knob(a, "--parity=G", Some(5), "a group size")? {
+                parity = Some(v);
+            } else if let Some(v) = knob(a, "--rebuild=R", Some(8), "a drain rate")? {
+                rebuild = Some(v);
             } else if a == "--rebuild-sweep" {
                 sweep = true;
-            } else if a == "--sharing" {
-                sharing = Some(4);
-            } else if let Some(v) = a.strip_prefix("--sharing=") {
-                sharing = Some(v.parse().map_err(|_| {
-                    format!("--sharing=W takes a batch window, got {v:?}; {FAULT_GRID_USAGE}")
-                })?);
-            } else if let Some(v) = a.strip_prefix("--nodes=") {
-                nodes = Some(v.parse().map_err(|_| {
-                    format!("--nodes=N takes a node count, got {v:?}; {FAULT_GRID_USAGE}")
-                })?);
+            } else if let Some(v) = knob(a, "--sharing=W", Some(4), "a batch window")? {
+                sharing = Some(v);
+            } else if let Some(v) = knob(a, "--nodes=N", None, "a node count")? {
+                nodes = Some(v);
             } else if a == "--crash" {
                 crash = true;
-            } else if a == "--scrub" {
-                scrub = Some(2);
-            } else if let Some(v) = a.strip_prefix("--scrub=") {
-                scrub = Some(v.parse().map_err(|_| {
-                    format!("--scrub=RATE takes a verification rate, got {v:?}; {FAULT_GRID_USAGE}")
-                })?);
+            } else if let Some(v) = knob(a, "--scrub=RATE", Some(2), "a verification rate")? {
+                scrub = Some(v);
             } else {
                 return Ok(false);
             }
             Ok(true)
         })?;
-        if parity == Some(0) {
-            return Err(format!(
-                "--parity=G needs a group of at least one data fragment; {FAULT_GRID_USAGE}"
-            ));
-        }
-        if rebuild == Some(0) {
-            return Err(format!(
-                "--rebuild=R needs a drain rate of at least one fragment per interval; \
-                 {FAULT_GRID_USAGE}"
-            ));
-        }
-        if sharing == Some(0) {
-            return Err(format!(
-                "--sharing=W needs a batch window of at least one interval; {FAULT_GRID_USAGE}"
-            ));
-        }
-        if nodes == Some(0) {
-            return Err(format!(
-                "--nodes=N needs at least one node; {FAULT_GRID_USAGE}"
-            ));
-        }
-        if scrub == Some(0) {
-            return Err(format!(
-                "--scrub=RATE needs at least one fragment per interval; {FAULT_GRID_USAGE}"
-            ));
+        for (zero, spec, needs) in [
+            (
+                parity == Some(0),
+                "--parity=G",
+                "a group of at least one data fragment",
+            ),
+            (
+                rebuild == Some(0),
+                "--rebuild=R",
+                "a drain rate of at least one fragment per interval",
+            ),
+            (
+                sharing == Some(0),
+                "--sharing=W",
+                "a batch window of at least one interval",
+            ),
+            (nodes == Some(0), "--nodes=N", "at least one node"),
+            (
+                scrub == Some(0),
+                "--scrub=RATE",
+                "at least one fragment per interval",
+            ),
+        ] {
+            if zero {
+                return Err(format!("{spec} needs {needs}; {FAULT_GRID_USAGE}"));
+            }
         }
         let mut warnings = Vec::new();
         if sweep && rebuild.is_none() {

@@ -52,32 +52,10 @@ echo "==> fault_grid --quick (degraded-mode smoke grid)"
 cargo run --release -p ss-bench --bin fault_grid -- --quick --out target/ci-fault-grid
 
 echo "==> fault_grid --quick --parity --rebuild (self-healing smoke)"
-# Parity reconstruction + hot-spare rebuild must hold every striping
-# 1-failure cell at >=80% of its own zero-failure throughput with no
-# dropped streams. CI_PERF_STRICT=0 downgrades a miss to a warning for
-# noisy shared runners (same escape hatch as the perf gate below).
+# The bin gates parity + rebuild: every striping 1-failure cell must keep
+# >=80% of its zero-failure throughput with no dropped streams.
+# CI_PERF_STRICT=0 downgrades a miss to a warning (as for every perf gate).
 cargo run --release -p ss-bench --bin fault_grid -- --quick --parity --rebuild --out target/ci-heal-grid
-heal_check=$(awk -F, 'NR > 1 && $1 == "striping" && $4 == 1 {
-    if ($8 + 0 < 80 || $10 + 0 != 0) {
-      print "FAIL stations=" $2 " retention=" $8 "% dropped=" $10; bad = 1
-    }
-    cells += 1
-  }
-  END {
-    if (cells == 0) { print "FAIL no striping 1-failure cells in the CSV"; bad = 1 }
-    if (!bad) print "ok (" cells " cells held the 80% retention floor)"
-  }' target/ci-heal-grid/fault_grid.csv)
-echo "    $heal_check"
-case "$heal_check" in
-  FAIL*)
-    if [ "${CI_PERF_STRICT:-1}" = "0" ]; then
-      echo "ci.sh: WARNING self-healing retention floor missed (CI_PERF_STRICT=0)" >&2
-    else
-      echo "ci.sh: self-healing retention floor missed" >&2
-      exit 1
-    fi
-    ;;
-esac
 
 echo "==> trace_dump --quick (observability export + reconciliation gate)"
 # trace_dump self-checks before writing: the expanded read timeline must
@@ -123,95 +101,20 @@ done
 echo "    $(wc -l < target/ci-ops/ops_trace.jsonl) journal events; 6 artifacts byte-identical across reruns"
 
 echo "==> sharing_capacity --quick (stream-sharing capacity floor)"
-# At high popularity skew, multicast batching + the prefix cache must
-# sustain at least 2x the baseline's concurrent hiccup-free displays
-# (the quick cell typically lands around 7x). CI_PERF_STRICT=0
-# downgrades a miss to a warning, as for the other perf gates.
+# The bin gates capacity: at high skew, batching + the prefix cache must
+# sustain >=2x the baseline's concurrent displays (quick cell: ~7x).
 cargo run --release -p ss-bench --bin sharing_capacity -- --quick --out target/ci-sharing
-share_check=$(python3 - <<'EOF'
-import json
-r = json.load(open("target/ci-sharing/sharing_capacity.json"))
-ratio = r["high_skew_ratio"]
-print(f"FAIL high-skew capacity ratio {ratio:.2f}x (floor 2x)" if ratio < 2.0
-      else f"ok (high-skew capacity ratio {ratio:.2f}x >= 2x floor)")
-EOF
-)
-echo "    $share_check"
-case "$share_check" in
-  FAIL*)
-    if [ "${CI_PERF_STRICT:-1}" = "0" ]; then
-      echo "ci.sh: WARNING sharing capacity floor missed (CI_PERF_STRICT=0)" >&2
-    else
-      echo "ci.sh: sharing capacity floor missed" >&2
-      exit 1
-    fi
-    ;;
-esac
 
 echo "==> node_grid --quick (distributed node-scaling smoke)"
-# The same 24-disk farm split 1/2/4/8 ways, each cell run healthy and
-# with one node dark for half the window. The widest split must retain
-# at least 70% of its own healthy throughput through a single-node
-# outage (the quick cell typically lands above 95%). CI_PERF_STRICT=0
-# downgrades a miss to a warning, as for the other perf gates.
+# The 24-disk farm split 1/2/4/8 ways, healthy and with one node dark.
+# The bin gates the widest split at >=70% retention (quick cell: >95%).
 cargo run --release -p ss-bench --bin node_grid -- --quick --out target/ci-node-grid
-node_check=$(python3 - <<'EOF'
-import json
-r = json.load(open("target/ci-node-grid/node_grid.json"))
-cell = max(r["cells"], key=lambda c: c["nodes"])
-n, ret = cell["nodes"], cell["retention_pct"]
-print(f"FAIL N={n} single-node-outage retention {ret:.1f}% (floor 70%)" if ret < 70.0
-      else f"ok (N={n} retains {ret:.1f}% through a single-node outage, floor 70%)")
-EOF
-)
-echo "    $node_check"
-case "$node_check" in
-  FAIL*)
-    if [ "${CI_PERF_STRICT:-1}" = "0" ]; then
-      echo "ci.sh: WARNING node-outage retention floor missed (CI_PERF_STRICT=0)" >&2
-    else
-      echo "ci.sh: node-outage retention floor missed" >&2
-      exit 1
-    fi
-    ;;
-esac
 
 echo "==> crash_grid --quick (journal-recovery + scrub-interference gates)"
-# Power-loss/torn-write injection × scrub arming on both schemes. Two
-# headline gates: pooled journal recoveries must verify clean at >=99%,
-# and arming the scrub daemon on a crash-free run must cost at most 10%
-# of the unarmed cell's throughput (the quick grid typically lands at
-# 100% recovery and under 3% interference). CI_PERF_STRICT=0 downgrades
-# the interference miss to a warning; the recovery floor is a
-# correctness gate and always fails hard.
+# Power-loss/torn-write injection × scrub arming on both schemes. The bin
+# gates pooled journal recovery at >=99% (hard: no CI_PERF_STRICT escape)
+# and scrub interference at <=10% (quick grid: 100% and under 3%).
 cargo run --release -p ss-bench --bin crash_grid -- --quick --out target/ci-crash-grid
-crash_check=$(python3 - <<'EOF'
-import json
-r = json.load(open("target/ci-crash-grid/crash_grid.json"))
-rec, interf = r["recovery_success_pct"], r["scrub_interference_pct"]
-if rec < 99.0:
-    print(f"HARDFAIL recovery success {rec:.2f}% (floor 99%)")
-elif interf > 10.0:
-    print(f"FAIL scrub interference {interf:.2f}% (ceiling 10%)")
-else:
-    print(f"ok (recovery {rec:.2f}% >= 99%, scrub interference {interf:.2f}% <= 10%)")
-EOF
-)
-echo "    $crash_check"
-case "$crash_check" in
-  HARDFAIL*)
-    echo "ci.sh: journal recovery success floor missed" >&2
-    exit 1
-    ;;
-  FAIL*)
-    if [ "${CI_PERF_STRICT:-1}" = "0" ]; then
-      echo "ci.sh: WARNING scrub interference ceiling missed (CI_PERF_STRICT=0)" >&2
-    else
-      echo "ci.sh: scrub interference ceiling missed" >&2
-      exit 1
-    fi
-    ;;
-esac
 
 echo "==> perf_baseline --quick (regression + parallel-speedup gates)"
 # Writes BENCH_engine.quick.json (never the committed full baseline) and
