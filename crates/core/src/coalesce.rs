@@ -10,7 +10,7 @@
 //! ([`crate::algorithms::WriteThread`]); this module plans and commits the
 //! handovers against the [`IntervalScheduler`]'s occupancy.
 
-use crate::admission::{AdmissionGrant, IntervalScheduler};
+use crate::admission::{AdmissionGrant, IntervalScheduler, Outage};
 use serde::{Deserialize, Serialize};
 use ss_types::ObjectId;
 
@@ -72,7 +72,7 @@ impl ActiveFragmentedDisplay {
 /// A committed fragment read that falls inside a hard outage window: the
 /// data under the head at that interval is on a failed disk, so the read
 /// is lost and the display hiccups unless the fragment is rescued first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct LostRead {
     /// The fragment whose read is lost.
     pub frag: u32,
@@ -237,8 +237,32 @@ impl IntervalScheduler {
     /// `read_start[i] + s`, and alignments with a given physical disk
     /// recur every `D / gcd(D, k)` intervals.
     pub fn lost_reads(&self, display: &ActiveFragmentedDisplay, now: u64) -> Vec<LostRead> {
+        self.lost_reads_in(display, now, self.outages())
+    }
+
+    /// [`IntervalScheduler::lost_reads`] restricted to the reads lost to
+    /// `outage` alone (none when it is soft). A fresh failure's rescue
+    /// pass needs only these: every read lost to an earlier outage was
+    /// re-planned or charged when that outage registered.
+    pub fn lost_reads_to(
+        &self,
+        display: &ActiveFragmentedDisplay,
+        now: u64,
+        outage: &Outage,
+    ) -> Vec<LostRead> {
+        self.lost_reads_in(display, now, std::slice::from_ref(outage))
+    }
+
+    /// The reads of `display` from `now` on that fall inside one of the
+    /// hard windows in `outages`, ordered by interval, then fragment.
+    fn lost_reads_in(
+        &self,
+        display: &ActiveFragmentedDisplay,
+        now: u64,
+        outages: &[Outage],
+    ) -> Vec<LostRead> {
         let mut out = Vec::new();
-        if !self.has_outages() {
+        if outages.is_empty() {
             return out;
         }
         let d = self.frame().disks();
@@ -257,7 +281,7 @@ impl IntervalScheduler {
         {
             let start = t_base.max(now);
             let end = t_base + n;
-            for o in self.outages().iter().filter(|o| o.hard) {
+            for o in outages.iter().filter(|o| o.hard) {
                 let lo = start.max(o.from);
                 let hi = end.min(o.until);
                 if lo >= hi {
@@ -448,7 +472,6 @@ mod tests {
 
     #[test]
     fn lost_reads_and_rescue_on_figure6() {
-        use crate::admission::Outage;
         let (mut sched, mut d) = figure6();
         // X's fragment 1 is read by v1 at intervals 0..10, visiting
         // physical disk 1 + t each interval (k = 1). Fail disk 5 for
@@ -510,8 +533,50 @@ mod tests {
     }
 
     #[test]
+    fn per_outage_lost_reads_partition_the_all_outage_form() {
+        let (mut sched, d) = figure6();
+        // Disk 5 as above; disk 2 under fragment 0 (v6 over disk 6 + t,
+        // base 2) at t = 4; a soft window loses nothing.
+        let a = Outage {
+            disk: 5,
+            from: 3,
+            until: 9,
+            hard: true,
+        };
+        let b = Outage {
+            disk: 2,
+            from: 0,
+            until: 6,
+            hard: true,
+        };
+        let soft = Outage {
+            disk: 7,
+            from: 0,
+            until: 10,
+            hard: false,
+        };
+        for o in [a, b, soft] {
+            sched.add_outage(o);
+        }
+        let lost_b = sched.lost_reads_to(&d, 3, &b);
+        assert_eq!(
+            lost_b,
+            vec![LostRead {
+                frag: 0,
+                subobject: 2,
+                at: 4,
+                disk: 2,
+            }]
+        );
+        assert!(sched.lost_reads_to(&d, 3, &soft).is_empty());
+        let mut union = sched.lost_reads_to(&d, 3, &a);
+        union.extend(lost_b);
+        union.sort_by_key(|r| (r.at, r.frag));
+        assert_eq!(union, sched.lost_reads(&d, 3));
+    }
+
+    #[test]
     fn contiguous_fragments_are_never_rescuable() {
-        use crate::admission::Outage;
         let mut sched = IntervalScheduler::new(VirtualFrame::new(8, 1));
         let grant = sched
             .try_admit(0, ObjectId(0), 0, 2, 10, AdmissionPolicy::Contiguous)

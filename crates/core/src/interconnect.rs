@@ -20,18 +20,28 @@
 //! change may not fail, so it books unconditionally (transient
 //! over-subscription is accepted and visible in the stats, mirroring how
 //! rescue already overbooks disk bandwidth rather than dropping).
+//!
+//! The ledger is a dense window per link and for the switch, starting at
+//! the retire horizon: bookings land at or after the current interval
+//! and the clock only moves forward, so a booking is an indexed add and
+//! [`InterconnectLedger::retire`] pops just the intervals the clock has
+//! passed.
 
 use ss_types::NodeId;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Per-interval bookings of interconnect capacity for an N-node farm.
 #[derive(Debug, Clone)]
 pub struct InterconnectLedger {
-    /// Per-node ingress link load: `interval -> fragments` crossing into
-    /// the node during that interval.
-    link: Vec<HashMap<u64, u64>>,
-    /// Shared switch-fabric load: `interval -> fragments` switched.
-    switch: HashMap<u64, u64>,
+    /// The retire horizon: slot `k` of every window is interval
+    /// `horizon + k`, and no booking lands before it.
+    horizon: u64,
+    /// Per-node ingress link load: fragments crossing into the node
+    /// during each interval of the window.
+    link: Vec<VecDeque<u64>>,
+    /// Shared switch-fabric load: fragments switched during each
+    /// interval of the window.
+    switch: VecDeque<u64>,
     /// Per-link capacity in fragments per interval (`None` = infinite).
     link_capacity: Option<u64>,
     /// Switch-fabric capacity in fragments per interval (`None` = infinite).
@@ -44,12 +54,28 @@ pub struct InterconnectLedger {
     rejections: u64,
 }
 
+/// The load `window` holds `k` intervals past the horizon.
+fn load(window: &VecDeque<u64>, k: u64) -> u64 {
+    window.get(k as usize).copied().unwrap_or(0)
+}
+
+/// Adds `frags` to `window`'s slot `k`, growing the window to reach it,
+/// and returns the slot's new load.
+fn add(window: &mut VecDeque<u64>, k: usize, frags: u64) -> u64 {
+    if window.len() <= k {
+        window.resize(k + 1, 0);
+    }
+    window[k] += frags;
+    window[k]
+}
+
 impl InterconnectLedger {
     /// An empty ledger for `nodes` nodes with the given capacities.
     pub fn new(nodes: u32, link_capacity: Option<u64>, switch_capacity: Option<u64>) -> Self {
         InterconnectLedger {
-            link: vec![HashMap::new(); nodes as usize],
-            switch: HashMap::new(),
+            horizon: 0,
+            link: vec![VecDeque::new(); nodes as usize],
+            switch: VecDeque::new(),
             link_capacity,
             switch_capacity,
             remote_fragment_intervals: 0,
@@ -66,15 +92,14 @@ impl InterconnectLedger {
             if frags == 0 {
                 continue;
             }
+            let k = interval.saturating_sub(self.horizon);
             if let Some(cap) = self.link_capacity {
-                let used = self.link[node.index()].get(&interval).copied().unwrap_or(0);
-                if used + frags > cap {
+                if load(&self.link[node.index()], k) + frags > cap {
                     return false;
                 }
             }
             if let Some(cap) = self.switch_capacity {
-                let used = self.switch.get(&interval).copied().unwrap_or(0);
-                if used + frags > cap {
+                if load(&self.switch, k) + frags > cap {
                     return false;
                 }
             }
@@ -83,15 +108,24 @@ impl InterconnectLedger {
     }
 
     /// Unconditionally applies `spans` to `node`'s link and the switch.
+    /// Every span must lie at or after the retire horizon: admissions and
+    /// re-plans book from the current interval on, and the kernel retires
+    /// only the intervals before it (a release build would clamp a stray
+    /// span onto the horizon, as [`InterconnectLedger::fits`] checks it).
     fn apply(&mut self, node: NodeId, spans: &[(u64, u64)]) {
         for &(interval, frags) in spans {
             if frags == 0 {
                 continue;
             }
-            let cell = self.link[node.index()].entry(interval).or_insert(0);
-            *cell += frags;
-            self.peak_link_fragments = self.peak_link_fragments.max(*cell);
-            *self.switch.entry(interval).or_insert(0) += frags;
+            debug_assert!(
+                interval >= self.horizon,
+                "booking at interval {interval} behind the retire horizon {}",
+                self.horizon
+            );
+            let k = interval.saturating_sub(self.horizon) as usize;
+            let used = add(&mut self.link[node.index()], k, frags);
+            self.peak_link_fragments = self.peak_link_fragments.max(used);
+            add(&mut self.switch, k, frags);
             self.remote_fragment_intervals += frags;
         }
     }
@@ -116,18 +150,31 @@ impl InterconnectLedger {
         self.apply(node, spans);
     }
 
-    /// Fragments booked onto `node`'s link during `interval`.
+    /// Fragments booked onto `node`'s link during `interval` (zero once
+    /// the interval is retired).
     pub fn booked(&self, node: NodeId, interval: u64) -> u64 {
-        self.link[node.index()].get(&interval).copied().unwrap_or(0)
+        interval
+            .checked_sub(self.horizon)
+            .map_or(0, |k| load(&self.link[node.index()], k))
     }
 
     /// Drops bookings for intervals before `horizon` — they can never be
-    /// consulted again, so long runs stay bounded.
+    /// consulted again, so long runs stay bounded. Pops only the
+    /// intervals between the old horizon and the new one.
     pub fn retire(&mut self, horizon: u64) {
-        for m in &mut self.link {
-            m.retain(|&t, _| t >= horizon);
+        if horizon <= self.horizon {
+            return;
         }
-        self.switch.retain(|&t, _| t >= horizon);
+        let passed = horizon - self.horizon;
+        for window in self
+            .link
+            .iter_mut()
+            .chain(std::iter::once(&mut self.switch))
+        {
+            let n = passed.min(window.len() as u64) as usize;
+            window.drain(..n);
+        }
+        self.horizon = horizon;
     }
 
     /// Σ fragments × intervals booked across all links over the run.
@@ -149,6 +196,8 @@ impl InterconnectLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn infinite_ledger_books_everything() {
@@ -192,5 +241,121 @@ mod tests {
         // Retirement drops old intervals.
         l.retire(4);
         assert_eq!(l.booked(NodeId(0), 3), 0);
+    }
+
+    /// One ledger operation, with intervals as offsets from the current
+    /// horizon (offset 0 books at the horizon itself).
+    #[derive(Debug, Clone)]
+    enum Op {
+        TryBook(u32, Vec<(u64, u64)>),
+        ForceBook(u32, Vec<(u64, u64)>),
+        Retire(u64),
+    }
+
+    /// Half the operations try to book, a quarter force-book and a
+    /// quarter retire, up to well past the farthest booked interval.
+    fn op() -> impl Strategy<Value = Op> {
+        let spans = prop::collection::vec((0u64..12, 0u64..4), 0..6);
+        (0u8..4, 0u32..3, spans, 0u64..20).prop_map(|(kind, n, spans, dt)| match kind {
+            0 | 1 => Op::TryBook(n, spans),
+            2 => Op::ForceBook(n, spans),
+            _ => Op::Retire(dt),
+        })
+    }
+
+    /// The reference: a map per link and for the switch, retired by
+    /// filtering, with finite capacities.
+    #[derive(Default)]
+    struct Model {
+        link_capacity: u64,
+        switch_capacity: u64,
+        horizon: u64,
+        link: Vec<BTreeMap<u64, u64>>,
+        switch: BTreeMap<u64, u64>,
+        remote_fragment_intervals: u64,
+        peak_link_fragments: u64,
+        rejections: u64,
+    }
+
+    impl Model {
+        fn fits(&self, node: usize, spans: &[(u64, u64)]) -> bool {
+            spans.iter().filter(|&&(_, f)| f > 0).all(|&(t, f)| {
+                self.link[node].get(&t).copied().unwrap_or(0) + f <= self.link_capacity
+                    && self.switch.get(&t).copied().unwrap_or(0) + f <= self.switch_capacity
+            })
+        }
+
+        fn apply(&mut self, node: usize, spans: &[(u64, u64)]) {
+            for &(t, f) in spans.iter().filter(|&&(_, f)| f > 0) {
+                let cell = self.link[node].entry(t).or_insert(0);
+                *cell += f;
+                self.peak_link_fragments = self.peak_link_fragments.max(*cell);
+                *self.switch.entry(t).or_insert(0) += f;
+                self.remote_fragment_intervals += f;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random booking/retire sequences against finite link and switch
+        /// capacities: after every operation the windowed ledger answers
+        /// `booked` (behind, at and past the horizon) and every run total
+        /// exactly as the map model does.
+        #[test]
+        fn windowed_ledger_matches_the_map_model(
+            nodes in 1u32..4,
+            link_cap in 1u64..6,
+            switch_cap in 1u64..8,
+            ops in prop::collection::vec(op(), 1..60),
+        ) {
+            let mut ledger = InterconnectLedger::new(nodes, Some(link_cap), Some(switch_cap));
+            let mut model = Model {
+                link_capacity: link_cap,
+                switch_capacity: switch_cap,
+                link: vec![BTreeMap::new(); nodes as usize],
+                ..Model::default()
+            };
+            for op in ops {
+                let h = model.horizon;
+                let at = |spans: &[(u64, u64)]| -> Vec<(u64, u64)> {
+                    spans.iter().map(|&(dt, f)| (h + dt, f)).collect()
+                };
+                match op {
+                    Op::TryBook(n, spans) => {
+                        let (n, spans) = (n % nodes, at(&spans));
+                        let fits = model.fits(n as usize, &spans);
+                        if fits {
+                            model.apply(n as usize, &spans);
+                        } else {
+                            model.rejections += 1;
+                        }
+                        prop_assert_eq!(ledger.try_book(NodeId(n), &spans), fits);
+                    }
+                    Op::ForceBook(n, spans) => {
+                        let (n, spans) = (n % nodes, at(&spans));
+                        model.apply(n as usize, &spans);
+                        ledger.force_book(NodeId(n), &spans);
+                    }
+                    Op::Retire(dt) => {
+                        model.horizon = h + dt;
+                        for m in model.link.iter_mut().chain(std::iter::once(&mut model.switch)) {
+                            m.retain(|&t, _| t >= h + dt);
+                        }
+                        ledger.retire(h + dt);
+                    }
+                }
+                for n in 0..nodes {
+                    for t in model.horizon.saturating_sub(3)..model.horizon + 14 {
+                        let want = model.link[n as usize].get(&t).copied().unwrap_or(0);
+                        prop_assert_eq!(ledger.booked(NodeId(n), t), want, "node {} interval {}", n, t);
+                    }
+                }
+                prop_assert_eq!(ledger.remote_fragment_intervals(), model.remote_fragment_intervals);
+                prop_assert_eq!(ledger.peak_link_fragments(), model.peak_link_fragments);
+                prop_assert_eq!(ledger.rejections(), model.rejections);
+            }
+        }
     }
 }

@@ -701,7 +701,7 @@ mod tests {
         assert!(m.commit_alloc(2, 10)); // slots [10,20)
         let t0 = SimTime::from_secs(5);
         let (slot, object) = m.torn_write(13, t0).expect("allocated slots exist");
-        assert_eq!(slot, 13 % 20);
+        assert_eq!(slot, 13, "salt 13 mod 20 allocated slots");
         assert_eq!(object, if slot < 10 { 1 } else { 2 });
         // Same slot again: already torn, no duplicate.
         assert!(m.torn_write(13, t0).is_none());

@@ -52,12 +52,14 @@ pub struct StripingDisplay {
     /// clear) — drives the optional drop policy.
     hiccups: u64,
     /// Lost reads already charged as hiccups, so a later failure never
-    /// double-counts them.
+    /// double-counts them. An ordered set: kept sorted and searched by
+    /// bisection (a sorted `Vec` holds the same set in less memory than a
+    /// `BTreeSet`).
     hiccup_log: Vec<LostRead>,
     /// Reads admitted *into* an outage window under parity reconstruction:
     /// the planner already booked a companion read that regenerates each
     /// of them, so the rescue pass and the lost-read invariant must not
-    /// treat them as casualties.
+    /// treat them as casualties. Sorted, like `hiccup_log`.
     reconstructed_log: Vec<LostRead>,
 }
 
@@ -469,10 +471,13 @@ impl PlacementPolicy for StripingPolicy {
                         // The reads this grant plans *into* the outage are
                         // exactly its currently-lost reads; remember them
                         // so the rescue pass never charges them.
-                        fragmented
+                        let mut log = fragmented
                             .as_ref()
                             .map(|f| self.scheduler.lost_reads(f, t))
-                            .unwrap_or_default()
+                            .unwrap_or_default();
+                        log.sort_unstable();
+                        log.dedup();
+                        log
                     } else {
                         Vec::new()
                     };
@@ -675,13 +680,14 @@ impl PlacementPolicy for StripingPolicy {
                         }
                     }
                 }
-                self.scheduler.add_outage(Outage {
+                let outage = Outage {
                     disk: ev.disk,
                     from: t,
                     until,
                     hard: true,
-                });
-                self.rescue_pass(core, now, t);
+                };
+                self.scheduler.add_outage(outage);
+                self.rescue_pass(core, now, t, &outage);
             }
             FaultKind::SlowStart => self.scheduler.add_outage(Outage {
                 disk: ev.disk,
@@ -1041,13 +1047,20 @@ impl StripingPolicy {
     }
 
     /// Tries to save every in-flight display whose committed reads fall
-    /// inside a newly opened outage window. A fragment is rescued by a
+    /// inside the newly opened window `outage`. A fragment is rescued by a
     /// coalesce-direction re-plan onto a surviving virtual disk (buffers
     /// are *released*, never added — the read base only moves later); when
     /// no feasible plan exists the lost reads are charged as hiccup
     /// intervals, and a display that exceeds the plan's hiccup budget is
     /// dropped.
-    fn rescue_pass(&mut self, core: &mut Core, now: SimTime, t: u64) {
+    ///
+    /// Only the reads lost to `outage` itself are enumerated: after every
+    /// pass each read lost to an earlier outage has been re-planned clear
+    /// of every known window or logged (the `unaccounted_lost_reads == 0`
+    /// invariant), so those reads would be filtered out again anyway. A
+    /// read also lost to an earlier window on the same disk is already
+    /// logged and stays filtered.
+    fn rescue_pass(&mut self, core: &mut Core, now: SimTime, t: u64, outage: &Outage) {
         let interval_s = core.interval.as_secs_f64();
         let limit = core.timeline.drop_after_hiccup_intervals;
         let mut i = 0;
@@ -1059,10 +1072,11 @@ impl StripingPolicy {
             };
             let fresh: Vec<LostRead> = self
                 .scheduler
-                .lost_reads(frag_state, t)
+                .lost_reads_to(frag_state, t, outage)
                 .into_iter()
                 .filter(|lr| {
-                    !d.ext.hiccup_log.contains(lr) && !d.ext.reconstructed_log.contains(lr)
+                    d.ext.hiccup_log.binary_search(lr).is_err()
+                        && d.ext.reconstructed_log.binary_search(lr).is_err()
                 })
                 .collect();
             if fresh.is_empty() {
@@ -1135,7 +1149,11 @@ impl StripingPolicy {
                         // The drop threshold stays per *stream*: dependents
                         // live and die with the primary's budget.
                         d.ext.hiccups += lost.len() as u64;
+                        // `lost` is one fragment's reads in interval
+                        // order, hence sorted: the stable sort merges the
+                        // two runs in linear time.
                         d.ext.hiccup_log.extend(lost);
+                        d.ext.hiccup_log.sort();
                     }
                 }
             }
@@ -1225,7 +1243,8 @@ impl StripingModel {
                     .lost_reads(f, t)
                     .into_iter()
                     .filter(|lr| {
-                        !d.ext.hiccup_log.contains(lr) && !d.ext.reconstructed_log.contains(lr)
+                        d.ext.hiccup_log.binary_search(lr).is_err()
+                            && d.ext.reconstructed_log.binary_search(lr).is_err()
                     })
                     .count()
             })

@@ -47,6 +47,9 @@ pub struct VdrPolicy {
     cluster_down: Vec<u32>,
     /// Slow disks per cluster: the cluster is slow while nonzero.
     cluster_slow: Vec<u32>,
+    /// The farm's contents change count when the storage plane last
+    /// mirrored it.
+    synced_changes: u64,
 }
 
 type Core = ServerCore<ClusterId>;
@@ -278,10 +281,17 @@ impl VdrPolicy {
 
     /// Mirrors the farm's per-cluster contents into the plane as
     /// journalled per-ledger transactions: replica registrations become
-    /// allocs, evictions become frees. Run around every storage pass (the
-    /// farm mutates only inside ticks), so the plane ≡ farm
-    /// reconciliation invariant holds at every boundary.
-    fn sync_plane(&self, plane: &mut StoragePlane) {
+    /// allocs, evictions become frees, so the plane ≡ farm reconciliation
+    /// invariant holds at every boundary. The walk runs only when it can
+    /// journal something: when the farm's contents changed since the
+    /// last sync ([`ClusterFarm::changes`]), or when `crashed` (a power
+    /// loss may have rolled a replica registration out of the plane).
+    /// Otherwise the plane still mirrors the farm.
+    fn sync_plane(&mut self, plane: &mut StoragePlane, crashed: bool) {
+        if !crashed && self.farm.changes() == self.synced_changes {
+            return;
+        }
+        self.synced_changes = self.farm.changes();
         for c in 0..self.vdr.clusters {
             let ci = c as usize;
             let want = self.cluster_objects(c);
@@ -377,6 +387,7 @@ impl PlacementPolicy for VdrPolicy {
             queue_len: vec![0; objects],
             cluster_down: vec![0; clusters],
             cluster_slow: vec![0; clusters],
+            synced_changes: 0,
         };
         Ok((scheme, objects))
     }
@@ -398,6 +409,7 @@ impl PlacementPolicy for VdrPolicy {
                 plane.seed(u64::from(o.0), [(c, 1)]);
             }
         }
+        self.synced_changes = self.farm.changes();
         // The preload is base state, not replayable history.
         plane.checkpoint();
         // Metadata-only walk: the chunk is not booked anywhere.
@@ -533,19 +545,19 @@ impl PlacementPolicy for VdrPolicy {
     }
 
     /// The crash/scrub pass: sync the plane to the farm, fire due crash
-    /// events, re-sync so a discarded replica registration is
-    /// immediately re-journalled (a metadata-level resync from a
-    /// surviving replica or tertiary — counted as a forced refetch),
-    /// then advance the scrub walk.
+    /// events, advance the scrub walk, then re-sync after a crash so a
+    /// discarded replica registration is immediately re-journalled (a
+    /// metadata-level resync from a surviving replica or tertiary —
+    /// counted as a forced refetch).
     fn storage(&mut self, core: &mut Core, now: SimTime) {
         let Some(mut plane) = core.plane.take() else {
             return;
         };
-        self.sync_plane(&mut plane);
-        if plane
+        self.sync_plane(&mut plane, false);
+        let crashed = plane
             .next_crash_at(&core.timeline)
-            .is_some_and(|at| at <= now)
-        {
+            .is_some_and(|at| at <= now);
+        if crashed {
             // Crash events strike physical disks; the plane's ledgers
             // are clusters, so map disk → cluster exactly like the fault
             // pass (events landing beyond the last whole cluster are
@@ -565,7 +577,7 @@ impl PlacementPolicy for VdrPolicy {
         // place from a surviving copy (`false` = not a parity rebuild);
         // the farm is untouched, so no eviction or refetch follows.
         plane.process_scrub(core.interval_index(now), now, |_, _| false);
-        self.sync_plane(&mut plane);
+        self.sync_plane(&mut plane, crashed);
         core.plane = Some(plane);
     }
 
@@ -901,6 +913,59 @@ mod tests {
         assert_eq!(c.recoveries_clean, 2, "every recovery verified clean");
         assert!(c.txns_journaled > 0, "replica syncs journal allocs");
         assert!(report.displays_completed > 0, "the server kept serving");
+    }
+
+    /// A farm too small for its catalog (8 replica slots, 10 objects):
+    /// materializations and replication must evict LFU replicas, while
+    /// the scrub walks the plane and power losses cut its journal. The
+    /// plane is re-synced only when the farm's contents change, so every
+    /// eviction must register as a change: the plane reconciles with the
+    /// farm after every tick.
+    #[test]
+    fn crash_plane_tracks_evictions_at_every_tick() {
+        let mut cfg = small(8);
+        cfg.preload = false;
+        if let Scheme::Vdr { vdr } = &mut cfg.scheme {
+            vdr.objects_per_cluster = 2;
+        }
+        cfg.scrub = Some(crate::config::ScrubConfig::rate(50));
+        cfg.faults.crash = Some(ss_sim::CrashFaults {
+            events: (0..4)
+                .map(|i| ss_sim::CrashPlanEvent {
+                    disk: i * 5,
+                    at: SimTime::from_secs(400 + u64::from(i) * 150),
+                    kind: ss_sim::CrashKind::PowerLoss,
+                })
+                .collect(),
+            ..Default::default()
+        });
+        let mut server = VdrServer::new(cfg).unwrap();
+        let contents = |server: &VdrServer| -> Vec<BTreeSet<u64>> {
+            (0..4)
+                .map(|c| server.model().scheme.cluster_objects(c))
+                .collect()
+        };
+        let mut before = contents(&server);
+        let mut evictions = 0;
+        while server.step() {
+            assert!(
+                server.model().storage_reconciles(),
+                "plane/farm reconciliation broke at {:?}",
+                server.now()
+            );
+            let after = contents(&server);
+            evictions += before
+                .iter()
+                .zip(&after)
+                .map(|(b, a)| b.difference(a).count())
+                .sum::<usize>();
+            before = after;
+        }
+        assert!(evictions > 0, "the catalog outgrows the farm");
+        let report = server.run();
+        let c = report.crash.as_ref().expect("crash events fired");
+        assert_eq!(c.power_loss_events, 4);
+        assert!(c.scrub_chunks > 0, "the scrub walked the plane");
     }
 
     #[test]

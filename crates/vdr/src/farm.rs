@@ -125,6 +125,8 @@ pub struct ClusterFarm {
     /// Clusters in a transient slow episode: excluded from *new* planning
     /// only; in-flight work keeps running.
     slow: Vec<bool>,
+    /// Contents changes so far: replica registrations plus evictions.
+    changes: u64,
 }
 
 impl ClusterFarm {
@@ -145,6 +147,7 @@ impl ClusterFarm {
             replicas: Vec::new(),
             access_count: Vec::new(),
             resident_objects: 0,
+            changes: 0,
         }
     }
 
@@ -163,6 +166,13 @@ impl ClusterFarm {
     /// contributes `subobjects` fragments to every disk of the cluster).
     pub fn cluster_contents(&self, cluster: ClusterId) -> &[ObjectId] {
         &self.clusters[cluster.index()].contents
+    }
+
+    /// How many times any cluster's contents changed (a replica
+    /// registered or was evicted). Equal counts bracket an interval in
+    /// which every [`ClusterFarm::cluster_contents`] stayed the same.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 
     /// Marks `cluster` slow (fault injection): new work avoids it, work
@@ -237,6 +247,7 @@ impl ClusterFarm {
                 // Copy completed: register the replica.
                 c.status = ClusterStatus::Idle;
                 c.contents.push(object);
+                self.changes += 1;
                 let i = object.index();
                 if i >= self.replicas.len() {
                     self.replicas.resize(i + 1, Vec::new());
@@ -439,6 +450,7 @@ impl ClusterFarm {
             .position(|&o| o == object)
             .ok_or(Error::NotResident(object))?;
         c.contents.remove(pos);
+        self.changes += 1;
         if let Some(list) = self.replicas.get_mut(object.index()) {
             let had = !list.is_empty();
             list.retain(|&cl| cl != cluster);
@@ -772,11 +784,14 @@ mod tests {
         install(&mut f, ClusterId(0), ObjectId(1));
         install(&mut f, ClusterId(1), ObjectId(1));
         assert_eq!(f.replicas_of(ObjectId(1)).len(), 2);
+        assert_eq!(f.changes(), 2, "two registrations");
         f.evict(ClusterId(0), ObjectId(1)).unwrap();
         assert_eq!(f.replicas_of(ObjectId(1)), &[ClusterId(1)]);
+        assert_eq!(f.changes(), 3, "an eviction is a contents change");
         assert_eq!(
             f.evict(ClusterId(0), ObjectId(1)),
             Err(Error::NotResident(ObjectId(1)))
         );
+        assert_eq!(f.changes(), 3, "a refused eviction changes nothing");
     }
 }

@@ -29,6 +29,15 @@ echo "==> benchmark --quick (public-API build + pinned digests of all four workl
 # hard gate: no CI_PERF_STRICT escape.
 cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --quick
 
+echo "==> benchmark --workload degraded (pinned full-size digest)"
+# The full-size degraded cell pair at the pinned seed, checked against
+# its pinned digest and end-of-run invariants (about 2 s). Its VDR cell
+# is the only benchmark cell whose farm evicts replicas while the
+# storage plane is armed, which the quick pass does not reach. A hard
+# gate, like the quick pass.
+cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+  --workload degraded --seed 1994 --seconds 1 --trace 0
+
 echo "==> fault suites (per-suite test counts)"
 # The degraded-mode harness: property sweep + goldens (now spanning the
 # parity/rebuild axes), coalescing proptest, backoff retry-queue
