@@ -15,7 +15,7 @@
 //!   Algorithm 1's `w_offset = z_i − z_0 − i ≥ 0`). The grant reports the
 //!   total buffer bill.
 
-use crate::frame::{gcd, VirtualFrame};
+use crate::frame::VirtualFrame;
 use serde::{Deserialize, Serialize};
 use ss_types::{Error, ObjectId, Result};
 
@@ -105,6 +105,30 @@ impl Outage {
     /// True when interval `t` falls inside this window.
     pub fn covers(&self, t: u64) -> bool {
         self.from <= t && t < self.until
+    }
+}
+
+/// Which outage windows a conflict query counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowKind {
+    /// Every window: a new plan steers clear of failed and slow disks
+    /// alike.
+    Any,
+    /// Failed disks only: a committed read survives a slow episode but not
+    /// a failure.
+    Hard,
+    /// Slow episodes only.
+    Soft,
+}
+
+impl WindowKind {
+    /// True when this kind counts window `o`.
+    fn admits(self, o: &Outage) -> bool {
+        match self {
+            WindowKind::Any => true,
+            WindowKind::Hard => o.hard,
+            WindowKind::Soft => !o.hard,
+        }
     }
 }
 
@@ -217,90 +241,54 @@ impl IntervalScheduler {
     }
 
     /// True when virtual disk `v`, reading one fragment per interval over
-    /// `[start_t, end_t)`, would visit an unavailable physical disk.
-    ///
-    /// Virtual disk `v` sits over physical `(v + k·t) mod D` at interval
-    /// `t`, so per outage the question is one modular alignment solve: the
-    /// earliest visit of the outage's disk at or after
-    /// `max(start_t, outage.from)` — later visits only recur further out
-    /// (every `D / gcd(D, k)` intervals), so the first one decides.
-    pub fn read_conflict(&self, v: u32, start_t: u64, end_t: u64) -> bool {
-        self.outages.iter().any(|o| {
-            let lo = start_t.max(o.from);
-            let hi = end_t.min(o.until);
-            lo < hi
-                && self
-                    .frame
-                    .next_alignment(v, o.disk, lo)
-                    .is_some_and(|t| t < hi)
-        })
+    /// `[start_t, end_t)`, would visit the disk of an open `kind` window.
+    /// The first visit decides, so this never steps.
+    pub fn read_conflict(&self, kind: WindowKind, v: u32, start_t: u64, end_t: u64) -> bool {
+        self.outages
+            .iter()
+            .any(|o| kind.admits(o) && self.first_visit(o, v, start_t, end_t).is_some())
     }
 
-    /// Like [`IntervalScheduler::read_conflict`], but restricted to hard
-    /// outages (failed disks): committed reads survive a slow episode but
-    /// not a failure.
-    pub fn hard_read_conflict(&self, v: u32, start_t: u64, end_t: u64) -> bool {
-        self.outages.iter().any(|o| {
-            o.hard && {
-                let lo = start_t.max(o.from);
-                let hi = end_t.min(o.until);
-                lo < hi
-                    && self
-                        .frame
-                        .next_alignment(v, o.disk, lo)
-                        .is_some_and(|t| t < hi)
-            }
-        })
-    }
-
-    /// Like [`IntervalScheduler::read_conflict`], but restricted to soft
-    /// outages (slow episodes): a slow disk still holds its data, so a
-    /// degraded plan never spends reconstruction bandwidth on it — it
-    /// simply refuses, exactly like the clean planners.
-    fn soft_read_conflict(&self, v: u32, start_t: u64, end_t: u64) -> bool {
-        self.outages.iter().any(|o| {
-            !o.hard && {
-                let lo = start_t.max(o.from);
-                let hi = end_t.min(o.until);
-                lo < hi
-                    && self
-                        .frame
-                        .next_alignment(v, o.disk, lo)
-                        .is_some_and(|t| t < hi)
-            }
-        })
-    }
-
-    /// Collects into `out` every interval in `[start_t, end_t)` at which
-    /// virtual disk `v` sits over a hard-failed physical disk (sorted,
-    /// deduplicated). Alignments with a given disk recur every
-    /// `D / gcd(D, k)` intervals, so each outage contributes an arithmetic
-    /// progression from its first alignment.
-    fn hard_conflict_intervals(&self, v: u32, start_t: u64, end_t: u64, out: &mut Vec<u64>) {
-        out.clear();
-        let d = u64::from(self.frame.disks());
-        let k = u64::from(self.frame.stride());
-        let period = if k == 0 { 1 } else { d / gcd(d, k) };
-        for o in &self.outages {
-            if !o.hard {
-                continue;
-            }
-            let lo = start_t.max(o.from);
-            let hi = end_t.min(o.until);
-            if lo >= hi {
-                continue;
-            }
-            let Some(first) = self.frame.next_alignment(v, o.disk, lo) else {
-                continue;
-            };
-            let mut t = first;
-            while t < hi {
-                out.push(t);
-                t += period;
+    /// The outage walker: calls `visit(t, window)` for every interval `t`
+    /// in `[start_t, end_t)` at which virtual disk `v` sits over the disk
+    /// of an open `kind` window in `outages` — window by window in
+    /// `outages` order, ascending within each. Visits of one disk recur
+    /// every [`VirtualFrame::period`] intervals, so each window contributes
+    /// an arithmetic progression from its first visit.
+    #[inline]
+    pub(crate) fn for_each_conflict(
+        &self,
+        outages: &[Outage],
+        kind: WindowKind,
+        v: u32,
+        start_t: u64,
+        end_t: u64,
+        mut visit: impl FnMut(u64, &Outage),
+    ) {
+        let period = self.frame.period();
+        for o in outages.iter().filter(|o| kind.admits(o)) {
+            if let Some((mut t, end)) = self.first_visit(o, v, start_t, end_t) {
+                while t < end {
+                    visit(t, o);
+                    t += period;
+                }
             }
         }
-        out.sort_unstable();
-        out.dedup();
+    }
+
+    /// The first interval at which virtual disk `v` sits over window
+    /// `o`'s disk while the window is open, within `[start_t, end_t)`,
+    /// and the end of that clipped span. Every outage-aware query starts
+    /// here: virtual disk `v` sits over physical `(v + k·t) mod D` at
+    /// interval `t`, so this is one modular alignment solve.
+    #[inline]
+    fn first_visit(&self, o: &Outage, v: u32, start_t: u64, end_t: u64) -> Option<(u64, u64)> {
+        let (lo, hi) = (start_t.max(o.from), end_t.min(o.until));
+        if lo >= hi {
+            return None;
+        }
+        let t = self.frame.next_alignment(v, o.disk, lo)?;
+        (t < hi).then_some((t, hi))
     }
 
     /// Failure-aware (degraded) aligned planning at interval `t0`: admit a
@@ -339,16 +327,24 @@ impl IntervalScheduler {
         }
         let window = t0 + u64::from(subobjects);
         let mut conflicts: Vec<Vec<u64>> = Vec::with_capacity(degree as usize);
-        let mut scratch = Vec::new();
+        let mut lost = Vec::new();
         let mut reconstructed = 0u64;
         for i in 0..degree {
             let v = self.frame.virtual_of((start_disk + i) % d, t0);
-            if !self.is_free(v, t0) || self.soft_read_conflict(v, t0, window) {
+            // A slow disk still holds its data: refuse it, exactly like
+            // the clean planners, instead of spending reconstruction on it.
+            if !self.is_free(v, t0) || self.read_conflict(WindowKind::Soft, v, t0, window) {
                 return None;
             }
-            self.hard_conflict_intervals(v, t0, window, &mut scratch);
-            reconstructed += scratch.len() as u64;
-            conflicts.push(scratch.clone());
+            // The intervals at which `v` sits over a failed disk.
+            lost.clear();
+            self.for_each_conflict(&self.outages, WindowKind::Hard, v, t0, window, |t, _| {
+                lost.push(t)
+            });
+            lost.sort_unstable();
+            lost.dedup();
+            reconstructed += lost.len() as u64;
+            conflicts.push(lost.clone());
         }
         if reconstructed == 0 {
             // Nothing lost at this alignment: the clean planner's verdict
@@ -460,6 +456,26 @@ impl IntervalScheduler {
     pub fn set_free_from(&mut self, v: u32, free_from: u64) {
         self.free_from[v as usize] = free_from;
         self.invalidate_index();
+    }
+
+    /// Holds `count` virtual disks busy until interval `until`: the disks
+    /// `first, first + 1, …` (mod `D`, at most all `D` of them), booked
+    /// for background reads that run over `[from, until)` — a rebuild
+    /// drain, a scrub chunk — so admissions compete with them for real
+    /// bandwidth. Returns the interference added: the intervals of that
+    /// run by which the busy horizons advanced.
+    pub fn hold_busy(&mut self, first: u64, count: u64, from: u64, until: u64) -> u64 {
+        let d = u64::from(self.frame.disks());
+        let mut added = 0;
+        for j in 0..count.min(d) {
+            let v = ((first + j) % d) as u32;
+            let old = self.free_from(v);
+            if until > old {
+                added += until - old.max(from);
+                self.set_free_from(v, until);
+            }
+        }
+        added
     }
 
     /// Attempts to admit a display of `object` at interval `now`: first
@@ -592,7 +608,7 @@ impl IntervalScheduler {
             for i in 0..degree {
                 let v = (v0 + i) % d;
                 debug_assert_eq!(v, self.frame.virtual_of((start_disk + i) % d, now));
-                if self.is_free(v, now) && !self.read_conflict(v, now, window) {
+                if self.is_free(v, now) && !self.read_conflict(WindowKind::Any, v, now, window) {
                     free += 1;
                 }
             }
@@ -669,7 +685,9 @@ impl IntervalScheduler {
                 // Stationary frame: only the disk itself, from the moment
                 // it frees.
                 let t = now.max(self.free_from[p as usize]);
-                if t <= window_end && !self.read_conflict(p, t, t + u64::from(subobjects)) {
+                if t <= window_end
+                    && !self.read_conflict(WindowKind::Any, p, t, t + u64::from(subobjects))
+                {
                     cands.push((t, p));
                 }
             } else {
@@ -684,7 +702,7 @@ impl IntervalScheduler {
                     // injection, its reading window must clear every
                     // known unavailability window.
                     if self.free_from[v as usize] <= t
-                        && !self.read_conflict(v, t, t + u64::from(subobjects))
+                        && !self.read_conflict(WindowKind::Any, v, t, t + u64::from(subobjects))
                     {
                         cands.push((t, v));
                     }
@@ -1138,7 +1156,7 @@ mod tests {
         for (idx, &v) in g.virtual_disks.iter().enumerate() {
             let t = g.read_start[idx];
             assert!(
-                !s.read_conflict(v, t, t + 4),
+                !s.read_conflict(WindowKind::Any, v, t, t + 4),
                 "fragment {idx} on v{v} reads into the outage"
             );
         }
@@ -1154,8 +1172,9 @@ mod tests {
             hard: false,
         });
         let v = s.frame().virtual_of(3, 0);
-        assert!(s.read_conflict(v, 0, 4));
-        assert!(!s.hard_read_conflict(v, 0, 4));
+        assert!(s.read_conflict(WindowKind::Any, v, 0, 4));
+        assert!(s.read_conflict(WindowKind::Soft, v, 0, 4));
+        assert!(!s.read_conflict(WindowKind::Hard, v, 0, 4));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ([`crate::algorithms::WriteThread`]); this module plans and commits the
 //! handovers against the [`IntervalScheduler`]'s occupancy.
 
-use crate::admission::{AdmissionGrant, IntervalScheduler, Outage};
+use crate::admission::{AdmissionGrant, IntervalScheduler, Outage, WindowKind};
 use serde::{Deserialize, Serialize};
 use ss_types::ObjectId;
 
@@ -105,94 +105,20 @@ pub struct CoalescePlan {
 
 impl IntervalScheduler {
     /// Looks for the best handover of one fragment of `display` at
-    /// interval `now`: the plan that minimises the remaining offset
-    /// (ties: lowest fragment index). Returns `None` when the display is
-    /// already fully coalesced or no suitable free disk exists.
-    ///
-    /// A fragment is only eligible if its old disk carries no *later*
-    /// commitment (the scalar occupancy can then be shortened safely).
+    /// interval `now`: the [`Self::plan_rescue`] with the largest buffer
+    /// saving (ties: lowest fragment index). Returns `None` when the
+    /// display is already fully coalesced or no suitable free disk exists.
     pub fn plan_coalesce(
         &self,
         display: &ActiveFragmentedDisplay,
         now: u64,
     ) -> Option<CoalescePlan> {
-        let disks = self.frame().disks();
-        let k = self.frame().stride();
-        if k == 0 {
-            return None; // stationary frame: nothing rotates, nothing coalesces
-        }
-        let n = u64::from(display.subobjects);
-        let mut best: Option<CoalescePlan> = None;
-        for (i, (&z_old, &t_old)) in display
-            .virtual_disks
-            .iter()
-            .zip(&display.read_start)
-            .enumerate()
-        {
-            let offset = display.delivery_start - t_old;
-            if offset == 0 {
-                continue; // already pipelined directly
-            }
-            // The old disk must have exactly this display's tail committed.
-            if self.free_from(z_old) != t_old + n {
-                continue;
-            }
-            let p = (display.start_disk + i as u32) % disks;
-            // Try new bases from tightest (delivery_start ⇒ zero offset)
-            // downwards; the first feasible is the best for this fragment.
-            for t_new in (t_old + 1..=display.delivery_start).rev() {
-                // The disk reading fragment i of subobject s at interval
-                // t_new + s sits over physical disk p + s·k + i there, so
-                // its virtual index is fixed: virtual_of(p, t_new).
-                let z_new = self.frame().virtual_of(p, t_new);
-                if display.virtual_disks.contains(&z_new) {
-                    continue; // already working for this display
-                }
-                // Handover point: the coalesce takes effect this
-                // interval — the old disk's read for `now` is cancelled
-                // and the new disk reads that subobject when it aligns
-                // (paper timing: the Figure 6 handover at interval 5 has
-                // the new disk read X5.1 directly at interval 7). The new
-                // disk must also have freed by its first read.
-                let s_min = now
-                    .saturating_sub(t_old)
-                    .max(self.free_from(z_new).saturating_sub(t_new));
-                if s_min >= n {
-                    continue; // nothing left for the new disk to read
-                }
-                // Under fault injection the taker's remaining reads must
-                // clear every known unavailability window, and the old
-                // disk's pre-handover tail must clear every hard one.
-                if self.has_outages()
-                    && (self.read_conflict(z_new, t_new + s_min, t_new + n)
-                        || (t_old + s_min > now
-                            && self.hard_read_conflict(z_old, now, t_old + s_min)))
-                {
-                    continue;
-                }
-                let saving = offset - (display.delivery_start - t_new);
-                if saving == 0 {
-                    continue;
-                }
-                let plan = CoalescePlan {
-                    frag: i as u32,
-                    old_disk: z_old,
-                    new_disk: z_new,
-                    handover_sub: u32::try_from(s_min).expect("subobject fits u32"),
-                    new_read_start: t_new,
-                    buffer_saving: saving,
-                };
-                let better = match &best {
-                    None => true,
-                    Some(b) => plan.buffer_saving > b.buffer_saving,
-                };
-                if better {
-                    best = Some(plan);
-                }
-                break; // lower t_new only saves less for this fragment
-            }
-        }
-        best
+        // Fragments are distinct, so the key has no ties and `max_by_key`
+        // (which keeps the last of equal keys) picks the lowest fragment
+        // among the largest savings.
+        (0..display.virtual_disks.len() as u32)
+            .filter_map(|frag| self.plan_rescue(display, frag, now))
+            .max_by_key(|p| (p.buffer_saving, std::cmp::Reverse(p.frag)))
     }
 
     /// Commits `plan`: shortens the old disk's occupancy to the handover
@@ -261,58 +187,41 @@ impl IntervalScheduler {
         now: u64,
         outages: &[Outage],
     ) -> Vec<LostRead> {
-        let mut out = Vec::new();
-        if outages.is_empty() {
-            return out;
-        }
-        let d = self.frame().disks();
-        let k = self.frame().stride();
         let n = u64::from(display.subobjects);
-        let period = if k == 0 {
-            1
-        } else {
-            u64::from(d) / crate::frame::gcd(u64::from(d), u64::from(k))
-        };
-        for (i, (&v, &t_base)) in display
+        let mut out = Vec::new();
+        for (i, (&v, &base)) in display
             .virtual_disks
             .iter()
             .zip(&display.read_start)
             .enumerate()
         {
-            let start = t_base.max(now);
-            let end = t_base + n;
-            for o in outages.iter().filter(|o| o.hard) {
-                let lo = start.max(o.from);
-                let hi = end.min(o.until);
-                if lo >= hi {
-                    continue;
-                }
-                let Some(mut t) = self.frame().next_alignment(v, o.disk, lo) else {
-                    continue;
-                };
-                while t < hi {
-                    out.push(LostRead {
-                        frag: i as u32,
-                        subobject: u32::try_from(t - t_base).expect("subobject fits u32"),
-                        at: t,
-                        disk: o.disk,
-                    });
-                    t += period;
-                }
-            }
+            let (frag, from) = (i as u32, base.max(now));
+            self.for_each_conflict(outages, WindowKind::Hard, v, from, base + n, |at, o| {
+                let subobject = u32::try_from(at - base).expect("subobject fits u32");
+                out.push(LostRead {
+                    frag,
+                    subobject,
+                    at,
+                    disk: o.disk,
+                });
+            });
         }
         out.sort_by_key(|r| (r.at, r.frag));
         out
     }
 
-    /// Plans the rescue of one conflicted fragment: a coalesce-direction
-    /// handover (the base moves *later*, toward `delivery_start`, so
-    /// buffers are released, never added) chosen so that **no** remaining
-    /// read of the display's fragment — on either the taker or the old
-    /// disk's pre-handover tail — falls inside a known outage window.
-    /// Rescue is all-or-nothing: a candidate that still loses a read is
-    /// rejected, so a rescued fragment never misses a delivery deadline.
+    /// Plans the handover of fragment `frag` of `display` at interval
+    /// `now`: a coalesce-direction move (the base moves *later*, toward
+    /// `delivery_start`, so buffers are released, never added) to the
+    /// latest base whose taker is free in time and at which **no**
+    /// remaining read of the fragment — on either the taker or the old
+    /// disk's pre-handover tail — falls inside a known outage window. A
+    /// rescue is this plan for a fragment that lost a read, and it is
+    /// all-or-nothing: a candidate that still loses a read is rejected, so
+    /// a rescued fragment never misses a delivery deadline.
     ///
+    /// A fragment is only eligible if its old disk carries no *later*
+    /// commitment (the scalar occupancy can then be shortened safely).
     /// Contiguous fragments (`read_start == delivery_start`) have no later
     /// base to move to and are never rescuable — the paper's direct
     /// pipelining has zero slack, which is exactly why the degraded-mode
@@ -338,26 +247,39 @@ impl IntervalScheduler {
             return None;
         }
         let p = (display.start_disk + frag) % disks;
+        // Try new bases from tightest (delivery_start ⇒ zero offset)
+        // downwards; the first feasible one saves the most.
         for t_new in (t_old + 1..=display.delivery_start).rev() {
+            // The disk reading fragment `frag` of subobject s at interval
+            // t_new + s sits over physical disk p + s·k there, so its
+            // virtual index is fixed: virtual_of(p, t_new).
             let z_new = self.frame().virtual_of(p, t_new);
             if display.virtual_disks.contains(&z_new) {
-                continue;
+                continue; // already working for this display
             }
+            // Handover point: the handover takes effect this interval —
+            // the old disk's read for `now` is cancelled and the new disk
+            // reads that subobject when it aligns (paper timing: the
+            // Figure 6 handover at interval 5 has the new disk read X5.1
+            // directly at interval 7). The new disk must also have freed
+            // by its first read.
             let s_min = now
                 .saturating_sub(t_old)
                 .max(self.free_from(z_new).saturating_sub(t_new));
             if s_min >= n {
-                continue;
+                continue; // nothing left for the new disk to read
             }
             // The taker's remaining reads must clear every outage window
             // (hard and slow — new placement avoids slow disks too).
-            if self.read_conflict(z_new, t_new + s_min, t_new + n) {
+            if self.read_conflict(WindowKind::Any, z_new, t_new + s_min, t_new + n) {
                 continue;
             }
             // If the taker frees late, the old disk keeps reading up to
             // the handover subobject; those residual reads must clear
             // every *hard* window or the rescue is not a rescue.
-            if t_old + s_min > now && self.hard_read_conflict(z_old, now, t_old + s_min) {
+            if t_old + s_min > now
+                && self.read_conflict(WindowKind::Hard, z_old, now, t_old + s_min)
+            {
                 continue;
             }
             return Some(CoalescePlan {
@@ -593,6 +515,31 @@ mod tests {
         for r in &lost {
             assert!(sched.plan_rescue(&d, r.frag, 2).is_none());
         }
+    }
+
+    #[test]
+    fn equal_savings_pick_the_lowest_fragment() {
+        // D = 8, k = 1: fragments 1 and 2 both lag delivery by 2 and can
+        // both hand over to a free disk with zero offset.
+        let mut sched = IntervalScheduler::new(VirtualFrame::new(8, 1));
+        for (v, free_from) in [(4, 14), (7, 12), (0, 12)] {
+            sched.set_free_from(v, free_from);
+        }
+        let d = ActiveFragmentedDisplay {
+            object: ObjectId(0),
+            start_disk: 0,
+            degree: 3,
+            subobjects: 10,
+            virtual_disks: vec![4, 7, 0],
+            read_start: vec![4, 2, 2],
+            delivery_start: 4,
+        };
+        for frag in [1, 2] {
+            let plan = sched.plan_rescue(&d, frag, 4).expect("a handover exists");
+            assert_eq!(plan.buffer_saving, 2, "fragment {frag}");
+        }
+        let plan = sched.plan_coalesce(&d, 4).expect("a handover exists");
+        assert_eq!((plan.frag, plan.buffer_saving), (1, 2));
     }
 
     #[test]

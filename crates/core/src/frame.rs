@@ -75,6 +75,15 @@ impl VirtualFrame {
         ((u64::from(p) + u64::from(self.disks) - shift) % u64::from(self.disks)) as u32
     }
 
+    /// The rotation period `D / gcd(D, k)`: the number of intervals after
+    /// which every virtual disk sits over the same physical disk again (1
+    /// for a stationary frame). Visits of one virtual disk to one physical
+    /// disk recur exactly this often.
+    pub fn period(&self) -> u64 {
+        let d = u64::from(self.disks);
+        d / gcd(d, u64::from(self.stride))
+    }
+
     /// The earliest interval `t' ≥ t` at which virtual disk `v` sits over
     /// physical disk `p`, or `None` if it never does (possible only when
     /// `gcd(D, k)` does not divide the needed displacement). With a
@@ -217,6 +226,24 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn period_is_the_revisit_distance() {
+        for (d, k, period) in [
+            (8u32, 1u32, 8u64),
+            (12, 4, 3),
+            (12, 6, 2),
+            (10, 10, 1),
+            (7, 0, 1),
+        ] {
+            let f = VirtualFrame::new(d, k);
+            assert_eq!(f.period(), period, "d={d} k={k}");
+            for v in 0..d {
+                let p = f.physical(v, 5);
+                assert_eq!(f.next_alignment(v, p, 6), Some(5 + period), "d={d} k={k}");
             }
         }
     }

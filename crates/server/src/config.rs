@@ -571,6 +571,11 @@ impl ServerConfig {
                 return bad("media mix holds no objects".into());
             }
         }
+        let n_objects = self
+            .mix
+            .as_ref()
+            .map_or(self.objects, MediaMix::total_objects);
+        self.popularity.validate(n_objects as usize)?;
         match &self.arrivals {
             ArrivalModel::Closed => {}
             ArrivalModel::Open { rate_per_hour } => {
@@ -590,10 +595,6 @@ impl ServerConfig {
                         return bad("arrival trace is not sorted by time".into());
                     }
                 }
-                let n_objects = self
-                    .mix
-                    .as_ref()
-                    .map_or(self.objects, MediaMix::total_objects);
                 if events.iter().any(|&(_, obj)| obj >= n_objects) {
                     return bad("arrival trace references an unknown object".into());
                 }
@@ -735,6 +736,20 @@ impl ServerConfig {
                      (or omitted for infinite)"
                         .into(),
                 );
+            }
+            // The latency prefetch bills `latency × remote fragments`
+            // buffers per display; a latency longer than the run is
+            // meaningless and would overflow that bill.
+            let run = self
+                .warmup
+                .as_micros()
+                .saturating_add(self.measure.as_micros());
+            let run_intervals = run.div_ceil(self.interval().as_micros().max(1));
+            if d.interconnect.latency_intervals > run_intervals {
+                return bad(format!(
+                    "interconnect latency of {} intervals exceeds the {run_intervals}-interval run",
+                    d.interconnect.latency_intervals
+                ));
             }
             let mut windows: Vec<&NodeOutage> = d.node_outages.iter().collect();
             windows.sort_by_key(|o| (o.node, o.fail_at));

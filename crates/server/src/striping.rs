@@ -25,7 +25,8 @@ use crate::kernel::{
 };
 use crate::storage::{ScrubChunk, StoragePlane};
 use ss_core::admission::{AdmissionGrant, AdmissionPolicy, IntervalScheduler, Outage};
-use ss_core::coalesce::{ActiveFragmentedDisplay, LostRead};
+use ss_core::buffers::BufferTracker;
+use ss_core::coalesce::{ActiveFragmentedDisplay, CoalescePlan, LostRead};
 use ss_core::frame::VirtualFrame;
 use ss_core::media::ObjectCatalog;
 use ss_core::placement::{PlacementMap, StripingConfig, StripingLayout};
@@ -61,6 +62,15 @@ pub struct StripingDisplay {
     /// of them, so the rescue pass and the lost-read invariant must not
     /// treat them as casualties. Sorted, like `hiccup_log`.
     reconstructed_log: Vec<LostRead>,
+}
+
+impl StripingDisplay {
+    /// True when lost read `lr` is already accounted for: charged as a
+    /// hiccup, or planned into its outage under parity reconstruction.
+    fn accounts_for(&self, lr: &LostRead) -> bool {
+        self.hiccup_log.binary_search(lr).is_ok()
+            || self.reconstructed_log.binary_search(lr).is_ok()
+    }
 }
 
 impl DistState {
@@ -182,32 +192,15 @@ fn plane_layout(layout: &StripingLayout) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Books a scrub chunk's verification reads as interval-scheduler
-/// bandwidth: `rate` virtual disks are blocked until the chunk
-/// completes, exactly like the rebuild drain's booking, so scrubbing
-/// competes with display admissions for real bandwidth. The booked
-/// disks rotate with the chunk's start interval — in staggered striping
-/// the virtual→physical mapping itself rotates over time, so the
-/// physical drive under scrub surfaces as a different virtual disk each
-/// chunk. That spreads the tithe: no single virtual disk is pinned for
-/// more than one short chunk at a time. Horizon advances are charged as
-/// interference.
-fn book_scrub_chunk(
-    scheduler: &mut IntervalScheduler,
-    stats: &mut crate::metrics::CrashStats,
-    disks: u32,
-    chunk: ScrubChunk,
-    rate: u64,
-) {
-    let d = u64::from(disks);
-    for j in 0..rate.min(d) {
-        let v = ((u64::from(chunk.disk) + chunk.start + j) % d) as u32;
-        let old = scheduler.free_from(v);
-        if chunk.end > old {
-            stats.scrub_interference_intervals += chunk.end - old.max(chunk.start);
-            scheduler.set_free_from(v, chunk.end);
-        }
-    }
+/// True when every display keeps its committed read timeline whatever its
+/// buffer bill: the rescue pass needs it under fault injection, the
+/// remote-booking deficit invariant on a multi-node farm, and the
+/// wasted-bandwidth series under observability. At zero buffer the state
+/// is inert for decisions.
+fn keeps_read_state(core: &Core) -> bool {
+    !core.timeline.is_empty()
+        || core.dist.as_ref().is_some_and(|ds| ds.topology.nodes > 1)
+        || ss_obs::enabled()
 }
 
 type Core = ServerCore<StripingDisplay>;
@@ -308,14 +301,7 @@ impl PlacementPolicy for StripingPolicy {
         // The preload is base state, not replayable history.
         plane.checkpoint();
         if let Some(chunk) = plane.begin_scrub(0) {
-            let rate = plane.stats.scrub_rate;
-            book_scrub_chunk(
-                &mut self.scheduler,
-                &mut plane.stats,
-                config.disks,
-                chunk,
-                rate,
-            );
+            self.book_scrub(&mut plane, chunk);
         }
         plane
     }
@@ -445,21 +431,8 @@ impl PlacementPolicy for StripingPolicy {
                         .expect("unbounded tracker");
                     core.metrics.peak_buffer_fragments =
                         core.metrics.peak_buffer_fragments.max(core.buffers.peak());
-                    // Observability keeps the fragmented read-state
-                    // alive on every display so the wasted-bandwidth
-                    // series can see each fragment's reading window; the
-                    // state is inert for zero-buffer fault-free displays
-                    // (every consumer checks `buffer_total() > 0` or the
-                    // timeline first), so decisions are unchanged.
-                    // A multi-node farm keeps it alive too: the remote-
-                    // booking deficit invariant needs every display's
-                    // committed read timeline (inert for decisions, like
-                    // the observability case).
-                    let fragmented = (grant.buffer_fragments > 0
-                        || !core.timeline.is_empty()
-                        || core.dist.as_ref().is_some_and(|ds| ds.topology.nodes > 1)
-                        || ss_obs::enabled())
-                    .then(|| {
+                    let keep = grant.buffer_fragments > 0 || keeps_read_state(core);
+                    let fragmented = keep.then(|| {
                         ActiveFragmentedDisplay::from_grant(&grant, layout.start_disk, subobjects)
                     });
                     let reconstructed_log = if grant.reconstructed_intervals > 0 {
@@ -627,14 +600,7 @@ impl PlacementPolicy for StripingPolicy {
             plane.record_free(object);
         }
         for chunk in chunks {
-            let rate = plane.stats.scrub_rate;
-            book_scrub_chunk(
-                &mut self.scheduler,
-                &mut plane.stats,
-                core.config.disks,
-                chunk,
-                rate,
-            );
+            self.book_scrub(&mut plane, chunk);
         }
         core.plane = Some(plane);
     }
@@ -667,17 +633,14 @@ impl PlacementPolicy for StripingPolicy {
                     // fragments per interval: book that many virtual
                     // disks until the drain completes so admissions
                     // compete with the rebuild for real bandwidth.
-                    let d = u64::from(core.config.disks);
-                    for j in 0..rb.rate().min(d - 1) {
-                        let v = ((u64::from(ev.disk) + 1 + j) % d) as u32;
-                        let old = self.scheduler.free_from(v);
-                        if job.done > old {
-                            core.metrics
-                                .degraded_mut()
-                                .self_heal_mut()
-                                .rebuild_interference_intervals += job.done - old.max(job.start);
-                            self.scheduler.set_free_from(v, job.done);
-                        }
+                    let first = u64::from(ev.disk) + 1;
+                    let count = rb.rate().min(u64::from(core.config.disks) - 1);
+                    let added = self.scheduler.hold_busy(first, count, job.start, job.done);
+                    // A drain lasts at least one interval: the interference
+                    // is positive exactly when a horizon moved.
+                    if added > 0 {
+                        let g = core.metrics.degraded_mut().self_heal_mut();
+                        g.rebuild_interference_intervals += added;
                     }
                 }
                 let outage = Outage {
@@ -833,6 +796,23 @@ impl PlacementPolicy for StripingPolicy {
 }
 
 impl StripingPolicy {
+    /// Books a scrub chunk's verification reads as interval-scheduler
+    /// bandwidth: the plane's scrub rate of virtual disks are held busy
+    /// until the chunk completes, exactly like the rebuild drain's
+    /// booking, and the horizon advances are charged as interference. The
+    /// booked disks rotate with the chunk's start interval — in staggered
+    /// striping the virtual→physical mapping itself rotates over time, so
+    /// the physical drive under scrub surfaces as a different virtual disk
+    /// each chunk. That spreads the tithe: no single virtual disk is
+    /// pinned for more than one short chunk at a time.
+    fn book_scrub(&mut self, plane: &mut StoragePlane, chunk: ScrubChunk) {
+        let (from, rate) = (chunk.start, plane.stats.scrub_rate);
+        let added = self
+            .scheduler
+            .hold_busy(u64::from(chunk.disk) + from, rate, from, chunk.end);
+        plane.stats.scrub_interference_intervals += added;
+    }
+
     /// `object`'s degree of declustering, or `unknown` for an id outside
     /// the catalog.
     fn degree_of(&self, object: ObjectId, unknown: u32) -> u32 {
@@ -1007,43 +987,52 @@ impl StripingPolicy {
     /// disks, releasing buffer memory.
     fn coalesce_pass(&mut self, core: &mut Core, now: SimTime) {
         let t = core.interval_index(now);
-        let faults = !core.timeline.is_empty();
-        let multi_node = core.dist.as_ref().is_some_and(|ds| ds.topology.nodes > 1);
+        let keep_state = keeps_read_state(core);
         for d in &mut core.active {
-            let Some(frag_state) = d.ext.fragmented.as_mut() else {
+            let Some(frag_state) = d.ext.fragmented.as_ref() else {
                 continue;
             };
             if frag_state.buffer_total() == 0 {
                 continue; // fully pipelined already
             }
-            if let Some(plan) = self.scheduler.plan_coalesce(frag_state, t) {
-                self.scheduler.apply_coalesce(frag_state, &plan);
-                if let Some(dist) = core.dist.as_mut() {
-                    dist.rebook_fragment(
-                        self.scheduler.frame(),
-                        d.home_node,
-                        frag_state,
-                        plan.frag,
-                        t,
-                    );
-                }
-                core.buffers.release(plan.buffer_saving);
-                d.buffer_fragments -= plan.buffer_saving;
-                core.metrics.coalesces += 1;
-                ss_obs::obs!(ss_obs::Event::Coalesce {
-                    object: d.object.0,
-                    frag: plan.frag,
-                    saving: plan.buffer_saving,
-                });
-                if frag_state.buffer_total() == 0 && !faults && !multi_node && !ss_obs::enabled() {
-                    // Fully pipelined; under fault injection the state is
-                    // kept — the rescue pass still needs the timeline —
-                    // and observability keeps it for the wasted-bandwidth
-                    // series (inert either way at zero buffer).
-                    d.ext.fragmented = None;
-                }
+            let Some(plan) = self.scheduler.plan_coalesce(frag_state, t) else {
+                continue;
+            };
+            // A handover lowers the bill by exactly its saving.
+            let left = frag_state.buffer_total() - plan.buffer_saving;
+            self.hand_over(core.dist.as_mut(), &mut core.buffers, d, &plan, t);
+            core.metrics.coalesces += 1;
+            ss_obs::obs!(ss_obs::Event::Coalesce {
+                object: d.object.0,
+                frag: plan.frag,
+                saving: plan.buffer_saving,
+            });
+            if left == 0 && !keep_state {
+                d.ext.fragmented = None; // fully pipelined
             }
         }
+    }
+
+    /// Commits `plan`, a handover of one of `d`'s fragments made at
+    /// interval `t`: moves the fragment's reads in the scheduler,
+    /// force-books its new remote reads, and releases the buffers the
+    /// handover saves. Coalesce and rescue differ only in what they count
+    /// afterwards.
+    fn hand_over(
+        &mut self,
+        dist: Option<&mut DistState>,
+        buffers: &mut BufferTracker,
+        d: &mut Active,
+        plan: &CoalescePlan,
+        t: u64,
+    ) {
+        let f = d.ext.fragmented.as_mut().expect("plan needs read state");
+        self.scheduler.apply_coalesce(f, plan);
+        if let Some(dist) = dist {
+            dist.rebook_fragment(self.scheduler.frame(), d.home_node, f, plan.frag, t);
+        }
+        buffers.release(plan.buffer_saving);
+        d.buffer_fragments -= plan.buffer_saving;
     }
 
     /// Tries to save every in-flight display whose committed reads fall
@@ -1066,19 +1055,15 @@ impl StripingPolicy {
         let mut i = 0;
         while i < core.active.len() {
             let d = &mut core.active[i];
-            let Some(frag_state) = d.ext.fragmented.as_mut() else {
-                i += 1;
-                continue;
+            let fresh: Vec<LostRead> = match &d.ext.fragmented {
+                Some(frag_state) => self
+                    .scheduler
+                    .lost_reads_to(frag_state, t, outage)
+                    .into_iter()
+                    .filter(|lr| !d.ext.accounts_for(lr))
+                    .collect(),
+                None => Vec::new(),
             };
-            let fresh: Vec<LostRead> = self
-                .scheduler
-                .lost_reads_to(frag_state, t, outage)
-                .into_iter()
-                .filter(|lr| {
-                    d.ext.hiccup_log.binary_search(lr).is_err()
-                        && d.ext.reconstructed_log.binary_search(lr).is_err()
-                })
-                .collect();
             if fresh.is_empty() {
                 i += 1;
                 continue;
@@ -1087,23 +1072,13 @@ impl StripingPolicy {
             frags.sort_unstable();
             frags.dedup();
             for frag in frags {
-                match self.scheduler.plan_rescue(frag_state, frag, t) {
+                let f = d.ext.fragmented.as_ref().expect("read state of lost reads");
+                match self.scheduler.plan_rescue(f, frag, t) {
                     Some(plan) => {
-                        self.scheduler.apply_coalesce(frag_state, &plan);
-                        if let Some(dist) = core.dist.as_mut() {
-                            dist.rebook_fragment(
-                                self.scheduler.frame(),
-                                d.home_node,
-                                frag_state,
-                                frag,
-                                t,
-                            );
-                        }
-                        core.buffers.release(plan.buffer_saving);
-                        d.buffer_fragments -= plan.buffer_saving;
+                        self.hand_over(core.dist.as_mut(), &mut core.buffers, d, &plan, t);
                         let g = core.metrics.degraded_mut();
                         g.rescues += 1;
-                        g.rescue_buffer_overhead += frag_state.delivery_start - plan.new_read_start;
+                        g.rescue_buffer_overhead += d.delivery_start - plan.new_read_start;
                         if !d.rescued {
                             d.rescued = true;
                             g.streams_rescued += 1;
@@ -1242,10 +1217,7 @@ impl StripingModel {
                     .scheduler
                     .lost_reads(f, t)
                     .into_iter()
-                    .filter(|lr| {
-                        d.ext.hiccup_log.binary_search(lr).is_err()
-                            && d.ext.reconstructed_log.binary_search(lr).is_err()
-                    })
+                    .filter(|lr| !d.ext.accounts_for(lr))
                     .count()
             })
             .sum()

@@ -9,10 +9,7 @@
 //!
 //! The generator is xoshiro256++ (public domain, Blackman & Vigna), seeded
 //! through SplitMix64, implemented here directly so the bit stream is fixed
-//! forever regardless of external crate versions. It also implements
-//! [`rand::RngCore`] so `rand`/`rand_distr` adapters work on top of it.
-
-use rand::RngCore;
+//! forever regardless of external crate versions.
 
 /// SplitMix64 step: used for seeding and for hashing stream labels.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -136,21 +133,6 @@ impl DeterministicRng {
     }
 }
 
-impl RngCore for DeterministicRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64_raw() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.next_u64_raw()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64_raw().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,14 +222,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(xs, (0..100).collect::<Vec<_>>()); // overwhelmingly likely
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_covers_tail() {
-        let mut rng = DeterministicRng::seed_from_u64(8);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use ss_sim::{DeterministicRng, TruncatedGeometric, Zipf};
-use ss_types::ObjectId;
+use ss_types::{Error, ObjectId, Result};
 
 /// Which popularity law requests follow.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,7 +36,36 @@ impl Popularity {
         }
     }
 
-    /// Instantiates a sampler over a database of `n` objects.
+    /// Checks that a sampler over `n` objects can be built: every law needs
+    /// at least one object, the truncated geometric two and a mean in
+    /// `(0, (n − 1)/2)` (the upper end is the uniform mean), and Zipf a
+    /// finite, non-negative `alpha`. [`Self::sampler`] panics on anything
+    /// this rejects.
+    pub fn validate(&self, n: usize) -> Result<()> {
+        let reason = match *self {
+            _ if n == 0 => "popularity over an empty database".to_string(),
+            Popularity::TruncatedGeometric { .. } if n < 2 => {
+                "a truncated geometric needs at least two objects".to_string()
+            }
+            Popularity::TruncatedGeometric { mean } => {
+                let uniform_mean = (n as f64 - 1.0) / 2.0;
+                if mean > 0.0 && mean < uniform_mean {
+                    return Ok(());
+                }
+                format!(
+                    "truncated geometric mean {mean} not in (0, {uniform_mean}) for {n} objects"
+                )
+            }
+            Popularity::Zipf { alpha } if !(alpha >= 0.0 && alpha.is_finite()) => {
+                format!("Zipf alpha {alpha} must be finite and non-negative")
+            }
+            Popularity::Zipf { .. } | Popularity::Uniform => return Ok(()),
+        };
+        Err(Error::InvalidConfig { reason })
+    }
+
+    /// Instantiates a sampler over a database of `n` objects. Panics unless
+    /// [`Self::validate`] accepts `n`.
     pub fn sampler(&self, n: usize) -> PopularitySampler {
         assert!(n >= 1, "empty database");
         let kind = match *self {
@@ -132,6 +161,36 @@ mod tests {
         // P(X < 10) for geometric mean 10 ≈ 1 − (1−p)^10 ≈ 0.63.
         let frac = f64::from(low) / f64::from(draws);
         assert!((0.58..0.68).contains(&frac), "frac {frac}");
+    }
+
+    #[test]
+    fn validate_accepts_exactly_what_the_sampler_builds() {
+        let geom = |mean| Popularity::TruncatedGeometric { mean };
+        let zipf = |alpha| Popularity::Zipf { alpha };
+        for (p, n) in [
+            (geom(2.0), 10),
+            (geom(20.0), 2000),
+            (zipf(0.0), 1),
+            (zipf(0.73), 50),
+        ] {
+            p.validate(n).unwrap();
+            p.sampler(n);
+        }
+        for (p, n) in [
+            (geom(2.0), 1),
+            (geom(20.0), 10),
+            (geom(4.5), 10),
+            (geom(0.0), 10),
+            (geom(f64::NAN), 10),
+            (zipf(-1.0), 10),
+            (zipf(f64::INFINITY), 10),
+            (zipf(f64::NAN), 10),
+            (Popularity::Uniform, 0),
+        ] {
+            assert!(p.validate(n).is_err(), "{p:?} over {n}");
+            let built = std::panic::catch_unwind(|| p.sampler(n));
+            assert!(built.is_err(), "{p:?} over {n} built a sampler");
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! correctness core of staggered striping.
 
 use proptest::prelude::*;
-use staggered_striping::core::admission::{AdmissionGrant, AdmissionPolicy, IntervalScheduler};
+use staggered_striping::core::admission::{
+    AdmissionGrant, AdmissionPolicy, IntervalScheduler, Outage, WindowKind,
+};
+use staggered_striping::core::coalesce::{ActiveFragmentedDisplay, LostRead};
 use staggered_striping::prelude::*;
 
 /// A random farm plus a stream of admission attempts.
@@ -150,4 +153,143 @@ fn admission_saturates_at_capacity() {
     assert!((sched.utilization(0) - 1.0).abs() < 1e-12);
     // After the displays end, everything frees.
     assert_eq!(sched.free_count(100), 20);
+}
+
+/// A frame, its outage windows, a display's `(virtual disk, base)` per
+/// fragment, its subobject count, a query instant, and `(v, start, len)`
+/// conflict queries.
+type OutageWalkCase = (
+    VirtualFrame,
+    Vec<Outage>,
+    Vec<(u32, u64)>,
+    u32,
+    u64,
+    Vec<(u32, u64, u64)>,
+);
+
+/// A random [`OutageWalkCase`]: stationary (`k ≡ 0 mod D`) and
+/// non-coprime strides included, with hard and soft windows that overlap
+/// and repeat disks.
+fn outage_walk_strategy() -> impl Strategy<Value = OutageWalkCase> {
+    (1u32..13, proptest::bool::ANY, 0u32..40).prop_flat_map(|(d, stationary, r)| {
+        let k = if stationary { d * (r % 3) } else { r };
+        let windows = prop::collection::vec(
+            (0..d, 0u64..40, 0u64..30, proptest::bool::ANY).prop_map(|(disk, from, len, hard)| {
+                Outage {
+                    disk,
+                    from,
+                    until: from + len,
+                    hard,
+                }
+            }),
+            0..8,
+        );
+        let frags = prop::collection::vec((0..d, 0u64..40), 1..5);
+        let queries = prop::collection::vec((0..d, 0u64..60, 0u64..40), 1..12);
+        (windows, frags, 1u32..30, 0u64..50, queries).prop_map(
+            move |(windows, frags, subobjects, now, queries)| {
+                (
+                    VirtualFrame::new(d, k),
+                    windows,
+                    frags,
+                    subobjects,
+                    now,
+                    queries,
+                )
+            },
+        )
+    })
+}
+
+/// True when a conflict query of `kind` counts window `o`.
+fn counts(kind: WindowKind, o: &Outage) -> bool {
+    match kind {
+        WindowKind::Any => true,
+        WindowKind::Hard => o.hard,
+        WindowKind::Soft => !o.hard,
+    }
+}
+
+/// The lost reads of `frags` (virtual disk, base) over `subobjects`
+/// subobjects from `now` on, by a per-interval scan: interval, then
+/// fragment, then window order.
+fn scan_lost_reads(
+    frame: &VirtualFrame,
+    outages: &[Outage],
+    frags: &[(u32, u64)],
+    subobjects: u32,
+    now: u64,
+) -> Vec<LostRead> {
+    let n = u64::from(subobjects);
+    let end = frags.iter().map(|&(_, base)| base + n).max().unwrap_or(0);
+    let mut out = Vec::new();
+    for t in now..end {
+        for (i, &(v, base)) in frags.iter().enumerate() {
+            if t < base || t >= base + n {
+                continue;
+            }
+            for o in outages.iter().filter(|o| o.hard) {
+                if frame.physical(v, t) == o.disk && o.covers(t) {
+                    out.push(LostRead {
+                        frag: i as u32,
+                        subobject: (t - base) as u32,
+                        at: t,
+                        disk: o.disk,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The one outage walker agrees with a brute-force scan of
+    /// `physical(v, t) == o.disk && o.covers(t)`: the yes/no conflict
+    /// query under each window kind, and the lost-read enumeration over
+    /// all windows and over each window alone, in the same order.
+    #[test]
+    fn outage_walker_matches_a_per_interval_scan(
+        (frame, outages, frags, subobjects, now, queries) in outage_walk_strategy()
+    ) {
+        let mut sched = IntervalScheduler::new(frame);
+        for &o in &outages {
+            sched.add_outage(o);
+        }
+        for &(v, start, len) in &queries {
+            for kind in [WindowKind::Any, WindowKind::Hard, WindowKind::Soft] {
+                let scan = (start..start + len).any(|t| {
+                    outages.iter().any(|o| {
+                        counts(kind, o) && frame.physical(v, t) == o.disk && o.covers(t)
+                    })
+                });
+                prop_assert_eq!(
+                    sched.read_conflict(kind, v, start, start + len),
+                    scan,
+                    "{:?} v={} [{}, {})", kind, v, start, start + len
+                );
+            }
+        }
+        let display = ActiveFragmentedDisplay {
+            object: ObjectId(0),
+            start_disk: 0,
+            degree: frags.len() as u32,
+            subobjects,
+            virtual_disks: frags.iter().map(|&(v, _)| v).collect(),
+            read_start: frags.iter().map(|&(_, base)| base).collect(),
+            delivery_start: frags.iter().map(|&(_, base)| base).max().unwrap_or(0),
+        };
+        prop_assert_eq!(
+            sched.lost_reads(&display, now),
+            scan_lost_reads(&frame, &outages, &frags, subobjects, now)
+        );
+        for o in &outages {
+            prop_assert_eq!(
+                sched.lost_reads_to(&display, now, o),
+                scan_lost_reads(&frame, std::slice::from_ref(o), &frags, subobjects, now)
+            );
+        }
+    }
 }
