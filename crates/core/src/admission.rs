@@ -158,20 +158,12 @@ pub struct IntervalScheduler {
     /// both planners and the saturated-reject scan sweep it as contiguous
     /// `u64` words, never through per-disk structs.
     free_from: Vec<u64>,
-    /// Ascending copy of `free_from`, rebuilt when `index_dirty`. Turns
-    /// `free_count` — called on every rejection and every utilization
-    /// sample — into one `O(log D)` partition-point after an `O(D log D)`
-    /// rebuild per mutation batch, instead of an `O(D)` scan per call; at
-    /// 1000 disks with hundreds of waiters retrying per interval that is
-    /// the admission hot path. The rebuild happens eagerly in `&mut`
-    /// methods ([`Self::refresh_index`], called at every `try_admit`
-    /// entry) rather than behind interior mutability, so the planners stay
-    /// plain `&self` reads with no borrow-flag traffic; `&self` readers
-    /// that catch it stale fall back to an exact `O(D)` sweep of
-    /// `free_from`.
-    sorted: Vec<u64>,
-    /// True when `free_from` has mutated since `sorted` was rebuilt.
-    index_dirty: bool,
+    /// Order-statistic counts over `free_from`, kept exact by every
+    /// horizon change. `free_count` — called on every rejection and
+    /// every utilization sample — and `earliest_free` read it in
+    /// `O(log W)`, and a commit updates it in `O(M log W)`, so no
+    /// admission pays per disk.
+    index: HorizonIndex,
     /// Known unavailability windows (fault injection). Empty in a
     /// fault-free run, in which case every outage-aware code path below
     /// reduces to the baseline behavior exactly.
@@ -187,11 +179,11 @@ pub struct IntervalScheduler {
 impl IntervalScheduler {
     /// An all-idle scheduler over `frame`.
     pub fn new(frame: VirtualFrame) -> Self {
+        let free_from = vec![0; frame.disks() as usize];
         IntervalScheduler {
-            free_from: vec![0; frame.disks() as usize],
-            sorted: vec![0; frame.disks() as usize],
+            index: HorizonIndex::new(&free_from),
+            free_from,
             frame,
-            index_dirty: false,
             outages: Vec::new(),
             parity_group: None,
         }
@@ -402,42 +394,20 @@ impl IntervalScheduler {
         &self.frame
     }
 
-    /// Marks the sorted index stale after a `free_from` change.
-    fn invalidate_index(&mut self) {
-        self.index_dirty = true;
+    /// Declares that no count query will ask about an interval before
+    /// `t` again: the clock has reached `t`. The index may then fold
+    /// every earlier horizon into one bucket, so its window follows the
+    /// live bookings instead of the run. A `t` behind the current floor
+    /// is a no-op.
+    pub fn retire(&mut self, t: u64) {
+        self.index.floor = self.index.floor.max(t);
     }
 
-    /// Rebuilds the ascending free-horizon index if stale. `try_admit`
-    /// calls this on entry; callers that split admission into
-    /// [`Self::plan`] and [`Self::commit`] call it before planning so the
-    /// planner sees the fast clean-index path.
-    #[inline]
-    pub fn refresh_index(&mut self) {
-        if !self.index_dirty {
-            return;
-        }
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&self.free_from);
-        self.sorted.sort_unstable();
-        self.index_dirty = false;
-    }
-
-    /// Number of free-horizons at or before `t` — the count of virtual
-    /// disks free at `t`. Uses the sorted index when clean, otherwise an
-    /// exact linear sweep of the (contiguous) horizon array.
-    #[inline]
-    fn horizon_count(&self, t: u64) -> u32 {
-        if self.index_dirty {
-            self.free_from.iter().filter(|&&f| f <= t).count() as u32
-        } else {
-            self.sorted.partition_point(|&f| f <= t) as u32
-        }
-    }
-
-    /// Number of virtual disks free at interval `t`.
+    /// Number of virtual disks free at interval `t`, which must not be
+    /// before the last [`Self::retire`].
     #[inline]
     pub fn free_count(&self, t: u64) -> u32 {
-        self.horizon_count(t)
+        self.index.count(t)
     }
 
     /// True iff virtual disk `v` is free at interval `t`.
@@ -454,8 +424,8 @@ impl IntervalScheduler {
     /// the dynamic-coalescing planner (shortening a handing-over disk,
     /// extending the taker) and by tests constructing occupancy patterns.
     pub fn set_free_from(&mut self, v: u32, free_from: u64) {
-        self.free_from[v as usize] = free_from;
-        self.invalidate_index();
+        let old = std::mem::replace(&mut self.free_from[v as usize], free_from);
+        self.index.shift(old, free_from, &self.free_from);
     }
 
     /// Holds `count` virtual disks busy until interval `until`: the disks
@@ -483,10 +453,9 @@ impl IntervalScheduler {
     /// per subobject, `subobjects` stripes. On success the granted virtual
     /// disks are committed through their reading windows.
     ///
-    /// Equivalent to [`Self::refresh_index`] + [`Self::plan`] +
-    /// (on success) [`Self::commit`]; the striping server runs those
-    /// steps itself so its interconnect gate can sit between the last
-    /// two.
+    /// Equivalent to [`Self::plan`] + (on success) [`Self::commit`]; the
+    /// striping server runs those steps itself so its interconnect gate
+    /// can sit between them.
     pub fn try_admit(
         &mut self,
         now: u64,
@@ -496,7 +465,6 @@ impl IntervalScheduler {
         subobjects: u32,
         policy: AdmissionPolicy,
     ) -> Result<AdmissionGrant> {
-        self.refresh_index();
         let grant = self.plan(now, object, start_disk, degree, subobjects, policy)?;
         self.commit(now, &grant, subobjects);
         Ok(grant)
@@ -543,17 +511,15 @@ impl IntervalScheduler {
     /// grant would double-book disks, which debug builds catch.
     pub fn commit(&mut self, now: u64, grant: &AdmissionGrant, subobjects: u32) {
         for (idx, &v) in grant.virtual_disks.iter().enumerate() {
-            let end = grant.read_start[idx] + u64::from(subobjects);
             debug_assert!(self.free_from[v as usize] <= grant.read_start[idx]);
-            self.free_from[v as usize] = end;
+            self.set_free_from(v, grant.read_start[idx] + u64::from(subobjects));
         }
         // Companions exist only on degraded (aligned) grants: book them
         // over the display's whole reading window, like any other read.
         for &v in &grant.parity_companions {
             debug_assert!(self.free_from[v as usize] <= grant.delivery_start);
-            self.free_from[v as usize] = grant.end_interval;
+            self.set_free_from(v, grant.end_interval);
         }
-        self.invalidate_index();
         if ss_obs::enabled() {
             for (idx, &v) in grant.virtual_disks.iter().enumerate() {
                 ss_obs::record(ss_obs::Event::ReadSpan {
@@ -667,9 +633,9 @@ impl IntervalScheduler {
         // than `degree` disks free anywhere in the window means every
         // candidate assignment fails. All rejection paths below produce
         // this exact error value, so the shortcut is observably identical
-        // — and it makes the saturated-farm retry storm O(log D) per
+        // — and it makes the saturated-farm retry storm O(log W) per
         // attempt instead of O(M × max_delay).
-        let available = self.horizon_count(window_end);
+        let available = self.free_count(window_end);
         if available < degree {
             return Err(Error::AdmissionRejected {
                 object,
@@ -728,27 +694,22 @@ impl IntervalScheduler {
         }
         // Candidate delivery starts are the arrival times available for
         // fragment 0; try them in increasing order (they are generated
-        // sorted by t). The `used` mask and partial assignment are reused
-        // across candidates instead of reallocated per `t0`.
-        let mut used = vec![false; d as usize];
+        // sorted by t). The partial assignment is reused across candidates
+        // instead of reallocated per `t0`; it holds at most `degree`
+        // disks, so it doubles as the used-disk set.
         let mut chosen: Vec<(u64, u32)> = Vec::with_capacity(degree as usize);
         'outer: for &(t0, z0) in &arrivals[0] {
-            for &(_, v) in &chosen {
-                used[v as usize] = false;
-            }
             chosen.clear();
             chosen.push((t0, z0));
-            used[z0 as usize] = true;
             let mut buffer = 0u64;
             for frag_arrivals in arrivals.iter().skip(1) {
                 // Latest arrival ≤ t0 on an unused disk minimizes buffering.
                 let best = frag_arrivals
                     .iter()
                     .rev()
-                    .find(|&&(t, v)| t <= t0 && !used[v as usize]);
+                    .find(|&&(t, v)| t <= t0 && chosen.iter().all(|&(_, u)| u != v));
                 match best {
                     Some(&(t, v)) => {
-                        used[v as usize] = true;
                         buffer += t0 - t;
                         chosen.push((t, v));
                     }
@@ -811,28 +772,144 @@ impl IntervalScheduler {
         1.0 - f64::from(self.free_count(t)) / f64::from(self.frame.disks())
     }
 
-    /// The first interval at which at least `m` virtual disks are free
-    /// (both planners reject outright with fewer than `degree` free
-    /// disks, so before this no admission of degree `m` can succeed).
-    /// `None` when `m` exceeds the farm.
+    /// The first interval, not before the last [`Self::retire`], at
+    /// which at least `m` virtual disks are free: the later of the `m`-th
+    /// smallest horizon and the retire floor (both planners reject
+    /// outright with fewer than `degree` free disks, so before this no
+    /// admission of degree `m` can succeed). `None` when `m` exceeds the
+    /// farm.
     pub fn earliest_free(&self, m: u32) -> Option<u64> {
-        if m == 0 {
-            return Some(0);
+        (m <= self.frame.disks()).then(|| self.index.select(m).max(self.index.floor))
+    }
+}
+
+/// The smallest window the free-horizon index allocates, in intervals.
+const MIN_WINDOW: usize = 64;
+
+/// Order-statistic counts over the free horizons: a Fenwick tree of
+/// per-interval horizon counts over the window `[base, base + W)`, `W`
+/// a power of two. A horizon before `base` counts in the first bucket,
+/// so a count at any interval at or after `base` is exact, and every
+/// horizon lies before `base + W`.
+///
+/// `base` trails the retire floor: [`IntervalScheduler::retire`] only
+/// moves the floor. A horizon set past the window rebases it to the
+/// floor, sized for the farthest horizon, before it grows — so `W`
+/// follows the span of the live bookings, not the length of the run.
+#[derive(Debug, Clone)]
+struct HorizonIndex {
+    /// No count query asks about an interval before this one.
+    floor: u64,
+    /// The interval of the first bucket; never after `floor`.
+    base: u64,
+    /// The 1-based Fenwick array over `W = tree.len() - 1` buckets;
+    /// `tree[W]` holds the total, one per virtual disk.
+    tree: Vec<u32>,
+}
+
+impl HorizonIndex {
+    /// The index over `horizons`, with its floor at interval 0.
+    fn new(horizons: &[u64]) -> Self {
+        let mut index = HorizonIndex {
+            floor: 0,
+            base: 0,
+            tree: Vec::new(),
+        };
+        index.rebase(horizons);
+        index
+    }
+
+    /// `W`, the number of buckets.
+    fn window(&self) -> usize {
+        self.tree.len() - 1
+    }
+
+    /// The bucket counting horizon `h`.
+    fn bucket(&self, h: u64) -> usize {
+        h.saturating_sub(self.base) as usize
+    }
+
+    /// Moves one horizon from `old` to `new`; `horizons` already holds
+    /// `new`. `O(log W)`, or a rebase when `new` lies past the window.
+    fn shift(&mut self, old: u64, new: u64, horizons: &[u64]) {
+        if self.bucket(new) >= self.window() {
+            self.rebase(horizons);
+            return;
         }
-        let m = m as usize;
-        if self.index_dirty {
-            // Stale-index fallback: the m-th smallest horizon via a
-            // selection pass over a scratch copy. Rare — `try_admit`
-            // refreshes eagerly, so this only fires for read-only
-            // callers racing a mutation batch.
-            if m > self.free_from.len() {
-                return None;
+        let (from, to) = (self.bucket(old), self.bucket(new));
+        if from != to {
+            self.add(from, -1);
+            self.add(to, 1);
+        }
+    }
+
+    /// Adds `delta` to bucket `k`'s count.
+    fn add(&mut self, k: usize, delta: i32) {
+        let mut i = k + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The number of horizons at or before interval `t`.
+    fn count(&self, t: u64) -> u32 {
+        debug_assert!(
+            t >= self.floor,
+            "count at interval {t} before the retire floor {}",
+            self.floor
+        );
+        let mut i = self.bucket(t).min(self.window() - 1) + 1;
+        let mut sum = 0;
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// The `m`-th smallest horizon (`1 <= m <=` the total), clamped up
+    /// to `base`; `base` itself for `m == 0`. A Fenwick descent: the
+    /// first bucket whose prefix count reaches `m`.
+    fn select(&self, m: u32) -> u64 {
+        let (mut pos, mut rest) = (0, m);
+        let mut step = self.window();
+        while step > 0 {
+            let next = pos + step;
+            if next < self.tree.len() && self.tree[next] < rest {
+                pos = next;
+                rest -= self.tree[next];
             }
-            let mut scratch = self.free_from.clone();
-            let (_, kth, _) = scratch.select_nth_unstable(m - 1);
-            Some(*kth)
-        } else {
-            self.sorted.get(m - 1).copied()
+            step /= 2;
+        }
+        self.base + pos as u64
+    }
+
+    /// Re-anchors the window at the floor, twice as wide as the span to
+    /// the farthest horizon, and recounts every horizon into it (the
+    /// ones before the floor into its first bucket). `O(D + W)`.
+    fn rebase(&mut self, horizons: &[u64]) {
+        let far = horizons.iter().copied().max().unwrap_or(0);
+        let window = far
+            .saturating_sub(self.floor)
+            .checked_add(1)
+            .and_then(|span| usize::try_from(span).ok()?.checked_mul(2))
+            .and_then(usize::checked_next_power_of_two)
+            .expect("the horizon window fits in memory")
+            .max(MIN_WINDOW);
+        self.base = self.floor;
+        self.tree.clear();
+        self.tree.resize(window + 1, 0);
+        for &h in horizons {
+            let k = self.bucket(h);
+            self.tree[k + 1] += 1;
+        }
+        // Linear-time build: each node passes its sum to its parent.
+        for i in 1..=window {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= window {
+                self.tree[parent] += self.tree[i];
+            }
         }
     }
 }
@@ -840,6 +917,7 @@ impl IntervalScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sched(d: u32, k: u32) -> IntervalScheduler {
         IntervalScheduler::new(VirtualFrame::new(d, k))
@@ -1327,7 +1405,6 @@ mod tests {
         for t in 0..30u64 {
             for start in [0u32, 5, 10, 15] {
                 let a = mono.try_admit(t, ObjectId(start), start, 3, 7, policy);
-                split.refresh_index();
                 let b = split.plan(t, ObjectId(start), start, 3, 7, policy);
                 if let Ok(g) = &b {
                     split.commit(t, g, 7);
@@ -1340,21 +1417,145 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stale_index_fallbacks_are_exact() {
-        // `free_count` / `earliest_free` on a dirty index must agree with
-        // the refreshed answers.
-        let mut s = sched(16, 1);
-        for v in 0..16u32 {
-            s.set_free_from(v, u64::from((v * 31) % 11));
+    /// One operation of the index proptest. Intervals are offsets from
+    /// the retire floor at the time the operation runs.
+    #[derive(Debug, Clone)]
+    enum IndexOp {
+        /// `try_admit(floor + dt, …)` under either policy.
+        Admit {
+            dt: u64,
+            start: u32,
+            degree: u32,
+            subobjects: u32,
+            fragmented: bool,
+        },
+        /// `set_free_from(v, floor + offset)`, clamped at interval 0:
+        /// behind the floor, inside the window and far past it.
+        Set { v: u32, offset: i64 },
+        /// `hold_busy(first, count, floor + from, floor + from + len)`.
+        Hold {
+            first: u64,
+            count: u64,
+            from: u64,
+            len: u64,
+        },
+        /// `retire(floor + dt)`, short steps and jumps longer than the
+        /// window alike.
+        Retire(u64),
+    }
+
+    /// Four in twelve operations admit, three override a horizon (one of
+    /// them far past the window), one holds disks busy, and four retire
+    /// (one of them by a jump longer than the window).
+    fn index_op() -> impl Strategy<Value = IndexOp> {
+        let admit = (0u64..8, 0u32..64, 1u32..6, 1u32..40, prop::bool::ANY);
+        let set = (0u32..64, -60i64..60, 60i64..400);
+        let hold = (0u64..8, 0u64..10, 1u64..120);
+        let retire = (0u64..12, 100u64..600);
+        (0u8..12, admit, set, hold, retire).prop_map(|(kind, admit, set, hold, retire)| {
+            let (dt, start, degree, subobjects, fragmented) = admit;
+            match kind {
+                0..=3 => IndexOp::Admit {
+                    dt,
+                    start,
+                    degree,
+                    subobjects,
+                    fragmented,
+                },
+                4 | 5 => IndexOp::Set {
+                    v: set.0,
+                    offset: set.1,
+                },
+                6 => IndexOp::Set {
+                    v: set.0,
+                    offset: set.2,
+                },
+                7 => IndexOp::Hold {
+                    first: u64::from(set.0),
+                    count: hold.0,
+                    from: hold.1,
+                    len: hold.2,
+                },
+                8..=10 => IndexOp::Retire(retire.0),
+                _ => IndexOp::Retire(retire.1),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random admissions under both policies, horizon overrides,
+        /// background holds and retires: after every operation the
+        /// incremental index answers `free_count` at every interval from
+        /// the floor to past the farthest horizon, and `earliest_free`
+        /// for every `m` in `0..=D+1`, exactly as a sort of `free_from`
+        /// does (the index this one replaced, kept here as the reference
+        /// model). Its window never outgrows twice the widest span from
+        /// the floor to the farthest horizon ever live, rounded up to a
+        /// power of two, however far the clock has run.
+        #[test]
+        fn horizon_index_matches_the_sorted_model(
+            d in 1u32..24,
+            k in 0u32..24,
+            ops in prop::collection::vec(index_op(), 1..50),
+        ) {
+            let mut s = sched(d, k);
+            let mut floor = 0u64;
+            let mut widest = 1u64;
+            for op in ops {
+                match op {
+                    IndexOp::Admit { dt, start, degree, subobjects, fragmented } => {
+                        let policy = if fragmented {
+                            AdmissionPolicy::Fragmented {
+                                max_buffer_fragments: 8,
+                                max_delay_intervals: 6,
+                            }
+                        } else {
+                            AdmissionPolicy::Contiguous
+                        };
+                        let degree = degree.min(d);
+                        let _ = s.try_admit(floor + dt, ObjectId(0), start % d, degree, subobjects, policy);
+                    }
+                    IndexOp::Set { v, offset } => {
+                        let at = floor.saturating_add_signed(offset);
+                        s.set_free_from(v % d, at);
+                    }
+                    IndexOp::Hold { first, count, from, len } => {
+                        let from = floor + from;
+                        s.hold_busy(first, count, from, from + len);
+                    }
+                    IndexOp::Retire(dt) => {
+                        floor += dt;
+                        s.retire(floor);
+                    }
+                }
+                let mut sorted = s.free_from.clone();
+                sorted.sort_unstable();
+                let far = *sorted.last().expect("d >= 1");
+                for t in floor..=far.max(floor) + 2 {
+                    let want = sorted.partition_point(|&f| f <= t) as u32;
+                    prop_assert_eq!(s.free_count(t), want, "free_count({})", t);
+                }
+                for m in 0..=d + 1 {
+                    let want = match m {
+                        0 => Some(floor),
+                        m if m > d => None,
+                        m => Some(sorted[m as usize - 1].max(floor)),
+                    };
+                    prop_assert_eq!(s.earliest_free(m), want, "earliest_free({})", m);
+                }
+                widest = widest.max(far.saturating_sub(floor) + 1);
+                let bound = (2 * widest as usize).next_power_of_two().max(MIN_WINDOW);
+                prop_assert!(
+                    s.index.window() <= bound,
+                    "window {} past {} for a widest live span of {}",
+                    s.index.window(),
+                    bound,
+                    widest
+                );
+            }
         }
-        let dirty_counts: Vec<u32> = (0..12).map(|t| s.free_count(t)).collect();
-        let dirty_earliest: Vec<Option<u64>> = (0..=17).map(|m| s.earliest_free(m)).collect();
-        s.refresh_index();
-        let clean_counts: Vec<u32> = (0..12).map(|t| s.free_count(t)).collect();
-        let clean_earliest: Vec<Option<u64>> = (0..=17).map(|m| s.earliest_free(m)).collect();
-        assert_eq!(dirty_counts, clean_counts);
-        assert_eq!(dirty_earliest, clean_earliest);
     }
 
     #[test]

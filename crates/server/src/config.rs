@@ -539,6 +539,17 @@ impl ServerConfig {
         self.fragment_size().transfer_time(self.b_disk())
     }
 
+    /// The run's length in whole intervals: `warmup + measure`, rounded
+    /// up. `validate` refuses an interconnect latency or a fragmented
+    /// admission delay longer than this.
+    pub fn run_intervals(&self) -> u64 {
+        let run = self
+            .warmup
+            .as_micros()
+            .saturating_add(self.measure.as_micros());
+        run.div_ceil(self.interval().as_micros().max(1))
+    }
+
     /// Size of one object in bytes.
     pub fn object_size(&self) -> ss_types::Bytes {
         self.fragment_size() * u64::from(self.degree()) * u64::from(self.subobjects)
@@ -659,6 +670,27 @@ impl ServerConfig {
         if self.measure.is_zero() {
             return bad("measurement window must be positive".into());
         }
+        if let Scheme::Striping {
+            policy:
+                AdmissionPolicy::Fragmented {
+                    max_delay_intervals,
+                    ..
+                },
+            ..
+        } = self.scheme
+        {
+            // The fragmented planner walks every interval of the delay
+            // window and books reads up to its end: a window longer than
+            // the run is meaningless, and an unbounded one overflows the
+            // interval clock or exhausts memory.
+            let run_intervals = self.run_intervals();
+            if max_delay_intervals > run_intervals {
+                return bad(format!(
+                    "fragmented admission delay of {max_delay_intervals} intervals exceeds \
+                     the {run_intervals}-interval run"
+                ));
+            }
+        }
         self.faults.validate(self.disks)?;
         if let Some(p) = &self.parity {
             if p.group == 0 {
@@ -740,11 +772,7 @@ impl ServerConfig {
             // The latency prefetch bills `latency × remote fragments`
             // buffers per display; a latency longer than the run is
             // meaningless and would overflow that bill.
-            let run = self
-                .warmup
-                .as_micros()
-                .saturating_add(self.measure.as_micros());
-            let run_intervals = run.div_ceil(self.interval().as_micros().max(1));
+            let run_intervals = self.run_intervals();
             if d.interconnect.latency_intervals > run_intervals {
                 return bad(format!(
                     "interconnect latency of {} intervals exceeds the {run_intervals}-interval run",

@@ -313,7 +313,7 @@ impl PlacementPolicy for StripingPolicy {
     }
 
     /// Promotes due materializations, then runs one pass of
-    /// `refresh_index → plan → admit_gate → commit` over the queue. (The
+    /// `plan → admit_gate → commit` over the queue. (The
     /// promotion is a no-op on a tick's second pass: nothing between the
     /// passes starts a materialization.)
     fn admit(&mut self, core: &mut Core, now: SimTime) {
@@ -381,11 +381,10 @@ impl PlacementPolicy for StripingPolicy {
             // gate (which needs the router and ledger).
             let subobjects = spec.subobjects;
             let media_degree = spec.degree(self.b_disk);
-            // `refresh_index` + `plan` + `commit` is exactly `try_admit`
-            // (admission.rs), split open so the interconnect gate can run
-            // between the last two; with the tier off the gate admits as
-            // `(NodeId(0), 0)` and touches nothing.
-            self.scheduler.refresh_index();
+            // `plan` + `commit` is exactly `try_admit` (admission.rs),
+            // split open so the interconnect gate can run between them;
+            // with the tier off the gate admits as `(NodeId(0), 0)` and
+            // touches nothing.
             let attempt = self
                 .scheduler
                 .plan(t, w.object, start_disk, degree, subobjects, self.policy)
@@ -551,12 +550,11 @@ impl PlacementPolicy for StripingPolicy {
     fn pump(&mut self, core: &mut Core, now: SimTime) {
         self.coalesce_pass(core, now);
         core.pump_fetches(now, |core, object| self.fetch(core, object, now));
-        // All mutating passes are done: rebuild the free-horizon index
-        // once so every read-only query until the next mutation — the
-        // utilization/heatmap rows, `next_wakeup`'s `earliest_free`, the
-        // skipped-boundary replay — takes the sorted path instead of its
-        // exact-but-linear dirty fallback.
-        self.scheduler.refresh_index();
+        // Every free-disk count from here on — the utilization/heatmap
+        // rows, `next_wakeup`'s `earliest_free`, the skipped-boundary
+        // replay, later ticks' planners — asks about this interval or a
+        // later one, so the free-horizon index may fold older horizons.
+        self.scheduler.retire(core.interval_index(now));
     }
 
     /// Fires due crash events against the storage plane and advances the

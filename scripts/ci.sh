@@ -38,6 +38,15 @@ echo "==> benchmark --workload degraded (pinned full-size digest)"
 cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
   --workload degraded --seed 1994 --seconds 1 --trace 0
 
+echo "==> benchmark --workload farm_100k (pinned full-size digest)"
+# The full-size 100,000-disk striping cell at the pinned seed, checked
+# against its pinned digest and end-of-run invariants (a few seconds).
+# The quick pass shrinks its station count, so only this run admits
+# displays across the whole farm and its free-horizon index. A hard
+# gate, like the quick pass.
+cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+  --workload farm_100k --seed 1994 --seconds 1 --trace 0
+
 echo "==> fault suites (per-suite test counts)"
 # The degraded-mode harness: property sweep + goldens (now spanning the
 # parity/rebuild axes), coalescing proptest, backoff retry-queue

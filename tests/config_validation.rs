@@ -35,13 +35,6 @@ fn two_nodes(mut cfg: ServerConfig, latency_intervals: u64) -> ServerConfig {
     cfg
 }
 
-/// The run's length in whole intervals, rounded up.
-fn run_intervals(cfg: &ServerConfig) -> u64 {
-    (cfg.warmup + cfg.measure)
-        .as_micros()
-        .div_ceil(cfg.interval().as_micros())
-}
-
 #[test]
 fn a_one_object_database_is_refused_on_both_schemes() {
     for mut cfg in both_schemes() {
@@ -85,7 +78,7 @@ fn an_interconnect_latency_longer_than_the_run_is_refused_on_vdr() {
 #[test]
 fn an_interconnect_latency_as_long_as_the_run_still_runs() {
     for cfg in both_schemes() {
-        let run = run_intervals(&cfg);
+        let run = cfg.run_intervals();
         refused(two_nodes(cfg.clone(), run + 1));
         let cfg = two_nodes(cfg, run);
         let report = match cfg.scheme {
@@ -94,4 +87,34 @@ fn an_interconnect_latency_as_long_as_the_run_still_runs() {
         };
         assert!(report.displays_completed > 0);
     }
+}
+
+/// The 20-disk striping test farm at stride 1 with fragmented admission
+/// allowed to delay a display by up to `max_delay_intervals`.
+fn fragmented(max_delay_intervals: u64) -> ServerConfig {
+    let mut cfg = ServerConfig::small_test(4, 42);
+    cfg.scheme = Scheme::Striping {
+        stride: 1,
+        policy: AdmissionPolicy::Fragmented {
+            max_buffer_fragments: 8,
+            max_delay_intervals,
+        },
+        cluster_round: None,
+    };
+    cfg
+}
+
+#[test]
+fn an_unbounded_fragmented_delay_is_refused() {
+    refused(fragmented(u64::MAX));
+}
+
+#[test]
+fn a_fragmented_delay_as_long_as_the_run_still_runs() {
+    let run = fragmented(0).run_intervals();
+    refused(fragmented(run + 1));
+    let report = StripingServer::new(fragmented(run))
+        .expect("valid config")
+        .run();
+    assert!(report.displays_completed > 0);
 }
