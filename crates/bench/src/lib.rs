@@ -89,7 +89,7 @@ impl HarnessOpts {
         Self::parse_with(std::env::args().skip(1), extra).unwrap_or_else(|msg| usage_exit(msg))
     }
 
-    /// Parses an argument iterator (excluding argv[0]); returns a usage
+    /// Parses an argument iterator (excluding `argv[0]`); returns a usage
     /// error string on bad input.
     pub fn parse_from<I>(args: I) -> Result<Self, String>
     where
@@ -275,7 +275,7 @@ impl FaultGridOpts {
         opts
     }
 
-    /// Parses an argument iterator (excluding argv[0]); returns a usage
+    /// Parses an argument iterator (excluding `argv[0]`); returns a usage
     /// error string on bad input. A `--rebuild-sweep` without `--rebuild`
     /// is accepted but flagged in `warnings`: the main grid then runs
     /// with the hot-spare rebuild disarmed, which is easy to mistake for

@@ -5,7 +5,7 @@
 //! stream, serve the missed prefix from memory).
 //!
 //! The cache is budgeted in buffer-pool fragments through the same
-//! [`BufferTracker`](crate::buffers::BufferTracker) accounting the
+//! [`BufferTracker`] accounting the
 //! display buffers use, and its admission/eviction policy is
 //! **deterministic**: popularity-tagged LFU where the victim is the
 //! resident object with the smallest `(frequency, salt, id)` key. The

@@ -50,8 +50,6 @@ pub struct RebuildScheduler {
     rate: u64,
     /// Per-spare busy horizon: the interval at which each spare frees.
     spare_free: Vec<u64>,
-    /// Every job ever enqueued, in enqueue order.
-    jobs: Vec<RebuildJob>,
 }
 
 impl RebuildScheduler {
@@ -63,7 +61,6 @@ impl RebuildScheduler {
         RebuildScheduler {
             rate,
             spare_free: vec![0; spares as usize],
-            jobs: Vec::new(),
         }
     }
 
@@ -91,37 +88,17 @@ impl RebuildScheduler {
         let drain = fragments.div_ceil(self.rate).max(1);
         let done = start + drain;
         self.spare_free[spare] = done;
-        let job = RebuildJob {
-            disk,
-            start,
-            done,
-            fragments,
-        };
-        self.jobs.push(job);
         ss_obs::obs!(ss_obs::Event::RebuildQueued {
             disk,
             fragments,
             done,
         });
-        job
-    }
-
-    /// All jobs ever enqueued, in enqueue order.
-    pub fn jobs(&self) -> &[RebuildJob] {
-        &self.jobs
-    }
-
-    /// Fraction of `disk`'s most recent rebuild completed by interval
-    /// `t`, in `[0, 1]`; `None` when the disk was never enqueued.
-    pub fn progress(&self, disk: u32, t: u64) -> Option<f64> {
-        let job = self.jobs.iter().rev().find(|j| j.disk == disk)?;
-        if t <= job.start {
-            return Some(0.0);
+        RebuildJob {
+            disk,
+            start,
+            done,
+            fragments,
         }
-        if t >= job.done {
-            return Some(1.0);
-        }
-        Some((t - job.start) as f64 / (job.done - job.start) as f64)
     }
 }
 
@@ -138,7 +115,6 @@ mod tests {
         assert_eq!((a.start, a.done), (5, 10));
         assert_eq!((b.start, b.done), (10, 11));
         assert_eq!((c.start, c.done), (100, 101));
-        assert_eq!(r.jobs().len(), 3);
     }
 
     #[test]
@@ -159,19 +135,5 @@ mod tests {
         let mut r = RebuildScheduler::new(4, 1);
         let j = r.enqueue(9, 0, 3);
         assert_eq!((j.start, j.done), (3, 4));
-    }
-
-    #[test]
-    fn progress_is_linear_over_the_drain() {
-        let mut r = RebuildScheduler::new(1, 1);
-        r.enqueue(5, 4, 10); // [10, 14)
-        assert_eq!(r.progress(5, 10), Some(0.0));
-        assert_eq!(r.progress(5, 12), Some(0.5));
-        assert_eq!(r.progress(5, 14), Some(1.0));
-        assert_eq!(r.progress(5, 99), Some(1.0));
-        assert_eq!(r.progress(6, 12), None);
-        // A re-failure re-enqueues; progress tracks the newest job.
-        r.enqueue(5, 4, 20);
-        assert_eq!(r.progress(5, 14), Some(0.0));
     }
 }

@@ -410,9 +410,10 @@ pub enum Event {
     },
 
     // --- engine -------------------------------------------------------
-    /// The simulation loop stopped after handling `events` events.
+    /// The run reached its deadline tick.
     EngineStop {
-        /// Events dispatched over the whole run.
+        /// Interval ticks executed over the whole run; boundaries the
+        /// clock skipped as quiescent are not counted.
         events: u64,
     },
 }

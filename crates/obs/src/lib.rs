@@ -31,9 +31,8 @@
 //! The three parts:
 //!
 //! * [`Event`] + [`Recorder`] — the typed journal (see `event.rs` for
-//!   the taxonomy) with no-op, ring-buffer, in-memory and JSONL sinks.
-//! * [`Registry`] — counters, gauges, fixed-bucket histograms and the
-//!   per-interval series/heatmap CSVs.
+//!   the taxonomy) with no-op, in-memory and JSONL sinks.
+//! * [`Registry`] — counters and the per-interval series/heatmap CSVs.
 //! * [`perfetto`] — expansion of the data-plane journal into
 //!   per-(disk, interval) reads and Chrome/Perfetto trace JSON.
 //!
@@ -61,8 +60,8 @@ pub use event::Event;
 pub use health::{Cause, DiskHealth, HealthBoard, HealthSpan, HealthState, Incident};
 pub use perfetto::{booked_reads, expand_reads, perfetto_trace, DiskRead, Expansion, TraceMeta};
 pub use qos::{DisplayRecord, QosLedger, QosTotals, StartKind};
-pub use recorder::{JsonlRecorder, NopRecorder, Recorder, RingRecorder, Shared, VecRecorder};
-pub use registry::{FixedHistogram, HistogramSpec, Registry, RegistrySpec};
+pub use recorder::{JsonlRecorder, NopRecorder, Recorder, Shared, VecRecorder};
+pub use registry::{Registry, RegistrySpec};
 pub use slo::{evaluate, Alert, SloKind, SloOutcome, SloReport, SloSpec};
 
 use std::cell::{Cell, RefCell};

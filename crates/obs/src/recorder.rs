@@ -1,7 +1,6 @@
 //! Journal sinks: the [`Recorder`] trait plus the stock
-//! implementations — a no-op default, a bounded post-mortem ring
-//! buffer, an unbounded in-memory journal for exports/tests, and a
-//! streaming JSONL sink.
+//! implementations — a no-op default, an unbounded in-memory journal
+//! for exports/tests, and a streaming JSONL sink.
 //!
 //! Recorders are installed per thread (see [`crate::install`]); the
 //! `obs!` macro never constructs an event unless a recorder is live, so
@@ -29,57 +28,6 @@ pub struct NopRecorder;
 
 impl Recorder for NopRecorder {
     fn record(&mut self, _at: u64, _ev: &Event) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Bounded ring buffer keeping the last `capacity` events for
-/// post-mortem inspection; older entries are overwritten and counted in
-/// [`RingRecorder::dropped`].
-#[derive(Debug)]
-pub struct RingRecorder {
-    buf: Vec<(u64, Event)>,
-    capacity: usize,
-    next: usize,
-    dropped: u64,
-}
-
-impl RingRecorder {
-    /// New ring holding at most `capacity` events (at least one).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            buf: Vec::new(),
-            capacity: capacity.max(1),
-            next: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<(u64, Event)> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
-    }
-}
-
-impl Recorder for RingRecorder {
-    fn record(&mut self, at: u64, ev: &Event) {
-        if self.buf.len() < self.capacity {
-            self.buf.push((at, ev.clone()));
-        } else {
-            self.buf[self.next] = (at, ev.clone());
-            self.next = (self.next + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -164,20 +112,6 @@ mod tests {
 
     fn ev(disk: u32) -> Event {
         Event::DiskFail { disk }
-    }
-
-    #[test]
-    fn ring_overwrites_oldest() {
-        let mut r = RingRecorder::new(3);
-        for i in 0..5u32 {
-            r.record(u64::from(i), &ev(i));
-        }
-        assert_eq!(r.dropped(), 2);
-        let snap = r.snapshot();
-        assert_eq!(
-            snap.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Per-interval metrics registry: named counters, gauges and
-//! fixed-bucket histograms, plus two time-series products the paper's
-//! evaluation is built around — per-interval scalar series (active
-//! displays, queue depth, utilization, wasted-bandwidth fraction) and a
-//! per-disk utilization heatmap.
+//! Per-interval metrics registry: named counters plus two time-series
+//! products the paper's evaluation is built around — per-interval scalar
+//! series (active displays, queue depth, utilization, wasted-bandwidth
+//! fraction) and a per-disk utilization heatmap.
 //!
 //! The registry is deliberately dumb storage: the server models feed it
 //! one row per interval boundary (executed *and* replayed — sparse
@@ -34,111 +33,6 @@ impl Default for RegistrySpec {
     }
 }
 
-/// Bucket layout for a [`FixedHistogram`]: `buckets` equal-width bins of
-/// `width` starting at `lo`, with explicit under/overflow counts.
-#[derive(Debug, Clone, Copy)]
-pub struct HistogramSpec {
-    /// Lower bound of the first bucket.
-    pub lo: f64,
-    /// Width of each bucket.
-    pub width: f64,
-    /// Number of buckets.
-    pub buckets: usize,
-}
-
-impl Default for HistogramSpec {
-    fn default() -> Self {
-        Self {
-            lo: 0.0,
-            width: 1.0,
-            buckets: 64,
-        }
-    }
-}
-
-/// Fixed-bucket histogram (no dynamic rebinning: deterministic layout,
-/// O(1) observe).
-#[derive(Debug, Clone)]
-pub struct FixedHistogram {
-    spec: HistogramSpec,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-    sum: f64,
-}
-
-impl FixedHistogram {
-    /// New empty histogram with the given layout.
-    pub fn new(spec: HistogramSpec) -> Self {
-        Self {
-            counts: vec![0; spec.buckets.max(1)],
-            spec,
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, v: f64) {
-        self.total += 1;
-        self.sum += v;
-        if v < self.spec.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((v - self.spec.lo) / self.spec.width) as usize;
-        match self.counts.get_mut(idx) {
-            Some(c) => *c += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Upper bound of the last bucket — the largest value the layout
-    /// can resolve; overflow observations clamp here.
-    pub fn top_bound(&self) -> f64 {
-        self.spec.lo + self.spec.width * self.counts.len() as f64
-    }
-
-    /// Upper edge of the bucket containing the `q`-quantile
-    /// (`0 <= q <= 1`); under/overflow clamp to the layout's edges. The
-    /// two edges are pinned: an empty histogram and `q = 1.0` both
-    /// return [`FixedHistogram::top_bound`] — never a value past it.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 || q >= 1.0 {
-            return self.top_bound();
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.spec.lo;
-        }
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.spec.lo + self.spec.width * (i as f64 + 1.0);
-            }
-        }
-        self.top_bound()
-    }
-}
-
 /// One run of consecutive identical heatmap rows: the `count`
 /// boundaries starting at `start` all carried `row`. Farm occupancy
 /// changes far less often than once per interval (a saturated farm is
@@ -157,8 +51,6 @@ struct HeatRun {
 pub struct Registry {
     spec: RegistrySpec,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, FixedHistogram>,
     series: BTreeMap<&'static str, Vec<(u64, f64)>>,
     heatmap: Vec<HeatRun>,
     heatmap_rows: usize,
@@ -189,38 +81,6 @@ impl Registry {
     /// Current value of counter `name` (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Set gauge `name` to `v`.
-    pub fn gauge(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert(name, v);
-    }
-
-    /// Current value of gauge `name`.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Register histogram `name` with an explicit bucket layout.
-    /// Observations to an unregistered name fall back to
-    /// [`HistogramSpec::default`].
-    pub fn histogram(&mut self, name: &'static str, spec: HistogramSpec) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(|| FixedHistogram::new(spec));
-    }
-
-    /// Record one observation into histogram `name`.
-    pub fn observe(&mut self, name: &'static str, v: f64) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(|| FixedHistogram::new(HistogramSpec::default()))
-            .observe(v);
-    }
-
-    /// Read access to histogram `name`.
-    pub fn histogram_value(&self, name: &str) -> Option<&FixedHistogram> {
-        self.histograms.get(name)
     }
 
     /// Append one `(interval, value)` sample to time series `name`.
@@ -358,54 +218,6 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = FixedHistogram::new(HistogramSpec {
-            lo: 0.0,
-            width: 1.0,
-            buckets: 4,
-        });
-        for v in [0.5, 1.5, 1.5, 3.5, 9.0, -1.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.quantile(0.5), 2.0);
-        assert!(h.mean() > 0.0);
-    }
-
-    #[test]
-    fn quantile_empty_returns_top_bound() {
-        let h = FixedHistogram::new(HistogramSpec {
-            lo: 2.0,
-            width: 0.5,
-            buckets: 8,
-        });
-        // An empty histogram pins every quantile to the layout's top
-        // bucket bound — never the lower edge, never past the top.
-        assert_eq!(h.top_bound(), 6.0);
-        assert_eq!(h.quantile(0.0), 6.0);
-        assert_eq!(h.quantile(0.5), 6.0);
-        assert_eq!(h.quantile(1.0), 6.0);
-    }
-
-    #[test]
-    fn quantile_one_clamps_to_top_bound() {
-        let mut h = FixedHistogram::new(HistogramSpec {
-            lo: 0.0,
-            width: 1.0,
-            buckets: 4,
-        });
-        // Mass only in the first bucket: q=1.0 still reports the top
-        // bucket bound (4.0), not an interpolation past the data.
-        h.observe(0.25);
-        h.observe(0.75);
-        assert_eq!(h.quantile(1.0), 4.0);
-        // Overflow observations clamp to the same bound.
-        h.observe(99.0);
-        assert_eq!(h.quantile(1.0), 4.0);
-        assert_eq!(h.quantile(0.5), 1.0);
-    }
 
     #[test]
     fn series_csv_aligns_on_interval() {

@@ -670,6 +670,16 @@ impl ServerConfig {
         if self.measure.is_zero() {
             return bad("measurement window must be positive".into());
         }
+        // The clock must hold the run's end, and a think time started at
+        // the deadline tick, less than one interval after it.
+        let us = |d: SimDuration| d.as_micros();
+        let Some(end) = us(self.warmup).checked_add(us(self.measure)) else {
+            return bad("warmup + measure overflows the simulation clock".into());
+        };
+        let tail = us(self.interval()).checked_add(us(self.think_time));
+        if tail.and_then(|t| end.checked_add(t)).is_none() {
+            return bad("the run's end plus think_time overflows the simulation clock".into());
+        }
         if let Scheme::Striping {
             policy:
                 AdmissionPolicy::Fragmented {

@@ -2,8 +2,8 @@
 //! centralized scheduler, disks, tertiary storage) that VDR and striping
 //! share. [`ServerCore`] owns the model's state once; a placement scheme
 //! plugs in through [`PlacementPolicy`] and owns only its placement
-//! state. [`Kernel`] runs the tick loop over both (see DESIGN.md §3.11)
-//! and is the [`ss_sim::Model`]; [`Server`] wraps it in a simulation.
+//! state. [`Kernel`] runs the tick loop over both (see DESIGN.md §3.11);
+//! [`Server`] drives it on the interval clock.
 
 use crate::config::{ArrivalModel, ServerConfig};
 use crate::metrics::{DegradedStats, MetricsCollector, RunReport};
@@ -13,19 +13,11 @@ use ss_core::buffers::BufferTracker;
 use ss_core::cache::PrefixCache;
 use ss_core::interconnect::InterconnectLedger;
 use ss_disk::{AvailabilityMask, RebuildJob, RebuildScheduler};
-use ss_sim::{
-    Context, DeterministicRng, FaultEvent, FaultKind, FaultPlan, FaultTimeline, Model, Simulation,
-};
+use ss_sim::{DeterministicRng, FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 use ss_tertiary::TertiaryDevice;
 use ss_types::{NodeId, NodeTopology, ObjectId, Result, SimDuration, SimTime, StationId};
 use ss_workload::{OpenArrivals, StationPool, StationState, TraceArrivals};
 use std::collections::VecDeque;
-
-/// The server's event alphabet: one periodic interval tick.
-pub enum Event {
-    /// Advance one time interval.
-    Tick,
-}
 
 /// A placement and admission scheme running on the shared kernel.
 ///
@@ -704,12 +696,6 @@ impl<X> ServerCore<X> {
         // outage can close at the earlier of scheduled repair and rebuild
         // completion.
         let job = rb.enqueue(disk, fragments, t);
-        let us = self.interval.as_micros();
-        self.timeline.note_rebuild(
-            disk,
-            SimTime::from_micros(job.start * us),
-            SimTime::from_micros(job.done * us),
-        );
         if job.done < until {
             until = job.done;
             self.pending_rebuilds.push((disk, job.start, job.done));
@@ -798,7 +784,7 @@ impl<X> ServerCore<X> {
 }
 
 /// A server model: the shared kernel running placement scheme `P`
-/// (driven by [`ss_sim::Simulation`]).
+/// (driven by [`Server`]).
 pub struct Kernel<P: PlacementPolicy> {
     pub(crate) core: ServerCore<P::Display>,
     pub(crate) scheme: P,
@@ -1195,11 +1181,6 @@ impl<P: PlacementPolicy> Kernel<P> {
         &self.core.mask
     }
 
-    /// The compiled fault timeline (fault-injection diagnostics).
-    pub fn fault_timeline(&self) -> &FaultTimeline {
-        &self.core.timeline
-    }
-
     /// Degraded-mode counters accumulated so far (`None` when no fault
     /// has fired).
     pub fn degraded(&self) -> Option<&DegradedStats> {
@@ -1281,63 +1262,75 @@ impl<P: PlacementPolicy> Kernel<P> {
     }
 }
 
-impl<P: PlacementPolicy> Model for Kernel<P> {
-    type Event = Event;
-    fn handle(&mut self, _ev: Event, ctx: &mut Context<'_, Event>) {
-        let now = ctx.now();
-        ss_obs::set_clock(now.as_micros());
-        let dense = self.core.config.dense_ticks;
-        if !dense {
-            self.replay_skipped(now);
-        }
-        self.tick(now);
-        self.core.last_tick = now;
-        let interval = self.core.interval;
-        if now >= self.core.deadline {
-            ctx.stop();
-        } else if dense {
-            ctx.schedule_in(interval, Event::Tick);
-        } else {
-            ctx.schedule_next_boundary(interval, self.next_wakeup(now), Event::Tick);
-        }
-    }
-}
-
-/// A runnable server: the kernel with scheme `P` inside a simulation.
+/// A runnable server: the kernel with scheme `P` on its interval clock
+/// (see DESIGN.md §3.2).
 pub struct Server<P: PlacementPolicy> {
-    pub(crate) sim: Simulation<Kernel<P>>,
+    pub(crate) kernel: Kernel<P>,
+    /// The boundary of the next tick; `None` once the deadline tick ran.
+    next: Option<SimTime>,
+    /// Ticks executed so far.
+    ticks: u64,
 }
 
 impl<P: PlacementPolicy> Server<P> {
     /// Builds the server from a validated configuration.
     pub fn new(config: ServerConfig) -> Result<Self> {
         config.validate()?;
-        let mut sim = Simulation::new(Kernel::new(config)?);
-        sim.schedule_at(SimTime::ZERO, Event::Tick);
-        Ok(Server { sim })
+        Ok(Server {
+            kernel: Kernel::new(config)?,
+            next: Some(SimTime::ZERO),
+            ticks: 0,
+        })
     }
 
     /// Runs to the configured deadline and produces the report.
     pub fn run(mut self) -> RunReport {
-        self.sim.run();
-        let now = self.sim.now();
-        self.sim.model_mut().report(now)
+        while self.step() {}
+        ss_obs::obs!(ss_obs::Event::EngineStop { events: self.ticks });
+        let now = self.now();
+        self.kernel.report(now)
     }
 
     /// Access to the model (tests).
     pub fn model(&self) -> &Kernel<P> {
-        self.sim.model()
+        &self.kernel
     }
 
-    /// Advances one event (diagnostics); returns false when finished.
+    /// Replays the boundaries skipped since the last tick, runs the next
+    /// tick and rounds the next wakeup horizon up to a boundary (the tick
+    /// itself under `dense_ticks`, so no boundary is skipped). Returns
+    /// false once the deadline tick has run.
     pub fn step(&mut self) -> bool {
-        self.sim.step()
+        let Some(now) = self.next else {
+            return false;
+        };
+        let kernel = &mut self.kernel;
+        ss_obs::set_clock(now.as_micros());
+        kernel.replay_skipped(now);
+        kernel.tick(now);
+        kernel.core.last_tick = now;
+        self.ticks += 1;
+        let core = &kernel.core;
+        self.next = (now < core.deadline).then(|| {
+            let dense = core.config.dense_ticks;
+            let horizon = if dense { now } else { kernel.next_wakeup(now) };
+            next_boundary(now, core.interval, horizon)
+        });
+        true
     }
 
-    /// Current simulation time (diagnostics).
+    /// The boundary of the last executed tick (`ZERO` before the first).
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.kernel.core.last_tick
     }
+}
+
+/// The first interval boundary strictly after `now` and at or after
+/// `horizon`; a `horizon <= now` yields the next boundary.
+fn next_boundary(now: SimTime, interval: SimDuration, horizon: SimTime) -> SimTime {
+    let iv = interval.as_micros();
+    let target = horizon.as_micros().max(now.as_micros() + 1);
+    SimTime::from_micros(target.div_ceil(iv) * iv)
 }
 
 /// Staggered activation times: station `s` of `N` wakes at
@@ -1442,6 +1435,47 @@ mod tests {
             VdrServer::new(small(false, 4)),
             Err(Error::InvalidConfig { .. })
         ));
+    }
+
+    /// Boundaries strictly between `now` and the `next` tick.
+    fn skipped(now: SimTime, next: SimTime, interval: SimDuration) -> u64 {
+        let iv = interval.as_micros();
+        next.as_micros() / iv - now.as_micros() / iv - 1
+    }
+
+    #[test]
+    fn next_boundary_covers_horizon_and_counts_skips() {
+        let (s, iv) = (SimTime::from_secs, SimDuration::from_secs(10));
+        // Tick 0 jumps to 40 s, covering the 35 s horizon and skipping
+        // the boundaries at 10/20/30 s; afterwards the horizon is in the
+        // past, so the clock degenerates to plain next-boundary ticking.
+        let first = next_boundary(SimTime::ZERO, iv, s(35));
+        assert_eq!(first, s(40));
+        let second = next_boundary(first, iv, s(35));
+        assert_eq!(second, s(50));
+        assert_eq!(
+            skipped(SimTime::ZERO, first, iv) + skipped(first, second, iv),
+            3
+        );
+    }
+
+    #[test]
+    fn next_boundary_from_unaligned_now() {
+        // From t = 25 s with a 10 s interval: horizon 25 s → boundary
+        // 30 s, no full boundary lies strictly between.
+        let (s, iv) = (SimTime::from_secs, SimDuration::from_secs(10));
+        let next = next_boundary(s(25), iv, s(25));
+        assert_eq!(next, s(30));
+        assert_eq!(skipped(s(25), next, iv), 0);
+    }
+
+    #[test]
+    fn next_boundary_exact_horizon_on_boundary() {
+        // A horizon exactly on a boundary schedules that boundary itself.
+        let (s, iv) = (SimTime::from_secs, SimDuration::from_secs(10));
+        let next = next_boundary(SimTime::ZERO, iv, s(20));
+        assert_eq!(next, s(20));
+        assert_eq!(skipped(SimTime::ZERO, next, iv), 1);
     }
 
     #[test]

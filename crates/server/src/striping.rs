@@ -34,7 +34,7 @@ use ss_disk::RebuildJob;
 use ss_sim::{DeterministicRng, FaultEvent, FaultKind};
 use ss_types::{Error, NodeId, NodeTopology, ObjectId, Result, SimTime};
 
-/// The striping server model (driven by [`ss_sim::Simulation`]).
+/// The striping server model (driven by [`Server`]).
 pub type StripingModel = Kernel<StripingPolicy>;
 
 /// The runnable striping server.
@@ -489,13 +489,7 @@ impl PlacementPolicy for StripingPolicy {
                             reconstructed: grant.reconstructed_intervals,
                         });
                         core.journal_startup(w.object, t, wait);
-                        ss_obs::with_registry(|r| {
-                            r.count("admissions", 1);
-                            r.observe(
-                                "admission_latency_intervals",
-                                grant.latency_intervals(t) as f64,
-                            );
-                        });
+                        ss_obs::with_registry(|r| r.count("admissions", 1));
                     }
                 }
                 Err(_) => {
@@ -1483,7 +1477,7 @@ mod tests {
         };
 
         let mut server = StripingServer::new(cfg).unwrap();
-        let m = server.sim.model_mut();
+        let m = &mut server.kernel;
         // Fragment i's serving virtual disk is virtual_of(start_disk + i,
         // baseᵢ) = (start_disk + i − baseᵢ) mod 20; its reads occupy
         // [baseᵢ, baseᵢ + n).

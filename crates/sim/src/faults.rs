@@ -378,7 +378,6 @@ impl FaultPlan {
             return FaultTimeline {
                 events: Vec::new(),
                 drop_after_hiccup_intervals: self.drop_after_hiccup_intervals,
-                rebuilds: Vec::new(),
                 crash_events: self.compile_crash(disks, horizon, rng),
             };
         }
@@ -472,7 +471,6 @@ impl FaultPlan {
         FaultTimeline {
             events,
             drop_after_hiccup_intervals: self.drop_after_hiccup_intervals,
-            rebuilds: Vec::new(),
             crash_events: self.compile_crash(disks, horizon, rng),
         }
     }
@@ -534,29 +532,12 @@ impl FaultPlan {
     }
 }
 
-/// One hot-spare rebuild of a failed disk, noted on the timeline by the
-/// server's rebuild scheduler: surviving-group reads drain into the spare
-/// over `[started, done)`, after which the disk's data is whole again.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebuildWindow {
-    /// The failed disk being rebuilt.
-    pub disk: u32,
-    /// When the spare started receiving reconstructed fragments.
-    pub started: SimTime,
-    /// When the rebuild completes (possibly after the scheduled repair, in
-    /// which case the repair wins and the rebuild is moot).
-    pub done: SimTime,
-}
-
 /// A compiled fault schedule: sorted, normalized, ready for replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultTimeline {
     events: Vec<FaultEvent>,
     /// Copied from the plan for the server's drop policy.
     pub drop_after_hiccup_intervals: Option<u64>,
-    /// Hot-spare rebuilds noted during the run (runtime state, not part of
-    /// the compiled schedule; empty unless a rebuild scheduler is active).
-    rebuilds: Vec<RebuildWindow>,
     /// The compiled crash plane: sorted power-loss/torn-write events with
     /// their deterministic salts. A separate plane from `events` so the
     /// zero-*service*-fault gate ([`Self::is_empty`]) stays untouched.
@@ -591,35 +572,6 @@ impl FaultTimeline {
     /// wakeup-horizon hook, mirroring [`Self::next_at`].
     pub fn next_crash_at(&self, cursor: usize) -> Option<SimTime> {
         self.crash_events.get(cursor).map(|ev| ev.at)
-    }
-
-    /// Records a hot-spare rebuild window for `disk`.
-    pub fn note_rebuild(&mut self, disk: u32, started: SimTime, done: SimTime) {
-        debug_assert!(done > started, "rebuild must take positive time");
-        self.rebuilds.push(RebuildWindow {
-            disk,
-            started,
-            done,
-        });
-    }
-
-    /// All rebuild windows noted so far, in note order.
-    pub fn rebuilds(&self) -> &[RebuildWindow] {
-        &self.rebuilds
-    }
-
-    /// Linear rebuild progress of the most recent rebuild of `disk` at
-    /// `now`, in `[0, 1]`. `None` when no rebuild of that disk was noted.
-    pub fn rebuild_progress(&self, disk: u32, now: SimTime) -> Option<f64> {
-        let w = self.rebuilds.iter().rev().find(|w| w.disk == disk)?;
-        if now <= w.started {
-            return Some(0.0);
-        }
-        if now >= w.done {
-            return Some(1.0);
-        }
-        let total = w.done.duration_since(w.started).as_secs_f64();
-        Some(now.duration_since(w.started).as_secs_f64() / total)
     }
 }
 
@@ -719,21 +671,6 @@ mod tests {
             ..FaultPlan::default()
         };
         open.validate(4).unwrap();
-    }
-
-    #[test]
-    fn rebuild_ledger_tracks_progress() {
-        let plan = FaultPlan::fail_window(3, hour(1), hour(4));
-        let mut tl = plan.compile(10, hour(10), &DeterministicRng::seed_from_u64(1));
-        assert!(tl.rebuilds().is_empty());
-        assert_eq!(tl.rebuild_progress(3, hour(2)), None);
-        tl.note_rebuild(3, hour(1), hour(3));
-        assert_eq!(tl.rebuild_progress(3, hour(1)), Some(0.0));
-        assert_eq!(tl.rebuild_progress(3, hour(2)), Some(0.5));
-        assert_eq!(tl.rebuild_progress(3, hour(3)), Some(1.0));
-        assert_eq!(tl.rebuild_progress(3, hour(9)), Some(1.0));
-        assert_eq!(tl.rebuild_progress(4, hour(2)), None);
-        assert_eq!(tl.rebuilds().len(), 1);
     }
 
     #[test]

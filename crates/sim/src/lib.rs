@@ -1,13 +1,11 @@
 //! # ss-sim
 //!
-//! A small, deterministic discrete-event simulation kernel, standing in for
-//! the CSIM simulation language the paper used.
+//! The deterministic substrate of the simulation, standing in for the
+//! CSIM simulation language the paper used. The interval clock itself
+//! lives with the server kernel (`ss_server::kernel::Server`): every
+//! display is scheduled in fixed-length intervals (§3.2.1), so the only
+//! event is the next interval tick.
 //!
-//! The kernel is split into four independent pieces:
-//!
-//! * [`engine`] — the event loop: a [`engine::Simulation`] owns a model (any
-//!   type implementing [`engine::Model`]), a clock, and a time-ordered event
-//!   queue with FIFO tie-breaking, so runs are exactly reproducible.
 //! * [`rng`] — a splittable, seedable random-number generator
 //!   ([`rng::DeterministicRng`], xoshiro256++) whose streams are derived
 //!   from string labels, so adding a consumer never perturbs other streams.
@@ -16,8 +14,6 @@
 //!   backed by a Walker alias table for O(1) sampling.
 //! * [`stats`] — counters, Welford tallies, time-weighted averages and
 //!   histograms used to build the experiment reports.
-//! * [`trace`] — a bounded, timestamped event ring for post-mortem
-//!   debugging of misbehaving runs.
 //! * [`faults`] — deterministic disk fault injection: a seed-driven
 //!   [`faults::FaultPlan`] compiled to a concrete, sorted
 //!   [`faults::FaultTimeline`] before the run starts.
@@ -26,18 +22,14 @@
 #![forbid(unsafe_code)]
 
 pub mod dist;
-pub mod engine;
 pub mod faults;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 pub use dist::{AliasTable, Exponential, TruncatedGeometric, Zipf};
-pub use engine::{Context, Model, Simulation};
 pub use faults::{
     CrashEvent, CrashFaults, CrashKind, CrashPlanEvent, FaultEvent, FaultKind, FaultPlan,
-    FaultTimeline, RebuildWindow, StochasticFaults,
+    FaultTimeline, StochasticFaults,
 };
 pub use rng::DeterministicRng;
-pub use stats::{BatchMeans, Counter, Histogram, Tally, TimeWeighted};
-pub use trace::Trace;
+pub use stats::{Counter, Histogram, Tally, TimeWeighted};

@@ -123,14 +123,6 @@ impl DeterministicRng {
         assert!((0.0..=1.0).contains(&p), "bernoulli({p})");
         self.next_f64() < p
     }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -211,17 +203,6 @@ mod tests {
     #[should_panic(expected = "next_below(0)")]
     fn next_below_zero_panics() {
         DeterministicRng::seed_from_u64(0).next_below(0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = DeterministicRng::seed_from_u64(3);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>()); // overwhelmingly likely
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`Histogram`] — fixed-width-bucket histogram with quantile estimation
 //!   for latency distributions.
 
-use ss_types::{SimDuration, SimTime};
+use ss_types::SimTime;
 
 /// A monotone event counter with a start time, able to report rates.
 #[derive(Debug, Clone)]
@@ -87,11 +87,6 @@ impl Tally {
         self.m2 += d * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Records a duration, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Number of observations.
@@ -289,75 +284,6 @@ impl Histogram {
     }
 }
 
-/// Batch-means confidence intervals — the standard way to put error bars
-/// on a steady-state simulation estimate: split the measurement window
-/// into `k` equal batches, treat the batch means as (approximately)
-/// independent samples, and report a t-interval over them.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_n: u64,
-    batches: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Collects observations into batches of `batch_size`. Panics on a
-    /// zero batch size.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "zero batch size");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_n: 0,
-            batches: Vec::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_n += 1;
-        if self.current_n == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_n = 0;
-        }
-    }
-
-    /// Completed batches so far.
-    pub fn batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// The grand mean over completed batches (`None` with no complete
-    /// batch).
-    pub fn mean(&self) -> Option<f64> {
-        if self.batches.is_empty() {
-            return None;
-        }
-        Some(self.batches.iter().sum::<f64>() / self.batches.len() as f64)
-    }
-
-    /// An approximate 95 % confidence half-width over the batch means
-    /// (normal critical value 1.96; fine for the ≥20 batches one should
-    /// be using). `None` with fewer than two complete batches.
-    pub fn half_width_95(&self) -> Option<f64> {
-        let k = self.batches.len();
-        if k < 2 {
-            return None;
-        }
-        let mean = self.mean().expect("non-empty");
-        let var = self
-            .batches
-            .iter()
-            .map(|b| (b - mean) * (b - mean))
-            .sum::<f64>()
-            / (k - 1) as f64;
-        Some(1.96 * (var / k as f64).sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,53 +393,5 @@ mod tests {
     fn histogram_empty_quantile_is_none() {
         let h = Histogram::new(10.0, 10);
         assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn batch_means_basics() {
-        let mut b = BatchMeans::new(10);
-        assert_eq!(b.mean(), None);
-        for i in 0..100 {
-            b.record(f64::from(i % 10)); // each batch averages 4.5
-        }
-        assert_eq!(b.batches(), 10);
-        assert_eq!(b.mean(), Some(4.5));
-        // Identical batches ⇒ zero half-width.
-        assert_eq!(b.half_width_95(), Some(0.0));
-    }
-
-    #[test]
-    fn batch_means_interval_shrinks_with_batches() {
-        use crate::rng::DeterministicRng;
-        let mut rng = DeterministicRng::seed_from_u64(31);
-        let mut few = BatchMeans::new(50);
-        let mut many = BatchMeans::new(50);
-        for _ in 0..(50 * 4) {
-            few.record(rng.next_f64());
-        }
-        for _ in 0..(50 * 64) {
-            many.record(rng.next_f64());
-        }
-        let (hf, hm) = (few.half_width_95().unwrap(), many.half_width_95().unwrap());
-        assert!(hm < hf, "few {hf} vs many {hm}");
-        // Both intervals contain the true mean 0.5.
-        assert!((few.mean().unwrap() - 0.5).abs() <= hf * 2.0);
-        assert!((many.mean().unwrap() - 0.5).abs() <= hm * 2.0);
-    }
-
-    #[test]
-    fn batch_means_incomplete_batch_excluded() {
-        let mut b = BatchMeans::new(4);
-        for _ in 0..7 {
-            b.record(1.0);
-        }
-        assert_eq!(b.batches(), 1);
-        assert_eq!(b.half_width_95(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero batch size")]
-    fn batch_means_zero_size_panics() {
-        BatchMeans::new(0);
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, the tier-1 test suite, and a smoke run of
-# the engine performance baseline. Run from anywhere inside the repo.
+# CI gate: formatting, lints, rustdoc, the tier-1 test suite, and a smoke
+# run of the engine performance baseline. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +9,11 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+# rustdoc only warns about a doc link to a deleted or ambiguous item;
+# denying warnings keeps the API docs pointing at items that exist.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release

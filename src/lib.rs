@@ -3,8 +3,8 @@
 //! A full reproduction of *"Staggered Striping in Multimedia Information
 //! Systems"* (Berson, Ghandeharizadeh, Muntz, Ju — SIGMOD 1994) as a Rust
 //! workspace: the staggered-striping placement and scheduling scheme, every
-//! substrate it depends on (discrete-event simulation kernel, disk and
-//! tertiary device models, workload generators), the virtual-data-
+//! substrate it depends on (seeded randomness, statistics and fault plans,
+//! disk and tertiary device models, workload generators), the virtual-data-
 //! replication baseline it is compared against, and the simulation harness
 //! that regenerates every table and figure of the paper's evaluation.
 //!
@@ -36,7 +36,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`types`] | units (time, bytes, bandwidth), ids, errors |
-//! | [`sim`] | deterministic DES kernel, RNG, distributions, statistics |
+//! | [`sim`] | seeded RNG streams, distributions, statistics, fault plans |
 //! | [`disk`] | disk geometry/timing model, effective bandwidth (§3.1) |
 //! | [`tertiary`] | tertiary device and materialization model (§3.2.4) |
 //! | [`workload`] | display stations and popularity models (§4.1) |
@@ -76,7 +76,7 @@ pub mod prelude {
     };
     pub use ss_sim::{
         CrashFaults, CrashKind, CrashPlanEvent, DeterministicRng, FaultEvent, FaultKind, FaultPlan,
-        Simulation, StochasticFaults,
+        StochasticFaults,
     };
     pub use ss_tertiary::{TapeLayout, TertiaryDevice, TertiaryParams};
     pub use ss_types::{

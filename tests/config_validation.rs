@@ -4,6 +4,7 @@
 //! reaches, and the server constructors must refuse it the same way.
 
 use staggered_striping::prelude::*;
+use staggered_striping::server::kernel::{PlacementPolicy, Server};
 
 /// Asserts that `validate` and the scheme's constructor both refuse `cfg`.
 fn refused(cfg: ServerConfig) {
@@ -117,4 +118,70 @@ fn a_fragmented_delay_as_long_as_the_run_still_runs() {
         .expect("valid config")
         .run();
     assert!(report.displays_completed > 0);
+}
+
+/// `cfg` with its warmup at the limit of the simulation clock.
+fn endless_warmup(mut cfg: ServerConfig) -> ServerConfig {
+    cfg.warmup = SimDuration::from_micros(u64::MAX);
+    cfg
+}
+
+/// `cfg` with a think time no clock can add to a display's end.
+fn endless_think_time(mut cfg: ServerConfig) -> ServerConfig {
+    cfg.think_time = SimDuration::from_micros(u64::MAX);
+    cfg
+}
+
+#[test]
+fn a_warmup_past_the_clock_is_refused_on_striping() {
+    refused(endless_warmup(ServerConfig::small_test(4, 42)));
+}
+
+#[test]
+fn a_warmup_past_the_clock_is_refused_on_vdr() {
+    refused(endless_warmup(ServerConfig::small_vdr_test(4, 42)));
+}
+
+#[test]
+fn a_think_time_past_the_clock_is_refused_on_striping() {
+    refused(endless_think_time(ServerConfig::small_test(4, 42)));
+}
+
+#[test]
+fn a_think_time_past_the_clock_is_refused_on_vdr() {
+    refused(endless_think_time(ServerConfig::small_vdr_test(4, 42)));
+}
+
+/// Steps a server built from `cfg` through its deadline tick and returns
+/// that tick's boundary and the run's report.
+fn run_to_deadline(cfg: ServerConfig) -> (SimTime, RunReport) {
+    fn drive<P: PlacementPolicy>(mut server: Server<P>) -> (SimTime, RunReport) {
+        while server.step() {}
+        (server.now(), server.run())
+    }
+    match cfg.scheme {
+        Scheme::Vdr { .. } => drive(VdrServer::new(cfg).expect("valid config")),
+        _ => drive(StripingServer::new(cfg).expect("valid config")),
+    }
+}
+
+#[test]
+fn the_longest_think_time_the_clock_holds_runs_to_its_deadline() {
+    for mut cfg in both_schemes() {
+        // Displays complete no later than the deadline tick, less than
+        // one interval past the run's end, and think from there.
+        let interval = cfg.interval();
+        let end = cfg.warmup + cfg.measure;
+        let longest = u64::MAX - end.as_micros() - interval.as_micros();
+        cfg.think_time = SimDuration::from_micros(longest + 1);
+        refused(cfg.clone());
+        cfg.think_time = SimDuration::from_micros(longest);
+        let deadline = SimTime::ZERO + end;
+        let (last, report) = run_to_deadline(cfg);
+        assert!(
+            last >= deadline && last < deadline + interval,
+            "last tick at {last}, deadline {deadline}"
+        );
+        assert!(report.displays_completed > 0);
+    }
 }

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use staggered_striping::prelude::*;
 use staggered_striping::server::config::{ArrivalModel, MaterializeMode, QueuePolicy, Scheme};
+use staggered_striping::server::kernel::{PlacementPolicy, Server};
 use staggered_striping::server::vdr::vdr_config_for;
 use staggered_striping::server::{StripingServer, VdrServer};
 
@@ -101,6 +102,35 @@ fn fault_plan(selector: u8, warmup: u64, measure: u64) -> FaultPlan {
     }
 }
 
+/// Steps `cfg` to its deadline and returns its report, checking the
+/// clock's accounting on the way: every interval boundary from zero to
+/// the first one at or after the deadline is either executed or skipped,
+/// exactly once, and dense runs skip none.
+fn stepped(cfg: &ServerConfig) -> std::result::Result<RunReport, TestCaseError> {
+    fn drive<P: PlacementPolicy>(
+        mut server: Server<P>,
+        cfg: &ServerConfig,
+    ) -> std::result::Result<RunReport, TestCaseError> {
+        let mut ticks = 0u64;
+        while server.step() {
+            ticks += 1;
+        }
+        let interval = cfg.interval().as_micros();
+        let boundaries = (cfg.warmup + cfg.measure).as_micros().div_ceil(interval);
+        let skipped = server.model().ticks_skipped();
+        prop_assert_eq!(ticks + skipped, boundaries + 1);
+        prop_assert_eq!(server.now(), SimTime::from_micros(boundaries * interval));
+        if cfg.dense_ticks {
+            prop_assert_eq!(skipped, 0);
+        }
+        Ok(server.run())
+    }
+    match cfg.scheme {
+        Scheme::Vdr { .. } => drive(VdrServer::new(cfg.clone()).expect("valid config"), cfg),
+        _ => drive(StripingServer::new(cfg.clone()).expect("valid config"), cfg),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -113,8 +143,8 @@ proptest! {
         dense.dense_ticks = true;
         let mut sparse = cfg;
         sparse.dense_ticks = false;
-        let a = staggered_striping::server::run(&dense).expect("dense run");
-        let b = staggered_striping::server::run(&sparse).expect("sparse run");
+        let a = stepped(&dense)?;
+        let b = stepped(&sparse)?;
         prop_assert_eq!(a, b);
     }
 }
