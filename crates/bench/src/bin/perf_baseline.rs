@@ -1,22 +1,11 @@
-//! Engine performance baseline: times the simulator's hot paths and
-//! writes a machine-readable `BENCH_engine.json` for before/after
-//! comparisons of engine optimizations.
+//! Engine performance baseline: times the Figure-8 grid through the
+//! batch runner and writes `BENCH_engine.json`, the artifact the CI perf
+//! gates read. Per-layer engine costs (catalog placement, admission,
+//! tick percentiles) and the 100,000-disk cell are the repository
+//! benchmark's (`crates/bench/src/bin/benchmark/`); this binary keeps
+//! only the sections a gate or the history row reads.
 //!
-//! Four kernels, covering the layers the perf-sensitive sweeps exercise:
-//!
-//! 1. **setup** — construct the Table-3 farm (D = 1000) and place
-//!    most-popular-first until the farm is full (the preload path every
-//!    paper-scale run pays before its first tick).
-//! 2. **admission** — the no-free-slot fragmented-admission path on a
-//!    saturated 1000-disk farm: 256 waiters retried per interval is the
-//!    Figure-8 steady state at 256 stations.
-//! 3. **tick** — end-to-end interval ticks of the small-farm striping
-//!    server (completion scan + admissions + issue + coalesce + fetch
-//!    pump).
-//! 4. **grid** — wall-clock of the small-scale Figure-8 analogue grid
-//!    through the multi-threaded batch runner.
-//!
-//! The grid kernel runs twice: single-threaded (`grid`, the canonical
+//! The grid runs twice: single-threaded (`grid`, the canonical
 //! before/after number) and at `--threads` parallelism
 //! (`grid_parallel`), so the artifact records both raw engine speed and
 //! batch-runner scaling. A third section, `grid_quick`, always holds
@@ -27,8 +16,8 @@
 //! perf_baseline [-- --quick]`); the JSON artifact is written to
 //! `BENCH_engine.json` in the current directory (`BENCH_engine.quick.json`
 //! in quick mode, so smoke runs never clobber the committed baseline).
-//! `--quick` shrinks the admission/grid workloads for CI smoke runs;
-//! the metric names and schema are identical in both modes.
+//! `--quick` runs the quick grid in place of the 54-cell one; the
+//! metric names and schema are identical in both modes.
 //!
 //! `--check-against PATH` compares this run's `grid_quick` wall-clock
 //! to the one recorded in the baseline artifact at PATH and exits
@@ -49,60 +38,20 @@
 //! `--append-history` appends one dated JSONL row to
 //! `BENCH_history.jsonl` — the bench trajectory: grid and quick-grid
 //! wall-clocks plus the headline number of each merged section
-//! (`farm_scale` serial throughput, `sharing` high-skew capacity
-//! ratio, `distributed` widest-split outage retention, `crash` recovery
-//! and scrub-interference percentages). Sections another bin has not
-//! merged yet are skipped with a notice. Quick runs never append (the
-//! trajectory tracks full baselines only); to make that composition
-//! work, a full run now *merges* its report into an existing
-//! `BENCH_engine.json` instead of clobbering it, preserving the
-//! sections the grid bins own.
+//! (`sharing` high-skew capacity ratio, `distributed` widest-split
+//! outage retention, `crash` recovery and scrub-interference
+//! percentages). Sections another bin has not merged yet are skipped
+//! with a notice. Quick runs never append (the trajectory tracks full
+//! baselines only); to make that composition work, a full run *merges*
+//! its report into an existing `BENCH_engine.json` instead of
+//! clobbering it, preserving the sections the grid bins own.
 
 use serde::{Deserialize, Serialize};
 use ss_bench::grid::{merge_into_baseline, peak_rss_kb, perf_strict, Bound, BASELINE};
 use ss_bench::HarnessOpts;
-use ss_core::admission::{AdmissionPolicy, IntervalScheduler};
-use ss_core::frame::VirtualFrame;
-use ss_core::placement::{PlacementMap, StripingConfig};
 use ss_server::experiment::{fig8_configs, run_batch_stats};
-use ss_server::{ServerConfig, StripingServer};
-use ss_types::ObjectId;
+use ss_server::ServerConfig;
 use std::time::Instant;
-
-/// Farm-construction kernel result.
-#[derive(Debug, Serialize)]
-struct SetupMetrics {
-    disks: u32,
-    objects_placed: u64,
-    /// Best-of-reps seconds for one full-farm construction.
-    seconds: f64,
-    objects_per_sec: f64,
-}
-
-/// Saturated fragmented-admission kernel result.
-#[derive(Debug, Serialize)]
-struct AdmissionMetrics {
-    disks: u32,
-    waiters: u32,
-    rounds: u32,
-    attempts: u64,
-    seconds: f64,
-    attempts_per_sec: f64,
-}
-
-/// End-to-end tick kernel result.
-#[derive(Debug, Serialize)]
-struct TickMetrics {
-    stations: u32,
-    /// Ticks actually executed by the model.
-    ticks: u64,
-    /// Interval boundaries skipped by event-driven quiescence.
-    ticks_skipped: u64,
-    /// Total interval boundaries covered (`ticks + ticks_skipped`).
-    intervals: u64,
-    seconds: f64,
-    ticks_per_sec: f64,
-}
 
 /// Small Figure-8 grid wall-clock result.
 #[derive(Debug, Clone, Serialize)]
@@ -124,9 +73,6 @@ struct GridMetrics {
 struct BenchReport {
     mode: String,
     seed: u64,
-    setup: SetupMetrics,
-    admission: AdmissionMetrics,
-    tick: TickMetrics,
     /// Canonical single-threaded grid wall-clock.
     grid: GridMetrics,
     /// The same grid at `--threads` parallelism.
@@ -166,109 +112,9 @@ struct BaselineParallel {
     speedup_vs_serial: Option<f64>,
 }
 
-/// Kernel 1: build the paper farm and preload until full.
-fn bench_setup(reps: u32) -> SetupMetrics {
-    let config = ServerConfig::paper_striping(1, 20.0, 1994);
-    let catalog = config.catalog();
-    let striping = StripingConfig {
-        disks: config.disks,
-        stride: 5,
-        fragment: config.fragment_size(),
-        b_disk: config.b_disk(),
-        parity_group: None,
-    };
-    let mut best = f64::INFINITY;
-    let mut placed = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut map = PlacementMap::new(
-            striping.clone(),
-            config.disk.cylinders,
-            config.cylinders_per_fragment,
-        )
-        .expect("table-3 placement map");
-        placed = 0;
-        for spec in catalog.iter() {
-            if map.place(spec).is_err() {
-                break; // farm full
-            }
-            placed += 1;
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(map.resident_count());
-        best = best.min(dt);
-    }
-    SetupMetrics {
-        disks: config.disks,
-        objects_placed: placed,
-        seconds: best,
-        objects_per_sec: placed as f64 / best,
-    }
-}
-
-/// Kernel 2: fragmented admission attempts against a farm with no free
-/// slot anywhere in the delay window (every attempt must be rejected).
-fn bench_admission(waiters: u32, rounds: u32) -> AdmissionMetrics {
-    let disks = 1000u32;
-    let mut s = IntervalScheduler::new(VirtualFrame::new(disks, 5));
-    // Saturate: 200 contiguous degree-5 displays cover all 1000 disks.
-    for i in 0..disks / 5 {
-        s.try_admit(0, ObjectId(i), i * 5, 5, 3000, AdmissionPolicy::Contiguous)
-            .expect("saturating admission");
-    }
-    let policy = AdmissionPolicy::Fragmented {
-        max_buffer_fragments: 64,
-        max_delay_intervals: 16,
-    };
-    let attempts = u64::from(waiters) * u64::from(rounds);
-    let t0 = Instant::now();
-    let mut rejects = 0u64;
-    for round in 0..rounds {
-        for w in 0..waiters {
-            let start = (w * 7 + round) % disks;
-            if s.try_admit(1, ObjectId(disks / 5 + w), start, 5, 3000, policy)
-                .is_err()
-            {
-                rejects += 1;
-            }
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    assert_eq!(rejects, attempts, "farm must stay saturated");
-    AdmissionMetrics {
-        disks,
-        waiters,
-        rounds,
-        attempts,
-        seconds: dt,
-        attempts_per_sec: attempts as f64 / dt,
-    }
-}
-
-/// Kernel 3: end-to-end interval ticks of the small striping server.
-fn bench_tick(stations: u32, seed: u64) -> TickMetrics {
-    let mut cfg = ServerConfig::small_test(stations, seed);
-    cfg.verify_delivery = false; // time the engine, not the checker
-    let mut server = StripingServer::new(cfg).expect("small config");
-    let mut ticks = 0u64;
-    let t0 = Instant::now();
-    while server.step() {
-        ticks += 1;
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    let ticks_skipped = server.model().ticks_skipped();
-    TickMetrics {
-        stations,
-        ticks,
-        ticks_skipped,
-        intervals: ticks + ticks_skipped,
-        seconds: dt,
-        ticks_per_sec: ticks as f64 / dt,
-    }
-}
-
-/// Kernel 4: the quick Figure-8 grid (paper-scale D = 1000 cells with
-/// shortened measurement windows), wall-clock through the batch runner.
+/// The Figure-8 grid (paper-scale D = 1000 cells with shortened
+/// measurement windows; the 6-cell quick grid when `quick`), wall-clock
+/// through the batch runner.
 fn bench_grid(quick: bool, seed: u64, threads: usize) -> GridMetrics {
     let mut configs = if quick {
         // One distribution, three loads spanning idle → saturated.
@@ -478,16 +324,6 @@ fn append_history(report: &BenchReport, merged: &serde_json::Value) {
             ),
         }
     }
-    // farm_scale headline: at-scale throughput (100k-disk cell).
-    match section_field(merged, "farm_scale", "serial") {
-        Some(serde_json::Value::Map(fs)) => match serde::field(&fs, "ticks_per_sec") {
-            Some(v) => row.push(("farm_scale_ticks_per_sec".into(), v.clone())),
-            None => eprintln!("append-history: `farm_scale.serial` has no ticks_per_sec"),
-        },
-        _ => eprintln!(
-            "append-history: no `farm_scale` section in the baseline; run farm_scale to record `farm_scale_ticks_per_sec`"
-        ),
-    }
     take(
         &mut row,
         merged,
@@ -559,25 +395,6 @@ fn main() {
     let mode = if opts.quick { "quick" } else { "full" };
     eprintln!("perf_baseline ({mode} mode, seed {})", opts.seed);
 
-    let setup = bench_setup(if opts.quick { 1 } else { 3 });
-    eprintln!(
-        "setup:     {} objects on {} disks in {:.3} s ({:.0} obj/s)",
-        setup.objects_placed, setup.disks, setup.seconds, setup.objects_per_sec
-    );
-
-    let (waiters, rounds) = if opts.quick { (256, 20) } else { (256, 200) };
-    let admission = bench_admission(waiters, rounds);
-    eprintln!(
-        "admission: {} saturated attempts in {:.3} s ({:.0} attempts/s)",
-        admission.attempts, admission.seconds, admission.attempts_per_sec
-    );
-
-    let tick = bench_tick(16, opts.seed);
-    eprintln!(
-        "tick:      {} ticks (+{} skipped, {} intervals) at 16 stations in {:.3} s ({:.0} ticks/s)",
-        tick.ticks, tick.ticks_skipped, tick.intervals, tick.seconds, tick.ticks_per_sec
-    );
-
     // In full mode, measure the quick grid BEFORE the 54-cell grids:
     // CI's quick runs measure it as the process's first grid (cold
     // allocator and page cache), and the committed baseline must be
@@ -613,9 +430,6 @@ fn main() {
     let report = BenchReport {
         mode: mode.to_string(),
         seed: opts.seed,
-        setup,
-        admission,
-        tick,
         grid,
         grid_parallel,
         grid_quick,
@@ -624,7 +438,7 @@ fn main() {
         peak_rss_kb: peak_rss_kb(),
     };
     // Quick (smoke) runs write their own artifact fresh so they never
-    // clobber the committed full baseline; full runs refresh the kernel
+    // clobber the committed full baseline; full runs refresh the grid
     // sections in place, keeping whatever the grid bins merged.
     use serde::Serialize as _;
     let merged = if opts.quick {

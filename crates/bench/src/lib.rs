@@ -1,7 +1,9 @@
 //! # ss-bench
 //!
 //! Benchmark harnesses regenerating every table and figure of the paper,
-//! plus Criterion micro-benchmarks of the hot paths.
+//! plus the perf-gate baseline. Engine timing, end to end and per layer,
+//! is the repository benchmark's, a package of its own under
+//! `src/bin/benchmark/`.
 //!
 //! Each `[[bin]]` target regenerates one artifact (run with
 //! `cargo run --release -p ss-bench --bin <name>`):
@@ -23,8 +25,7 @@
 //! | `crash_grid` | power-loss/torn-write recovery and scrub interference, both schemes |
 //! | `node_grid` | node-outage retention with the farm split 1/2/4/8 ways |
 //! | `sharing_capacity` | concurrent-display capacity with multicast batching + prefix caching |
-//! | `farm_scale` | one 100,000-disk run: wall-clock, tick rate, peak RSS |
-//! | `perf_baseline` | `BENCH_engine.json`: engine kernel timings and the perf regression gates |
+//! | `perf_baseline` | `BENCH_engine.json`: Figure-8 grid wall-clocks and the perf regression gates |
 //! | `trace_dump` | the event journal as JSONL, Perfetto JSON, or metric CSVs |
 //! | `ops_report` | the SLO/QoS dashboard over a faulted replay |
 //!

@@ -46,7 +46,17 @@ impl MediaType {
     /// The degree of declustering for this media type given the effective
     /// per-disk bandwidth: `M = ceil(B_display / B_disk)` (Table 1).
     pub fn degree_of_declustering(&self, b_disk: Bandwidth) -> u32 {
-        u32::try_from(self.display_bandwidth.div_ceil(b_disk)).expect("absurd declustering degree")
+        self.checked_degree(b_disk)
+            .expect("absurd declustering degree")
+    }
+
+    /// [`Self::degree_of_declustering`], or `None` when `b_disk` is zero
+    /// or the degree does not fit a `u32`.
+    pub fn checked_degree(&self, b_disk: Bandwidth) -> Option<u32> {
+        if b_disk.is_zero() {
+            return None;
+        }
+        u32::try_from(self.display_bandwidth.div_ceil(b_disk)).ok()
     }
 }
 

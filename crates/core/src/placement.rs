@@ -548,11 +548,12 @@ impl PlacementMap {
         match &mut self.engine {
             Engine::Materialized { allocators, placed } => {
                 let per_disk = cap_layout.fragments_per_disk();
-                // Feasibility check before mutating any allocator.
+                // Feasibility check before mutating any allocator, in
+                // u64: an absurd fragment span must fail, not overflow.
                 for (d, &frags) in per_disk.iter().enumerate() {
-                    let need = frags * cpf;
+                    let need = u64::from(frags) * u64::from(cpf);
                     let have = allocators[d].free_cylinders();
-                    if have < need {
+                    if u64::from(have) < need {
                         return Err(Error::DiskFull {
                             disk: DiskId(d as u32),
                             requested: self.config.fragment * u64::from(frags),
@@ -572,9 +573,13 @@ impl PlacementMap {
                 placed.insert(spec.id, PlacedObject { layout, ranges });
             }
             Engine::Lazy(state) => {
-                let cylinders = self.cylinders;
+                let cylinders = u64::from(self.cylinders);
                 let cyl_capacity = self.config.fragment / u64::from(cpf);
                 let fragment = self.config.fragment;
+                // Sums in u64: an absurd fragment span must fail, not
+                // overflow. Committed counts stay within `cylinders`.
+                let uniform = u64::from(state.uniform_used);
+                let used = |skew: u32| uniform + u64::from(skew);
                 let profile = state.profile(&cap_layout);
                 match profile.uniform {
                     Some(c) => {
@@ -582,23 +587,23 @@ impl PlacementMap {
                         // hit, so one comparison against the fullest disk
                         // decides feasibility, and commitment is a single
                         // counter bump.
-                        let need = c * cpf;
-                        if state.uniform_used + state.max_skewed_used + need > cylinders {
+                        let need = u64::from(c) * u64::from(cpf);
+                        if used(state.max_skewed_used) + need > cylinders {
                             // Identify the first over-full disk for the
                             // error (identical to the materialized scan).
                             let d = state
                                 .skewed_used
                                 .iter()
-                                .position(|&s| state.uniform_used + s + need > cylinders)
+                                .position(|&s| used(s) + need > cylinders)
                                 .expect("some disk is over the max");
-                            let free = cylinders - state.uniform_used - state.skewed_used[d];
+                            let free = cylinders - used(state.skewed_used[d]);
                             return Err(Error::DiskFull {
                                 disk: DiskId(d as u32),
                                 requested: fragment * u64::from(c),
-                                available: cyl_capacity * u64::from(free),
+                                available: cyl_capacity * free,
                             });
                         }
-                        state.uniform_used += need;
+                        state.uniform_used += need as u32;
                     }
                     None => {
                         let counts = profile.counts.clone();
@@ -608,13 +613,13 @@ impl PlacementMap {
                         // frags(d) = counts[(d - s) mod D].
                         let frags_on = |d: usize| counts[(d + disks - start) % disks];
                         for (d, &skew) in state.skewed_used.iter().enumerate() {
-                            let need = frags_on(d) * cpf;
-                            if state.uniform_used + skew + need > cylinders {
-                                let free = cylinders - state.uniform_used - skew;
+                            let need = u64::from(frags_on(d)) * u64::from(cpf);
+                            if used(skew) + need > cylinders {
+                                let free = cylinders - used(skew);
                                 return Err(Error::DiskFull {
                                     disk: DiskId(d as u32),
                                     requested: fragment * u64::from(frags_on(d)),
-                                    available: cyl_capacity * u64::from(free),
+                                    available: cyl_capacity * free,
                                 });
                             }
                         }

@@ -2,13 +2,14 @@
 //!
 //! [`AvailabilityMask`] is the runtime state machine behind a compiled
 //! [`ss_sim::FaultTimeline`]: it applies fail/repair/slow transitions as
-//! the server processes them, answers "is disk *p* readable / plannable
-//! right now?", and keeps the downtime accounting the degraded-mode report
-//! section is built from.
+//! the server processes them, answers "is node *n* wholly down?" for the
+//! distributed router, and keeps the downtime accounting the degraded-mode
+//! report section is built from.
 //!
 //! Both server models own one mask; the striping scheduler additionally
-//! mirrors hard outages as planning windows (see `ss-core`). A mask over a
-//! farm that never faults stays all-up and costs one branch per query.
+//! mirrors hard outages as planning windows (see `ss-core`). The
+//! transition counts live in the report's `DegradedStats`, which the
+//! server's fault processing keeps.
 
 use serde::{Deserialize, Serialize};
 use ss_sim::{FaultEvent, FaultKind};
@@ -25,9 +26,6 @@ pub struct AvailabilityMask {
     slow_since: Vec<SimTime>,
     downtime: Vec<SimDuration>,
     slow_time: Vec<SimDuration>,
-    faults: u64,
-    repairs: u64,
-    slow_episodes: u64,
     down_count: u32,
 }
 
@@ -42,9 +40,6 @@ impl AvailabilityMask {
             slow_since: vec![SimTime::ZERO; n],
             downtime: vec![SimDuration::ZERO; n],
             slow_time: vec![SimDuration::ZERO; n],
-            faults: 0,
-            repairs: 0,
-            slow_episodes: 0,
             down_count: 0,
         }
     }
@@ -71,21 +66,18 @@ impl AvailabilityMask {
                 debug_assert!(!self.down[d], "double Fail on disk {}", ev.disk);
                 self.down[d] = true;
                 self.down_since[d] = now;
-                self.faults += 1;
                 self.down_count += 1;
             }
             FaultKind::Repair => {
                 debug_assert!(self.down[d], "Repair of up disk {}", ev.disk);
                 self.down[d] = false;
                 self.downtime[d] += now.saturating_duration_since(self.down_since[d]);
-                self.repairs += 1;
                 self.down_count -= 1;
             }
             FaultKind::SlowStart => {
                 debug_assert!(!self.slow[d], "double SlowStart on disk {}", ev.disk);
                 self.slow[d] = true;
                 self.slow_since[d] = now;
-                self.slow_episodes += 1;
             }
             FaultKind::SlowEnd => {
                 debug_assert!(self.slow[d], "SlowEnd on fast disk {}", ev.disk);
@@ -95,30 +87,9 @@ impl AvailabilityMask {
         }
     }
 
-    /// True when disk `p` is failed (reads do not complete).
-    pub fn is_down(&self, p: u32) -> bool {
-        self.down[p as usize]
-    }
-
-    /// True when disk `p` is in a transient slow episode.
-    pub fn is_slow(&self, p: u32) -> bool {
-        self.slow[p as usize]
-    }
-
-    /// True when new work may be planned onto disk `p` (up and fast).
-    pub fn is_plannable(&self, p: u32) -> bool {
-        let d = p as usize;
-        !self.down[d] && !self.slow[d]
-    }
-
     /// Number of disks currently down.
     pub fn down_count(&self) -> u32 {
         self.down_count
-    }
-
-    /// True when at least one disk is down (the cheap fast-path gate).
-    pub fn any_down(&self) -> bool {
-        self.down_count > 0
     }
 
     /// True when every disk of node `node` (owning `disks_per_node`
@@ -128,15 +99,6 @@ impl AvailabilityMask {
         let first = (node * disks_per_node) as usize;
         let last = (first + disks_per_node as usize).min(self.down.len());
         first < last && self.down[first..last].iter().all(|&d| d)
-    }
-
-    /// Indices of the disks currently down.
-    pub fn down_disks(&self) -> impl Iterator<Item = u32> + '_ {
-        self.down
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| i as u32)
     }
 
     /// Closes any still-open outage/slow windows for final accounting.
@@ -151,21 +113,6 @@ impl AvailabilityMask {
                 self.slow_since[d] = now;
             }
         }
-    }
-
-    /// Faults applied so far.
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
-    /// Repairs applied so far.
-    pub fn repairs(&self) -> u64 {
-        self.repairs
-    }
-
-    /// Slow episodes started so far.
-    pub fn slow_episodes(&self) -> u64 {
-        self.slow_episodes
     }
 
     /// Total accumulated downtime across all disks (closed windows only;
@@ -208,16 +155,13 @@ mod tests {
     #[test]
     fn fail_repair_accounts_downtime() {
         let mut m = AvailabilityMask::new(4);
-        assert!(m.is_plannable(2) && !m.any_down());
+        assert_eq!(m.down_count(), 0);
         m.apply(&ev(2, 100, FaultKind::Fail), SimTime::from_secs(100));
-        assert!(m.is_down(2) && !m.is_plannable(2) && m.any_down());
         assert_eq!(m.down_count(), 1);
-        assert_eq!(m.down_disks().collect::<Vec<_>>(), vec![2]);
         m.apply(&ev(2, 400, FaultKind::Repair), SimTime::from_secs(400));
-        assert!(!m.is_down(2) && !m.any_down());
+        assert_eq!(m.down_count(), 0);
         assert_eq!(m.total_downtime(), SimDuration::from_secs(300));
         assert_eq!(m.max_downtime(), SimDuration::from_secs(300));
-        assert_eq!((m.faults(), m.repairs()), (1, 1));
     }
 
     #[test]
@@ -233,15 +177,13 @@ mod tests {
     }
 
     #[test]
-    fn slow_is_unplannable_but_not_down() {
+    fn slow_accrues_slow_time_not_downtime() {
         let mut m = AvailabilityMask::new(2);
         m.apply(&ev(0, 10, FaultKind::SlowStart), SimTime::from_secs(10));
-        assert!(!m.is_down(0) && m.is_slow(0) && !m.is_plannable(0));
-        assert!(!m.any_down());
+        assert_eq!(m.down_count(), 0);
         m.apply(&ev(0, 30, FaultKind::SlowEnd), SimTime::from_secs(30));
-        assert!(m.is_plannable(0));
         assert_eq!(m.total_slow_time(), SimDuration::from_secs(20));
-        assert_eq!(m.slow_episodes(), 1);
+        assert_eq!(m.total_downtime(), SimDuration::ZERO);
     }
 
     #[test]

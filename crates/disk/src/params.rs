@@ -92,9 +92,17 @@ impl DiskParams {
     /// `S(C_i) = 555.83 ms` for two-cylinder fragments
     /// (2 × 250 ms + 51.83 ms + 4 ms) with the one-cylinder 301.83 ms.
     pub fn overhead(&self, fragment: Bytes) -> SimDuration {
+        self.checked_overhead(fragment)
+            .expect("SimDuration overflow")
+    }
+
+    /// [`Self::overhead`], or `None` when it overflows a [`SimDuration`].
+    fn checked_overhead(&self, fragment: Bytes) -> Option<SimDuration> {
         let cyls = fragment.as_u64().div_ceil(self.cylinder_capacity.as_u64());
         let crossings = cyls.saturating_sub(1);
-        self.t_switch() + self.min_seek * crossings
+        self.max_seek
+            .checked_add(self.max_latency)?
+            .checked_add(self.min_seek.checked_mul(crossings)?)
     }
 
     /// Service time of a disk (and hence of a cluster, since the cluster's
@@ -110,12 +118,20 @@ impl DiskParams {
     ///
     /// Equivalently: fragment bits divided by the service time.
     pub fn effective_bandwidth(&self, fragment: Bytes) -> Bandwidth {
-        let service = self.service_time(fragment);
+        self.checked_effective_bandwidth(fragment)
+            .expect("bandwidth overflow")
+    }
+
+    /// [`Self::effective_bandwidth`], or `None` when the service time or
+    /// the rate overflows its unit, as a deserialized disk can ask for.
+    pub fn checked_effective_bandwidth(&self, fragment: Bytes) -> Option<Bandwidth> {
+        let transfer = fragment.checked_transfer_time(self.transfer_rate)?;
+        let service = self.checked_overhead(fragment)?.checked_add(transfer)?;
         if service.is_zero() {
-            return Bandwidth::ZERO;
+            return Some(Bandwidth::ZERO);
         }
-        let bps = fragment.as_bits() as u128 * 1_000_000 / service.as_micros() as u128;
-        Bandwidth::from_bits_per_sec(u64::try_from(bps).expect("bandwidth overflow"))
+        let bps = u128::from(fragment.as_u64()) * 8 * 1_000_000 / u128::from(service.as_micros());
+        u64::try_from(bps).ok().map(Bandwidth::from_bits_per_sec)
     }
 
     /// The fraction of raw bandwidth lost to head repositioning for

@@ -14,11 +14,13 @@
 //! `_us`; the ambient record timestamp (simulation microseconds, set via
 //! [`crate::set_clock`]) is attached by the recorder.
 
+use serde::Serialize;
+
 /// A single journal entry. See the module docs for the field
-/// conventions; `Display` formats the JSONL rendering used by the
-/// line-oriented sinks, which is byte-deterministic by construction
-/// (integers and fixed key order only).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// conventions; [`Event::write_jsonl`] renders the JSONL line the
+/// line-oriented sinks write, byte-deterministic by construction
+/// (integers, booleans and declaration-order keys only).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Event {
     // --- control plane: admission lifecycle -------------------------
     /// A display was admitted: `degree` fragments of `object` are booked
@@ -465,266 +467,29 @@ impl Event {
 
     /// Renders the one-line JSON journal record for this event stamped
     /// at simulation time `at` (microseconds), without the trailing
-    /// newline. Keys are emitted in a fixed order and every value is an
-    /// integer or literal, so equal events render to equal bytes.
+    /// newline: `"t"` and `"k"` (the [`Event::kind`]), then the
+    /// variant's fields in declaration order. Every field is an integer
+    /// or a boolean, so equal events render to equal bytes.
     pub fn write_jsonl(&self, at: u64, out: &mut String) {
+        use serde::Value;
         use std::fmt::Write;
-        let w = &mut *out;
-        write!(w, "{{\"t\":{at},\"k\":\"{}\"", self.kind()).expect("write to String");
-        match self {
-            Event::AdmitAccept {
-                object,
-                interval,
-                start_disk,
-                degree,
-                subobjects,
-                delivery_start,
-                end_interval,
-                buffer,
-                reconstructed,
-            } => write!(
-                w,
-                ",\"object\":{object},\"interval\":{interval},\"start_disk\":{start_disk},\
-                 \"degree\":{degree},\"subobjects\":{subobjects},\
-                 \"delivery_start\":{delivery_start},\"end_interval\":{end_interval},\
-                 \"buffer\":{buffer},\"reconstructed\":{reconstructed}"
-            ),
-            Event::AdmitReject { object, interval } => {
-                write!(w, ",\"object\":{object},\"interval\":{interval}")
+        write!(out, "{{\"t\":{at},\"k\":\"{}\"", self.kind()).expect("write to String");
+        // A struct variant serializes as `{name: {field: value, ...}}`.
+        let Value::Map(mut variant) = self.to_value() else {
+            unreachable!("an enum variant serializes as a map")
+        };
+        let Some((_, Value::Map(fields))) = variant.pop() else {
+            unreachable!("every event variant has named fields")
+        };
+        for (name, value) in fields {
+            match value {
+                Value::U64(n) => write!(out, ",\"{name}\":{n}"),
+                Value::Bool(b) => write!(out, ",\"{name}\":{b}"),
+                other => unreachable!("event field `{name}` is {other:?}"),
             }
-            Event::AdmitRetry {
-                object,
-                interval,
-                next_attempt,
-            } => write!(
-                w,
-                ",\"object\":{object},\"interval\":{interval},\"next_attempt\":{next_attempt}"
-            ),
-            Event::AdmitPark { object, interval } => {
-                write!(w, ",\"object\":{object},\"interval\":{interval}")
-            }
-            Event::SharedJoin {
-                object,
-                interval,
-                lag,
-                buffer,
-            } => write!(
-                w,
-                ",\"object\":{object},\"interval\":{interval},\"lag\":{lag},\
-                 \"buffer\":{buffer}"
-            ),
-            Event::CacheAdmit { object, cost } => {
-                write!(w, ",\"object\":{object},\"cost\":{cost}")
-            }
-            Event::CacheEvict { object } => write!(w, ",\"object\":{object}"),
-            Event::Startup {
-                object,
-                interval,
-                wait_us,
-                measured,
-            } => write!(
-                w,
-                ",\"object\":{object},\"interval\":{interval},\"wait_us\":{wait_us},\
-                 \"measured\":{measured}"
-            ),
-            Event::ReadSpan {
-                object,
-                frag,
-                vdisk,
-                base,
-                subobjects,
-            } => write!(
-                w,
-                ",\"object\":{object},\"frag\":{frag},\"vdisk\":{vdisk},\
-                 \"base\":{base},\"subobjects\":{subobjects}"
-            ),
-            Event::ReadMove {
-                object,
-                frag,
-                old_vdisk,
-                new_vdisk,
-                old_base,
-                new_base,
-                handover,
-            } => write!(
-                w,
-                ",\"object\":{object},\"frag\":{frag},\"old_vdisk\":{old_vdisk},\
-                 \"new_vdisk\":{new_vdisk},\"old_base\":{old_base},\
-                 \"new_base\":{new_base},\"handover\":{handover}"
-            ),
-            Event::ParityPlan {
-                object,
-                interval,
-                reads,
-                companions,
-            } => write!(
-                w,
-                ",\"object\":{object},\"interval\":{interval},\"reads\":{reads},\
-                 \"companions\":{companions}"
-            ),
-            Event::DisplayEnd {
-                object,
-                interval,
-                measured,
-            } => write!(
-                w,
-                ",\"object\":{object},\"interval\":{interval},\"measured\":{measured}"
-            ),
-            Event::Hiccup {
-                object,
-                frag,
-                subobject,
-                interval,
-                disk,
-                viewers,
-            } => write!(
-                w,
-                ",\"object\":{object},\"frag\":{frag},\"subobject\":{subobject},\
-                 \"interval\":{interval},\"disk\":{disk},\"viewers\":{viewers}"
-            ),
-            Event::DisplayDrop {
-                object,
-                interval,
-                hiccups,
-            } => write!(
-                w,
-                ",\"object\":{object},\"interval\":{interval},\"hiccups\":{hiccups}"
-            ),
-            Event::Rescue {
-                object,
-                frag,
-                interval,
-            } => write!(
-                w,
-                ",\"object\":{object},\"frag\":{frag},\"interval\":{interval}"
-            ),
-            Event::Coalesce {
-                object,
-                frag,
-                saving,
-            } => write!(
-                w,
-                ",\"object\":{object},\"frag\":{frag},\"saving\":{saving}"
-            ),
-            Event::FaultTimeline { events } => write!(w, ",\"events\":{events}"),
-            Event::DiskFail { disk }
-            | Event::DiskRepair { disk }
-            | Event::DiskSlowStart { disk }
-            | Event::DiskSlowEnd { disk } => write!(w, ",\"disk\":{disk}"),
-            Event::OutageAdded { disk, from, until } => {
-                write!(w, ",\"disk\":{disk},\"from\":{from},\"until\":{until}")
-            }
-            Event::RebuildQueued {
-                disk,
-                fragments,
-                done,
-            } => write!(
-                w,
-                ",\"disk\":{disk},\"fragments\":{fragments},\"done\":{done}"
-            ),
-            Event::RebuildDone { disk, early } => {
-                write!(w, ",\"disk\":{disk},\"early\":{early}")
-            }
-            Event::PowerLoss { disk } | Event::TornWrite { disk } => {
-                write!(w, ",\"disk\":{disk}")
-            }
-            Event::CrashRecovery {
-                disk,
-                replayed,
-                discarded,
-                orphans,
-                clean,
-            } => write!(
-                w,
-                ",\"disk\":{disk},\"replayed\":{replayed},\"discarded\":{discarded},\
-                 \"orphans\":{orphans},\"clean\":{clean}"
-            ),
-            Event::ScrubChunk {
-                disk,
-                fragments,
-                found,
-            } => write!(
-                w,
-                ",\"disk\":{disk},\"fragments\":{fragments},\"found\":{found}"
-            ),
-            Event::ScrubRepair {
-                disk,
-                object,
-                parity,
-            } => write!(
-                w,
-                ",\"disk\":{disk},\"object\":{object},\"parity\":{parity}"
-            ),
-            Event::RouteAssign {
-                object,
-                node,
-                interval,
-            } => write!(
-                w,
-                ",\"object\":{object},\"node\":{node},\"interval\":{interval}"
-            ),
-            Event::NodeOutageCompiled { node, disks } => {
-                write!(w, ",\"node\":{node},\"disks\":{disks}")
-            }
-            Event::LinkBook {
-                node,
-                from,
-                until,
-                fragments,
-            } => write!(
-                w,
-                ",\"node\":{node},\"from\":{from},\"until\":{until},\
-                 \"fragments\":{fragments}"
-            ),
-            Event::SloBreach {
-                slo,
-                from,
-                until,
-                fast_burn,
-                slow_burn,
-            } => write!(
-                w,
-                ",\"slo\":{slo},\"from\":{from},\"until\":{until},\
-                 \"fast_burn\":{fast_burn},\"slow_burn\":{slow_burn}"
-            ),
-            Event::ClusterDisplayStart {
-                object,
-                cluster,
-                interval,
-                end_interval,
-            } => write!(
-                w,
-                ",\"object\":{object},\"cluster\":{cluster},\"interval\":{interval},\
-                 \"end_interval\":{end_interval}"
-            ),
-            Event::ClusterCopyStart {
-                object,
-                cluster,
-                until_us,
-            } => write!(
-                w,
-                ",\"object\":{object},\"cluster\":{cluster},\"until_us\":{until_us}"
-            ),
-            Event::ClusterRescue {
-                object,
-                from_cluster,
-                to_cluster,
-            } => write!(
-                w,
-                ",\"object\":{object},\"from_cluster\":{from_cluster},\
-                 \"to_cluster\":{to_cluster}"
-            ),
-            Event::EngineStop { events } => write!(w, ",\"events\":{events}"),
+            .expect("write to String");
         }
-        .expect("write to String");
         out.push('}');
-    }
-
-    /// Convenience: the JSONL record as an owned line (no newline).
-    pub fn to_jsonl(&self, at: u64) -> String {
-        let mut s = String::with_capacity(96);
-        self.write_jsonl(at, &mut s);
-        s
     }
 }
 
@@ -741,13 +506,18 @@ mod tests {
             base: 40,
             subobjects: 12,
         };
+        let line = |ev: &Event| {
+            let mut s = String::new();
+            ev.write_jsonl(123, &mut s);
+            s
+        };
         assert_eq!(
-            ev.to_jsonl(123),
+            line(&ev),
             "{\"t\":123,\"k\":\"read_span\",\"object\":7,\"frag\":2,\"vdisk\":11,\
              \"base\":40,\"subobjects\":12}"
         );
         assert_eq!(ev.kind(), "read_span");
         // Equal events render to equal bytes.
-        assert_eq!(ev.to_jsonl(123), ev.clone().to_jsonl(123));
+        assert_eq!(line(&ev), line(&ev.clone()));
     }
 }

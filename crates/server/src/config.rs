@@ -7,7 +7,7 @@ use ss_disk::DiskParams;
 use ss_sim::FaultPlan;
 use ss_tertiary::TertiaryParams;
 use ss_types::ObjectId;
-use ss_types::{Bandwidth, Error, NodeTopology, Result, SimDuration, SimTime};
+use ss_types::{Bandwidth, Bytes, Error, NodeTopology, Result, SimDuration, SimTime};
 use ss_vdr::VdrConfig;
 use ss_workload::Popularity;
 
@@ -617,6 +617,46 @@ impl ServerConfig {
         if self.cylinders_per_fragment == 0 {
             return bad("fragment must span at least one cylinder".into());
         }
+        if self.cylinders_per_fragment > self.disk.cylinders {
+            return bad(format!(
+                "a fragment of {} cylinders exceeds the {}-cylinder disk",
+                self.cylinders_per_fragment, self.disk.cylinders
+            ));
+        }
+        // A deserialized disk can overflow the fragment, its service time
+        // or the interval: derive them, and every media type's degree of
+        // declustering, with checked arithmetic before anything else does.
+        let fragment = (self.disk.cylinder_capacity.as_u64())
+            .checked_mul(u64::from(self.cylinders_per_fragment))
+            .map(Bytes::new);
+        let b_disk = fragment.and_then(|f| self.disk.checked_effective_bandwidth(f));
+        let interval = fragment
+            .zip(b_disk)
+            .and_then(|(f, b)| f.checked_transfer_time(b));
+        let (Some(fragment), Some(b_disk), Some(interval)) = (fragment, b_disk, interval) else {
+            return bad(
+                "the disk's effective bandwidth is zero, or the fragment, its service \
+                 time or the interval overflows its unit"
+                    .into(),
+            );
+        };
+        // Every media type a run can display, with its subobject count.
+        let mix = self.mix.iter().flat_map(|m| &m.entries);
+        let catalog: Vec<(&MediaType, u32)> = std::iter::once((&self.media, self.subobjects))
+            .chain(mix.map(|e| (&e.media, e.subobjects)))
+            .collect();
+        for &(media, _) in &catalog {
+            if media.display_bandwidth.is_zero() {
+                return bad(format!("media '{}' has zero display bandwidth", media.name));
+            }
+            if media.checked_degree(b_disk).is_none() {
+                return bad(format!(
+                    "media '{}' needs over {} disks",
+                    media.name,
+                    u32::MAX
+                ));
+            }
+        }
         if self.degree() > self.disks {
             return bad(format!(
                 "media needs {} disks but the farm has {}",
@@ -631,8 +671,10 @@ impl ServerConfig {
             if matches!(self.scheme, Scheme::Vdr { .. }) {
                 return bad("the VDR baseline only supports a homogeneous database".into());
             }
-            let b_disk = self.b_disk();
             for e in &mix.entries {
+                if e.subobjects == 0 {
+                    return bad(format!("mix entry '{}' has zero subobjects", e.media.name));
+                }
                 let m = e.media.degree_of_declustering(b_disk);
                 if m > self.disks {
                     return bad(format!(
@@ -715,7 +757,6 @@ impl ServerConfig {
             }
             // Every media type's inflated stripe (data + parity offsets)
             // must fit the farm.
-            let b_disk = self.b_disk();
             let check = |m: u32, name: &str| -> Result<()> {
                 let groups = m.div_ceil(p.group);
                 if m + groups > self.disks {
@@ -811,9 +852,49 @@ impl ServerConfig {
                 }
             }
         }
+        // A display admitted at the deadline tick must still end on the
+        // clock after its longest wait (a fragmented delay or a prefetch,
+        // each at most one run long), a tertiary fetch of every object
+        // queued ahead of it, and its playback.
+        let wait = match self.scheme {
+            Scheme::Striping {
+                policy:
+                    AdmissionPolicy::Fragmented {
+                        max_delay_intervals,
+                        ..
+                    },
+                ..
+            } => max_delay_intervals,
+            _ => 0,
+        };
+        let latency = self.distributed.as_ref();
+        let wait = wait.max(latency.map_or(0, |d| d.interconnect.latency_intervals));
+        let tertiary = &self.tertiary;
+        let horizon = |media: &MediaType, subobjects: u32| -> Option<u64> {
+            let n = u64::from(subobjects);
+            let degree = u64::from(media.checked_degree(b_disk)?);
+            let size = Bytes::new(fragment.as_u64().checked_mul(degree)?.checked_mul(n)?);
+            let fetch = (size.checked_transfer_time(tertiary.bandwidth)?)
+                .checked_add(tertiary.initial_access)?
+                .checked_add(tertiary.reposition.checked_mul(n)?)?;
+            let media_time = size.checked_transfer_time(media.display_bandwidth)?;
+            let play = interval.checked_mul(n)?.max(media_time);
+            end.checked_add(us(interval))?
+                .checked_add(us(interval.checked_mul(wait)?))?
+                .checked_add(us(fetch.checked_mul(u64::from(n_objects))?))?
+                .checked_add(us(play))
+        };
+        for &(media, subobjects) in &catalog {
+            if horizon(media, subobjects).is_none() {
+                return bad(format!(
+                    "a display of '{}' admitted at the run's end overflows the simulation clock",
+                    media.name
+                ));
+            }
+        }
         if let Scheme::Vdr { vdr } = &self.scheme {
-            if vdr.clusters == 0 {
-                return bad("VDR needs at least one cluster".into());
+            if vdr.clusters == 0 || vdr.objects_per_cluster == 0 {
+                return bad("VDR needs at least one cluster holding at least one object".into());
             }
             if self.materialize == MaterializeMode::Pipelined {
                 return bad(

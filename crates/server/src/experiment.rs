@@ -355,64 +355,6 @@ pub fn fragment_size_ablation_configs(stations: u32, mean: f64, seed: u64) -> Ve
         .collect()
 }
 
-/// Mean/σ of a metric across seed replications.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Replicated {
-    /// Scheme label of the replicated cell.
-    pub scheme: String,
-    /// Station count of the cell.
-    pub stations: u32,
-    /// Popularity tag of the cell.
-    pub popularity: String,
-    /// Seeds used.
-    pub seeds: Vec<u64>,
-    /// Mean displays/hour across seeds.
-    pub mean_displays_per_hour: f64,
-    /// Sample standard deviation of displays/hour.
-    pub std_displays_per_hour: f64,
-    /// Mean startup latency (seconds) across seeds.
-    pub mean_latency_s: f64,
-}
-
-/// Runs every configuration under each seed and aggregates per
-/// configuration (mean ± σ). The base configs' own seeds are ignored.
-pub fn run_replicated(
-    configs: Vec<ServerConfig>,
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<Replicated> {
-    assert!(!seeds.is_empty());
-    let mut jobs = Vec::with_capacity(configs.len() * seeds.len());
-    for c in &configs {
-        for &seed in seeds {
-            let mut c = c.clone();
-            c.seed = seed;
-            jobs.push(c);
-        }
-    }
-    let reports = run_batch(jobs, threads);
-    reports
-        .chunks(seeds.len())
-        .map(|chunk| {
-            let mut thr = ss_sim::Tally::new();
-            let mut lat = ss_sim::Tally::new();
-            for r in chunk {
-                thr.record(r.displays_per_hour);
-                lat.record(r.mean_latency_s);
-            }
-            Replicated {
-                scheme: chunk[0].scheme.clone(),
-                stations: chunk[0].stations,
-                popularity: chunk[0].popularity.clone(),
-                seeds: seeds.to_vec(),
-                mean_displays_per_hour: thr.mean(),
-                std_displays_per_hour: thr.std_dev(),
-                mean_latency_s: lat.mean(),
-            }
-        })
-        .collect()
-}
-
 /// A small-scale analogue of the paper's grid for fast smoke runs and
 /// tests: shrinks the farm and database while keeping the structural
 /// ratios (database ≈ 2.5 × farm capacity, R clusters, M = 5).
@@ -627,21 +569,6 @@ mod tests {
         // still below 25).
         assert_eq!(one.degree(), 5);
         assert_eq!(two.degree(), 5);
-    }
-
-    #[test]
-    fn replicated_runs_aggregate_across_seeds() {
-        let configs = vec![ServerConfig::small_test(2, 0)];
-        let agg = run_replicated(configs, &[1, 2, 3], 3);
-        assert_eq!(agg.len(), 1);
-        let a = &agg[0];
-        assert_eq!(a.scheme, "striping");
-        assert_eq!(a.seeds, vec![1, 2, 3]);
-        // Throughput is positive and the spread is small but generally
-        // non-zero (different popularity draws).
-        assert!(a.mean_displays_per_hour > 0.0);
-        assert!(a.std_displays_per_hour >= 0.0);
-        assert!(a.std_displays_per_hour < a.mean_displays_per_hour);
     }
 
     #[test]

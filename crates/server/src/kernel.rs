@@ -771,7 +771,9 @@ impl<X> ServerCore<X> {
         }
         for s in 0..self.stations.len() {
             let station = StationId(s as u32);
-            if now < self.activate_at[s] {
+            // A station issues once it has activated and its think time
+            // since its last completion has run out.
+            if now < self.activate_at[s] || now < self.stations.ready_from(station) {
                 continue;
             }
             if matches!(self.stations.state(station), StationState::Thinking) {
@@ -1024,10 +1026,9 @@ impl<P: PlacementPolicy> Kernel<P> {
             horizon = horizon.min(at);
         }
         // (b) Closed-loop stations: staggered activation and think expiry.
-        // Post-tick, a thinking station either has not activated yet or is
-        // past its expiry and re-issues next tick regardless — exactly the
-        // dense model's behavior (completions precede request issue, so
-        // completions re-issue the same tick).
+        // Post-tick, a thinking station has not activated yet or is still
+        // thinking: every ready one issued this tick (completions precede
+        // request issue, so a zero think time re-issues the same tick).
         if core.trace.is_none() && core.open.is_none() {
             let station_min = (0..core.stations.len())
                 .filter_map(|s| {
@@ -1323,6 +1324,12 @@ impl<P: PlacementPolicy> Server<P> {
     pub fn now(&self) -> SimTime {
         self.kernel.core.last_tick
     }
+
+    /// The boundary the next [`Self::step`] ticks, after replaying every
+    /// boundary skipped before it; `None` once the deadline tick ran.
+    pub fn next_tick(&self) -> Option<SimTime> {
+        self.next
+    }
 }
 
 /// The first interval boundary strictly after `now` and at or after
@@ -1336,9 +1343,11 @@ fn next_boundary(now: SimTime, interval: SimDuration, horizon: SimTime) -> SimTi
 /// Staggered activation times: station `s` of `N` wakes at
 /// `s/N × display_time`.
 fn stagger(config: &ServerConfig) -> Vec<SimTime> {
-    let display = config.display_time();
+    // In u128: the product overflows before the quotient can.
+    let display = u128::from(config.display_time().as_micros());
+    let stations = u128::from(config.stations);
     (0..config.stations)
-        .map(|s| SimTime::ZERO + display * u64::from(s) / u64::from(config.stations))
+        .map(|s| SimTime::from_micros((display * u128::from(s) / stations) as u64))
         .collect()
 }
 

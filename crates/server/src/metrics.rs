@@ -305,10 +305,6 @@ pub struct MetricsCollector {
     /// Stream-sharing statistics, allocated only when sharing is
     /// configured. Whole-run numbers: they survive the warm-up reset.
     pub sharing: Option<SharingStats>,
-    /// Crash-consistency statistics, allocated only when a crash event
-    /// fires or a scrub is configured. Whole-run numbers: they survive
-    /// the warm-up reset.
-    pub crash: Option<CrashStats>,
     measure_start: SimTime,
     in_measurement: bool,
 }
@@ -328,7 +324,6 @@ impl MetricsCollector {
             ticks_skipped: 0,
             degraded: None,
             sharing: None,
-            crash: None,
             measure_start: SimTime::ZERO,
             in_measurement: false,
         }
@@ -346,14 +341,6 @@ impl MetricsCollector {
     /// and its report serializes without a sharing section.
     pub fn sharing_mut(&mut self) -> &mut SharingStats {
         self.sharing.get_or_insert_with(SharingStats::default)
-    }
-
-    /// The crash-consistency stats, allocated on first use. Models call
-    /// this only when a crash event fires or a scrub is configured, so a
-    /// crash-free run keeps `None` and its report serializes without a
-    /// crash section.
-    pub fn crash_mut(&mut self) -> &mut CrashStats {
-        self.crash.get_or_insert_with(CrashStats::default)
     }
 
     /// Ends the warm-up: clears counters and starts the measurement
@@ -466,7 +453,7 @@ impl MetricsCollector {
             rebuild_rate: None,
             sharing: self.sharing,
             distributed: None,
-            crash: self.crash.clone(),
+            crash: None,
         }
     }
 }
@@ -560,42 +547,6 @@ pub fn format_degraded(reports: &[RunReport]) -> String {
             d.streams_dropped,
             d.rescue_buffer_overhead,
             d.disk_downtime_s,
-        ));
-    }
-    out
-}
-
-/// Serialises the degraded-mode sections as CSV (one row per report;
-/// fault-free reports render zeros so grid CSVs stay rectangular).
-pub fn degraded_csv(reports: &[RunReport]) -> String {
-    let mut out = String::from(
-        "scheme,stations,popularity,seed,faults_injected,repairs,slow_episodes,\
-         rescues,streams_rescued,rescue_buffer_overhead,hiccup_streams,\
-         hiccup_intervals,hiccup_seconds,streams_dropped,disk_downtime_s,\
-         max_disk_downtime_s,slow_seconds\n",
-    );
-    let zero = DegradedStats::default();
-    for r in reports {
-        let d = r.degraded.as_ref().unwrap_or(&zero);
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{:.1},{},{:.1},{:.1},{:.1}\n",
-            r.scheme,
-            r.stations,
-            r.popularity,
-            r.seed,
-            d.faults_injected,
-            d.repairs,
-            d.slow_episodes,
-            d.rescues,
-            d.streams_rescued,
-            d.rescue_buffer_overhead,
-            d.hiccup_streams,
-            d.hiccup_intervals,
-            d.hiccup_seconds,
-            d.streams_dropped,
-            d.disk_downtime_s,
-            d.max_disk_downtime_s,
-            d.slow_seconds,
         ));
     }
     out
@@ -785,10 +736,13 @@ mod tests {
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, clean);
 
-        m.crash_mut().power_loss_events = 2;
-        m.crash_mut().recoveries = 2;
-        m.crash_mut().recoveries_clean = 2;
-        let crashed = m.report(t(3600), "striping", 8, "geom(20)".into(), 3, 0.1, 5);
+        let mut crashed = clean;
+        crashed.crash = Some(CrashStats {
+            power_loss_events: 2,
+            recoveries: 2,
+            recoveries_clean: 2,
+            ..CrashStats::default()
+        });
         let json = serde_json::to_string(&crashed).unwrap();
         assert!(json.contains("crash"));
         let back: RunReport = serde_json::from_str(&json).unwrap();
@@ -804,12 +758,9 @@ mod tests {
         m.degraded_mut().faults_injected = 1;
         m.degraded_mut().rescues = 3;
         let faulty = m.report(t(3600), "striping", 4, "geom(10)".into(), 1, 0.0, 0);
-        let table = format_degraded(&[clean.clone(), faulty.clone()]);
+        let table = format_degraded(&[clean, faulty]);
         // Header plus exactly one data row (the clean report is skipped).
         assert_eq!(table.lines().count(), 2);
         assert!(table.lines().nth(1).unwrap().starts_with("striping"));
-        let csv = degraded_csv(&[clean, faulty]);
-        assert_eq!(csv.lines().count(), 3, "CSV keeps every row");
-        assert!(csv.lines().nth(1).unwrap().contains("vdr,4"));
     }
 }

@@ -378,7 +378,7 @@ impl StoragePlane {
     /// allocated fragments, so no chunk spans more than a few intervals.
     fn start_chunk(&mut self, t: u64) -> ScrubChunk {
         let walk = self.scrub.as_mut().expect("scrub armed");
-        let cap = walk.rate * SCRUB_CHUNK_INTERVALS;
+        let cap = walk.rate.saturating_mul(SCRUB_CHUNK_INTERVALS);
         let (hi, fragments) = self.disks[walk.disk].scan_window(walk.offset, cap);
         // Windows with nothing allocated still cost one interval of walk
         // time, so a scrub pass over an idle farm terminates instead of

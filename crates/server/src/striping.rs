@@ -306,6 +306,16 @@ impl PlacementPolicy for StripingPolicy {
         plane
     }
 
+    /// Every free-disk count from here on — this tick's planners, its
+    /// utilization/heatmap rows, `next_wakeup`'s `earliest_free`, later
+    /// ticks and their skipped-boundary replays — asks about this
+    /// interval or a later one, so the free-horizon index may fold older
+    /// horizons. Retiring before any booking keeps the index's window
+    /// sized to the live bookings even after a long quiescent skip.
+    fn release(&mut self, core: &mut Core, now: SimTime) {
+        self.scheduler.retire(core.interval_index(now));
+    }
+
     fn finish_primary(display: &mut StripingDisplay) {
         // Coalesce and rescue never touch a finished stream (its reads
         // are all in the past anyway).
@@ -544,11 +554,6 @@ impl PlacementPolicy for StripingPolicy {
     fn pump(&mut self, core: &mut Core, now: SimTime) {
         self.coalesce_pass(core, now);
         core.pump_fetches(now, |core, object| self.fetch(core, object, now));
-        // Every free-disk count from here on — the utilization/heatmap
-        // rows, `next_wakeup`'s `earliest_free`, the skipped-boundary
-        // replay, later ticks' planners — asks about this interval or a
-        // later one, so the free-horizon index may fold older horizons.
-        self.scheduler.retire(core.interval_index(now));
     }
 
     /// Fires due crash events against the storage plane and advances the

@@ -344,8 +344,7 @@ impl PlacementPolicy for VdrPolicy {
                 ),
             });
         }
-        let per_cluster_capacity =
-            config.disk.cylinders / (config.subobjects * config.cylinders_per_fragment);
+        let per_cluster_capacity = cluster_capacity(config);
         if vdr.objects_per_cluster > per_cluster_capacity {
             return Err(Error::InvalidConfig {
                 reason: format!(
@@ -700,12 +699,19 @@ impl PlacementPolicy for VdrPolicy {
     }
 }
 
+/// Whole objects one cluster holds: each of its disks stores one
+/// fragment of every subobject.
+fn cluster_capacity(config: &ServerConfig) -> u32 {
+    let per_object = u64::from(config.subobjects) * u64::from(config.cylinders_per_fragment);
+    // At most the cylinder count, so it fits.
+    (u64::from(config.disk.cylinders) / per_object) as u32
+}
+
 /// Builds a consistent VDR variant of any striping config: `R = D/M`
 /// clusters sized to the farm, capacity-derived objects-per-cluster.
 pub fn vdr_config_for(config: &ServerConfig) -> VdrConfig {
     let clusters = config.disks / config.degree();
-    let objects_per_cluster =
-        (config.disk.cylinders / (config.subobjects * config.cylinders_per_fragment)).max(1);
+    let objects_per_cluster = cluster_capacity(config).max(1);
     VdrConfig {
         clusters,
         objects_per_cluster,

@@ -12,7 +12,7 @@
 //! * [`dist`] — the random distributions the paper's workload needs, most
 //!   importantly the truncated geometric popularity distribution of §4.1,
 //!   backed by a Walker alias table for O(1) sampling.
-//! * [`stats`] — counters, Welford tallies, time-weighted averages and
+//! * [`stats`] — counters, running-mean tallies, time-weighted averages and
 //!   histograms used to build the experiment reports.
 //! * [`faults`] — deterministic disk fault injection: a seed-driven
 //!   [`faults::FaultPlan`] compiled to a concrete, sorted

@@ -2,8 +2,8 @@
 //!
 //! * [`Counter`] — monotone event counts with rate-per-hour helpers (the
 //!   paper reports throughput in *displays per hour*).
-//! * [`Tally`] — streaming mean/variance/min/max (Welford's algorithm) for
-//!   quantities like display latency.
+//! * [`Tally`] — streaming mean/min/max for quantities like display
+//!   latency.
 //! * [`TimeWeighted`] — time-integrated averages (disk utilisation, queue
 //!   lengths) that weight each value by how long it was held.
 //! * [`Histogram`] — fixed-width-bucket histogram with quantile estimation
@@ -57,12 +57,12 @@ impl Counter {
     }
 }
 
-/// Streaming mean / variance / extrema via Welford's algorithm.
+/// Streaming mean (the running update `mean += (x − mean) / n`) and
+/// extrema.
 #[derive(Debug, Clone, Default)]
 pub struct Tally {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -73,7 +73,6 @@ impl Tally {
         Tally {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -82,9 +81,7 @@ impl Tally {
     /// Records one observation.
     pub fn record(&mut self, x: f64) {
         self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -103,20 +100,6 @@ impl Tally {
         }
     }
 
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -125,26 +108,6 @@ impl Tally {
     /// Largest observation (`None` if empty).
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another tally into this one (parallel-sweep aggregation).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -312,37 +275,14 @@ mod tests {
         }
         assert_eq!(t.n(), 8);
         assert!((t.mean() - 5.0).abs() < 1e-12);
-        // Naive unbiased variance = 32/7.
-        assert!((t.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(t.min(), Some(2.0));
         assert_eq!(t.max(), Some(9.0));
-    }
-
-    #[test]
-    fn tally_merge_equals_single_pass() {
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        let mut whole = Tally::new();
-        for i in 0..100 {
-            let x = (i as f64).sin() * 10.0;
-            whole.record(x);
-            if i % 2 == 0 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.n(), whole.n());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]
     fn empty_tally_is_sane() {
         let t = Tally::new();
         assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.variance(), 0.0);
         assert_eq!(t.min(), None);
         assert_eq!(t.max(), None);
     }

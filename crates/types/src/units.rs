@@ -82,6 +82,16 @@ impl SimDuration {
         }
     }
 
+    /// Checked addition; `None` on overflow.
+    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
+        self.0.checked_add(rhs.0).map(SimDuration)
+    }
+
+    /// Checked multiplication; `None` on overflow.
+    pub fn checked_mul(self, rhs: u64) -> Option<SimDuration> {
+        self.0.checked_mul(rhs).map(SimDuration)
+    }
+
     /// The larger of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
@@ -332,12 +342,22 @@ impl Bytes {
     /// early). Panics if `bw` is zero.
     pub fn transfer_time(self, bw: Bandwidth) -> SimDuration {
         assert!(bw.as_bits_per_sec() > 0, "zero bandwidth");
+        self.checked_transfer_time(bw)
+            .expect("transfer time overflow")
+    }
+
+    /// [`Self::transfer_time`], or `None` when `bw` is zero or the time
+    /// does not fit a [`SimDuration`].
+    pub fn checked_transfer_time(self, bw: Bandwidth) -> Option<SimDuration> {
         // micros = bits * 1e6 / bps, rounded up. Compute in u128 to avoid
         // overflow for multi-terabyte sizes.
-        let bits = self.as_bits() as u128;
-        let bps = bw.as_bits_per_sec() as u128;
-        let micros = (bits * MICROS_PER_SEC as u128).div_ceil(bps);
-        SimDuration(u64::try_from(micros).expect("transfer time overflow"))
+        let bits = u128::from(self.0) * 8;
+        let bps = u128::from(bw.as_bits_per_sec());
+        if bps == 0 {
+            return None;
+        }
+        let micros = (bits * u128::from(MICROS_PER_SEC)).div_ceil(bps);
+        u64::try_from(micros).ok().map(SimDuration)
     }
 }
 

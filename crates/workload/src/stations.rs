@@ -44,9 +44,8 @@ pub struct StationPool {
     next_request: u64,
     /// Per-station think expiry: the earliest time the station is willing
     /// to issue its next request (last completion + think time;
-    /// `SimTime::ZERO` until the first completion). Event-driven servers
-    /// use this as a wakeup horizon; it never *gates* `issue` — with the
-    /// paper's zero think time the two notions coincide.
+    /// `SimTime::ZERO` until the first completion). The server issues no
+    /// request for a station before it, and wakes at it.
     ready_from: Vec<SimTime>,
 }
 
@@ -77,11 +76,6 @@ impl StationPool {
     /// True iff the pool has no stations.
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
-    }
-
-    /// The think time between a completed display and the next request.
-    pub fn think_time(&self) -> SimDuration {
-        self.think_time
     }
 
     /// The current state of `station`.
@@ -147,22 +141,6 @@ impl StationPool {
     /// the station is [`StationState::Thinking`].
     pub fn ready_from(&self, station: StationId) -> SimTime {
         self.ready_from[station.index()]
-    }
-
-    /// Stations currently in the given coarse state.
-    pub fn count_waiting(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, StationState::Waiting { .. }))
-            .count()
-    }
-
-    /// Stations currently watching a display.
-    pub fn count_displaying(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, StationState::Displaying { .. }))
-            .count()
     }
 }
 
@@ -295,10 +273,16 @@ mod tests {
         assert_eq!(p.len(), 2);
         let (r0, _obj) = p.issue(StationId(0), SimTime::ZERO);
         assert_eq!(r0, RequestId(0));
-        assert_eq!(p.count_waiting(), 1);
+        assert!(matches!(
+            p.state(StationId(0)),
+            StationState::Waiting { .. }
+        ));
         let waited = p.start_display(StationId(0), SimTime::from_secs(7));
         assert_eq!(waited, SimDuration::from_secs(7));
-        assert_eq!(p.count_displaying(), 1);
+        assert!(matches!(
+            p.state(StationId(0)),
+            StationState::Displaying { .. }
+        ));
         let done = p.complete(StationId(0));
         assert_eq!(done, r0);
         assert_eq!(p.state(StationId(0)), StationState::Thinking);

@@ -61,8 +61,10 @@ echo "==> fault suites (per-suite test counts)"
 # directed case), the distributed-tier equivalence sweep, and the
 # crash-consistent storage plane (recovery reconciliation + scrub
 # completeness properties), and the SLO/QoS plane (ledger
-# reconciliation, alert determinism, root-cause attribution).
-for suite in fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties; do
+# reconciliation, alert determinism, root-cause attribution), and the
+# config fuzz property (every deserialized config validates and runs or
+# is refused with a typed error).
+for suite in fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties config_validation; do
   count=$(cargo test -q --test "$suite" 2>&1 | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p')
   if [ -z "$count" ] || [ "$count" -eq 0 ]; then
     echo "ci.sh: suite $suite reported no passing tests" >&2
@@ -140,6 +142,9 @@ echo "==> crash_grid --quick (journal-recovery + scrub-interference gates)"
 cargo run --release -p ss-bench --bin crash_grid -- --quick --out target/ci-crash-grid
 
 echo "==> perf_baseline --quick (regression + parallel-speedup gates)"
+# perf_baseline times only the Fig-8 grid these gates read; the per-layer
+# and 100,000-disk numbers are the benchmark's, whose digests are gated
+# above.
 # Writes BENCH_engine.quick.json (never the committed full baseline) and
 # fails if the quick grid regressed more than 2x against the committed
 # artifact's grid_quick section. --gate-parallel additionally requires
@@ -159,10 +164,5 @@ if [ "${CI_FULL:-0}" = "1" ]; then
   cargo run --release -p ss-bench --bin perf_baseline -- \
     --check-against BENCH_engine.json --gate-parallel --append-history
 fi
-
-echo "==> farm_scale --quick (100k-disk smoke)"
-# Runs the 100,000-disk scenario once; exits non-zero if it cannot build
-# or complete the farm.
-cargo run --release -p ss-bench --bin farm_scale -- --quick --out target/ci-farm-scale
 
 echo "ci.sh: all checks passed"

@@ -15,24 +15,30 @@ use staggered_striping::server::vdr::vdr_config_for;
 use staggered_striping::server::{StripingServer, VdrServer};
 
 /// A randomized small configuration: both schemes, all arrival models,
-/// every queue policy, warm and cold starts, short windows, and every
-/// fault-plan shape (none, scheduled windows, a stochastic storm).
+/// every queue policy, warm and cold starts, short windows, zero and
+/// nonzero station think times, and every fault-plan shape (none,
+/// scheduled windows, a stochastic storm).
 fn config_strategy() -> impl Strategy<Value = ServerConfig> {
     (
-        1u32..=6,                    // stations
-        0u64..1_000,                 // seed
-        0u8..3,                      // arrival model selector (striping only)
-        prop::bool::ANY,             // VDR?
-        prop::bool::ANY,             // preload
-        0u8..3,                      // queue policy selector
-        (60u64..=240, 300u64..=900), // warmup / measure seconds
-        0u8..4,                      // fault plan selector
+        1u32..=6,        // stations
+        0u64..1_000,     // seed
+        0u8..3,          // arrival model selector (striping only)
+        prop::bool::ANY, // VDR?
+        prop::bool::ANY, // preload
+        0u8..3,          // queue policy selector
+        // warmup / measure seconds; zero think time, or 1–240 s
+        (60u64..=240, 300u64..=900, prop::bool::ANY, 1u64..=240),
+        0u8..4, // fault plan selector
     )
         .prop_map(
-            |(stations, seed, arrival, vdr, preload, queue, (warmup, measure), faults)| {
+            |(stations, seed, arrival, vdr, preload, queue, timing, faults)| {
+                let (warmup, measure, thinks, think) = timing;
                 let mut c = ServerConfig::small_test(stations, seed);
                 c.warmup = SimDuration::from_secs(warmup);
                 c.measure = SimDuration::from_secs(measure);
+                if thinks {
+                    c.think_time = SimDuration::from_secs(think);
+                }
                 c.faults = fault_plan(faults, warmup, measure);
                 c.preload = preload;
                 c.verify_delivery = false;
@@ -172,4 +178,28 @@ fn figure8_vdr_cell_skips_ticks() {
     while server.step() {}
     let skipped = server.model().ticks_skipped();
     assert!(skipped > 0, "expected skipped intervals, got {skipped}");
+}
+
+/// A station waits out its think time before its next request: on the
+/// small farm the display count falls as the think time grows, on both
+/// schemes, and dense and sparse ticking still agree.
+#[test]
+fn think_time_delays_the_next_request() {
+    for (think_secs, striping, vdr) in [(0, 234, 227), (100, 56, 58), (600, 12, 12)] {
+        for (mut cfg, displays) in [
+            (ServerConfig::small_test(4, 42), striping),
+            (ServerConfig::small_vdr_test(4, 42), vdr),
+        ] {
+            cfg.think_time = SimDuration::from_secs(think_secs);
+            let sparse = stepped(&cfg).expect("clock accounting holds");
+            cfg.dense_ticks = true;
+            let dense = stepped(&cfg).expect("clock accounting holds");
+            assert_eq!(dense, sparse, "think {think_secs} s");
+            assert_eq!(
+                sparse.displays_completed, displays,
+                "{} with think {think_secs} s",
+                sparse.scheme
+            );
+        }
+    }
 }
