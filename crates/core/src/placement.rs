@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use ss_disk::{CylinderAllocator, CylinderRange};
 use ss_types::{Bandwidth, Bytes, DiskId, Error, ObjectId, Result};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// System-wide placement parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -177,40 +178,34 @@ impl StripingLayout {
     }
 
     /// How many fragments of this object land on each disk (length-`D`
-    /// vector), computed analytically in `O(D·M)` using the periodicity of
-    /// `i·k mod D`.
+    /// vector).
+    ///
+    /// Subobject `i` covers the `M` disks from `(s + i·k) mod D`, and that
+    /// first disk repeats with period `P = D / gcd(D, k)` (`P = 1` for the
+    /// stationary `k ≡ 0`). So one walk over the first `min(n, P)`
+    /// subobjects, in steps of `+k`, adds each footprint once, weighted by
+    /// how many of the `n` subobjects share its residue mod `P`:
+    /// O(min(n, P)·M + D). The `M ≤ D` fragments of a subobject land on
+    /// distinct disks, so no count exceeds `n`.
     pub fn fragments_per_disk(&self) -> Vec<u32> {
-        let d = u64::from(self.disks);
-        let k = u64::from(self.stride);
-        let n = u64::from(self.subobjects);
-        let mut counts = vec![0u32; self.disks as usize];
-        if k == 0 {
-            // Stationary: every subobject on the same M disks.
-            for j in 0..self.degree {
-                let disk = ((u64::from(self.start_disk) + u64::from(j)) % d) as usize;
-                counts[disk] = self.subobjects;
+        let d = self.disks;
+        let k = self.stride % d;
+        let period = d / crate::frame::gcd(u64::from(k), u64::from(d)) as u32;
+        let (full_cycles, remainder) = (self.subobjects / period, self.subobjects % period);
+        let mut counts = vec![0u32; d as usize];
+        let mut first = self.start_disk % d;
+        for i in 0..self.subobjects.min(period) {
+            let weight = full_cycles + u32::from(i < remainder);
+            let mut disk = first;
+            for _ in 0..self.degree {
+                counts[disk as usize] += weight;
+                disk = if disk + 1 == d { 0 } else { disk + 1 };
             }
-            return counts;
-        }
-        let g = crate::frame::gcd(k, d);
-        let period = d / g; // i·k mod D cycles with this period
-        let full_cycles = n / period;
-        let remainder = n % period;
-        // For each disk, for each fragment index j, count subobjects i with
-        // (start + i·k + j) ≡ disk (mod D).
-        for (disk, slot) in counts.iter_mut().enumerate() {
-            let mut c = 0u64;
-            for j in 0..u64::from(self.degree) {
-                // Need i·k ≡ disk − start − j (mod D).
-                let rho = (disk as u64 + 2 * d - u64::from(self.start_disk) % d - j % d) % d;
-                if !rho.is_multiple_of(g) {
-                    continue;
-                }
-                // Solutions i ≡ i0 (mod period); count those < n.
-                let i0 = smallest_solution(k, d, rho);
-                c += full_cycles + u64::from(i0 < remainder);
-            }
-            *slot = u32::try_from(c).expect("fragment count overflow");
+            first = if first >= d - k {
+                first - (d - k)
+            } else {
+                first + k
+            };
         }
         counts
     }
@@ -235,28 +230,6 @@ impl StripingLayout {
             self.stride,
         )
     }
-}
-
-/// Smallest `i ≥ 0` with `i·k ≡ rho (mod d)`; caller guarantees
-/// `gcd(k,d) | rho`.
-fn smallest_solution(k: u64, d: u64, rho: u64) -> u64 {
-    let g = crate::frame::gcd(k, d);
-    let (k1, d1, r1) = (k / g, d / g, rho / g);
-    if d1 <= 1 {
-        return 0;
-    }
-    // i ≡ r1 · k1⁻¹ (mod d1); k1 and d1 are coprime, so the inverse
-    // exists (extended Euclid).
-    let (mut old_r, mut r) = (k1 as i128, d1 as i128);
-    let (mut old_s, mut s) = (1i128, 0i128);
-    while r != 0 {
-        let q = old_r / r;
-        (old_r, r) = (r, old_r - q * r);
-        (old_s, s) = (s, old_s - q * s);
-    }
-    let m = d1 as i128;
-    let inv = ((old_s % m + m) % m) as u64;
-    (r1 % d1) * inv % d1
 }
 
 /// One object's placement: address arithmetic plus the cylinder ranges it
@@ -289,21 +262,35 @@ pub enum PlacementBackend {
     /// derived from the layout arithmetic. Placement success/failure,
     /// per-disk usage, and skew are identical to the materialized engine
     /// (a [`CylinderAllocator`] allocation succeeds iff enough cylinders
-    /// are free, regardless of fragmentation), but no ranges are stored,
-    /// and placements whose fragment-count profile is rotation-uniform
-    /// commit in O(1) instead of O(D).
+    /// are free, regardless of fragmentation), but no ranges are stored.
+    /// Placements whose fragment-count profile is rotation-uniform commit
+    /// in O(1); the others check and commit a few disk slices covering
+    /// only the disks they occupy.
     Lazy,
 }
 
-/// The per-`(degree, subobjects)` fragment-count profile the lazy backend
-/// caches: counts for a start disk of 0 (other starts are rotations).
+/// One maximal run of a start-0 profile: disks `start..end` each receive
+/// `count > 0` fragments.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    end: u32,
+    count: u32,
+}
+
+/// The fragment-count profile the lazy backend caches per
+/// `(degree, subobjects)` class, for a start disk of 0. A start-`s`
+/// layout's `fragments_per_disk` is this profile rotated by `s`, so one
+/// O(min(n, P)·M + D) build (see [`StripingLayout::fragments_per_disk`])
+/// serves every object of the class, and the profile keeps only its runs.
 #[derive(Debug, Clone)]
 struct Profile {
-    /// `fragments_per_disk()` of the start-0 layout.
-    counts: Vec<u32>,
     /// `Some(c)` iff every disk receives exactly `c` fragments — then
     /// placement is rotation-invariant and commits in O(1).
     uniform: Option<u32>,
+    /// The maximal runs of equal nonzero count, in disk order; disks
+    /// outside every run receive nothing.
+    runs: Vec<Run>,
 }
 
 /// The lazy backend's state: counters instead of allocators.
@@ -314,7 +301,10 @@ struct LazyState {
     uniform_used: u32,
     /// Per-disk used cylinders from non-uniform placements.
     skewed_used: Vec<u32>,
-    /// Cached `max(skewed_used)` for the O(1) uniform feasibility check.
+    /// An upper bound on `max(skewed_used)` for the O(1) uniform
+    /// feasibility check. Commits keep it exact and removes leave it, so
+    /// a remove stays a slice subtract; a uniform check that fails on the
+    /// bound alone tightens it with one pass over `skewed_used`.
     max_skewed_used: u32,
     /// Start-0 profiles keyed by `(degree, subobjects)`.
     profiles: HashMap<(u32, u32), Profile>,
@@ -580,7 +570,14 @@ impl PlacementMap {
                 // overflow. Committed counts stay within `cylinders`.
                 let uniform = u64::from(state.uniform_used);
                 let used = |skew: u32| uniform + u64::from(skew);
-                let profile = state.profile(&cap_layout);
+                // The error the materialized scan raises at its first
+                // over-full disk `d`, which would take `c` fragments.
+                let disk_full = |d: usize, c: u32, skew: u32| Error::DiskFull {
+                    disk: DiskId(d as u32),
+                    requested: fragment * u64::from(c),
+                    available: cyl_capacity * (cylinders - used(skew)),
+                };
+                let profile = Profile::cached(&mut state.profiles, &cap_layout);
                 match profile.uniform {
                     Some(c) => {
                         // Rotation-invariant: every disk takes the same
@@ -589,44 +586,44 @@ impl PlacementMap {
                         // counter bump.
                         let need = u64::from(c) * u64::from(cpf);
                         if used(state.max_skewed_used) + need > cylinders {
-                            // Identify the first over-full disk for the
-                            // error (identical to the materialized scan).
-                            let d = state
-                                .skewed_used
-                                .iter()
-                                .position(|&s| used(s) + need > cylinders)
-                                .expect("some disk is over the max");
-                            let free = cylinders - used(state.skewed_used[d]);
-                            return Err(Error::DiskFull {
-                                disk: DiskId(d as u32),
-                                requested: fragment * u64::from(c),
-                                available: cyl_capacity * free,
-                            });
+                            // The bound may be stale after removes: either
+                            // some disk really is over-full, or the exact
+                            // maximum fits.
+                            let skewed = &state.skewed_used;
+                            match skewed.iter().position(|&s| used(s) + need > cylinders) {
+                                Some(d) => return Err(disk_full(d, c, skewed[d])),
+                                None => {
+                                    state.max_skewed_used =
+                                        skewed.iter().copied().max().unwrap_or(0)
+                                }
+                            }
                         }
                         state.uniform_used += need as u32;
                     }
                     None => {
-                        let counts = profile.counts.clone();
-                        let disks = self.config.disks as usize;
-                        let start = layout.start_disk as usize;
-                        // counts are for start 0; start s rotates them:
-                        // frags(d) = counts[(d - s) mod D].
-                        let frags_on = |d: usize| counts[(d + disks - start) % disks];
-                        for (d, &skew) in state.skewed_used.iter().enumerate() {
-                            let need = u64::from(frags_on(d)) * u64::from(cpf);
-                            if used(skew) + need > cylinders {
-                                let free = cylinders - used(skew);
-                                return Err(Error::DiskFull {
-                                    disk: DiskId(d as u32),
-                                    requested: fragment * u64::from(frags_on(d)),
-                                    available: cyl_capacity * free,
-                                });
+                        // Slices come in disk order, so the first failing
+                        // slice holds the lowest over-full disk.
+                        let (start, disks) = (layout.start_disk, self.config.disks);
+                        let mut peak = 0u64; // max(skewed_used) over the slices once committed
+                        for (range, c) in profile.slices(start, disks) {
+                            let need = u64::from(c) * u64::from(cpf);
+                            let slice = &state.skewed_used[range.clone()];
+                            let fullest = slice.iter().copied().max().unwrap_or(0);
+                            if used(fullest) + need > cylinders {
+                                let i = slice
+                                    .iter()
+                                    .position(|&s| used(s) + need > cylinders)
+                                    .expect("the slice's fullest disk is over");
+                                return Err(disk_full(range.start + i, c, slice[i]));
+                            }
+                            peak = peak.max(u64::from(fullest) + need);
+                        }
+                        for (range, c) in profile.slices(start, disks) {
+                            for skew in &mut state.skewed_used[range] {
+                                *skew += c * cpf;
                             }
                         }
-                        for (d, skew) in state.skewed_used.iter_mut().enumerate() {
-                            *skew += frags_on(d) * cpf;
-                            state.max_skewed_used = state.max_skewed_used.max(*skew);
-                        }
+                        state.max_skewed_used = state.max_skewed_used.max(peak as u32);
                     }
                 }
                 state.layouts.insert(spec.id, layout);
@@ -638,7 +635,6 @@ impl PlacementMap {
     /// Removes `id`, returning its cylinders to the free pools.
     pub fn remove(&mut self, id: ObjectId) -> Result<()> {
         let cpf = self.cylinders_per_fragment;
-        let parity_group = self.config.parity_group;
         match &mut self.engine {
             Engine::Materialized { allocators, placed } => {
                 let obj = placed.remove(&id).ok_or(Error::NotResident(id))?;
@@ -652,23 +648,17 @@ impl PlacementMap {
                 let layout = state.layouts.remove(&id).ok_or(Error::NotResident(id))?;
                 // Refund exactly what place_at charged: the parity-inflated
                 // fragment profile.
-                let parity = match parity_group {
-                    Some(g) => layout.degree.div_ceil(g),
-                    None => 0,
-                };
-                let cap_layout = layout.with_parity(parity);
-                let profile = state.profile(&cap_layout);
+                let cap_layout = layout.with_parity(self.config.parity_fragments(layout.degree));
+                let profile = Profile::cached(&mut state.profiles, &cap_layout);
                 match profile.uniform {
                     Some(c) => state.uniform_used -= c * cpf,
                     None => {
-                        let counts = profile.counts.clone();
-                        let disks = self.config.disks as usize;
-                        let start = layout.start_disk as usize;
-                        for (d, skew) in state.skewed_used.iter_mut().enumerate() {
-                            *skew -= counts[(d + disks - start) % disks] * cpf;
+                        // `max_skewed_used` stays an upper bound.
+                        for (range, c) in profile.slices(layout.start_disk, self.config.disks) {
+                            for skew in &mut state.skewed_used[range] {
+                                *skew -= c * cpf;
+                            }
                         }
-                        state.max_skewed_used =
-                            state.skewed_used.iter().copied().max().unwrap_or(0);
                     }
                 }
             }
@@ -676,32 +666,28 @@ impl PlacementMap {
         Ok(())
     }
 
+    /// Used cylinders on `disk`: `used_cylinders()[disk]` without building
+    /// the per-disk vector.
+    pub fn used_on(&self, disk: DiskId) -> u32 {
+        match &self.engine {
+            Engine::Materialized { allocators, .. } => allocators[disk.index()].used_cylinders(),
+            Engine::Lazy(s) => s.uniform_used + s.skewed_used[disk.index()],
+        }
+    }
+
     /// Free cylinders per disk.
     pub fn free_cylinders(&self) -> Vec<u32> {
-        match &self.engine {
-            Engine::Materialized { allocators, .. } => {
-                allocators.iter().map(|a| a.free_cylinders()).collect()
-            }
-            Engine::Lazy(s) => s
-                .skewed_used
-                .iter()
-                .map(|&skew| self.cylinders - s.uniform_used - skew)
-                .collect(),
-        }
+        self.used_cylinders()
+            .into_iter()
+            .map(|used| self.cylinders - used)
+            .collect()
     }
 
     /// Used cylinders per disk.
     pub fn used_cylinders(&self) -> Vec<u32> {
-        match &self.engine {
-            Engine::Materialized { allocators, .. } => {
-                allocators.iter().map(|a| a.used_cylinders()).collect()
-            }
-            Engine::Lazy(s) => s
-                .skewed_used
-                .iter()
-                .map(|&skew| s.uniform_used + skew)
-                .collect(),
-        }
+        (0..self.config.disks)
+            .map(|d| self.used_on(DiskId(d)))
+            .collect()
     }
 
     /// The storage-balance ratio `max/mean` of per-disk usage (1.0 is
@@ -718,15 +704,15 @@ impl PlacementMap {
     }
 }
 
-impl LazyState {
-    /// The cached start-0 fragment profile for `layout`'s
-    /// `(degree, subobjects)` class, computing it on first use.
-    /// `fragments_per_disk` of a start-`s` layout is the start-0 profile
-    /// rotated by `s`, so one O(D·M) computation serves every object of
-    /// the class regardless of where it starts.
-    fn profile(&mut self, layout: &StripingLayout) -> &Profile {
+impl Profile {
+    /// The cached start-0 profile for `layout`'s `(degree, subobjects)`
+    /// class, built on first use.
+    fn cached<'a>(
+        profiles: &'a mut HashMap<(u32, u32), Profile>,
+        layout: &StripingLayout,
+    ) -> &'a Profile {
         let key = (layout.degree, layout.subobjects);
-        self.profiles.entry(key).or_insert_with(|| {
+        profiles.entry(key).or_insert_with(|| {
             let base = StripingLayout::new(
                 layout.object,
                 0,
@@ -736,12 +722,54 @@ impl LazyState {
                 layout.stride,
             );
             let counts = base.fragments_per_disk();
-            let uniform = match (counts.iter().min(), counts.iter().max()) {
-                (Some(&lo), Some(&hi)) if lo == hi => Some(lo),
+            let mut runs: Vec<Run> = Vec::new();
+            for (d, &count) in (0u32..).zip(&counts) {
+                if count == 0 {
+                    continue;
+                }
+                match runs.last_mut() {
+                    Some(run) if run.end == d && run.count == count => run.end += 1,
+                    _ => runs.push(Run {
+                        start: d,
+                        end: d + 1,
+                        count,
+                    }),
+                }
+            }
+            let uniform = match runs.as_slice() {
+                [] => Some(0),
+                [run] if run.end - run.start == layout.disks => Some(run.count),
                 _ => None,
             };
-            Profile { counts, uniform }
+            Profile { uniform, runs }
         })
+    }
+
+    /// The disks a placement starting on disk `start` of a `disks`-disk
+    /// farm occupies, as `(disks, count)` slices in disk order: each run
+    /// rotated by `start`. A run that crosses disk `disks − 1` splits in
+    /// two, and its wrapped half, which lands on the lowest disks, comes
+    /// first. At most `runs + 1` slices.
+    fn slices(&self, start: u32, disks: u32) -> impl Iterator<Item = (Range<usize>, u32)> + '_ {
+        // Start-0 disks at or past `wrap` land on disk `d − wrap`.
+        let wrap = disks - start;
+        let wrapped = self
+            .runs
+            .iter()
+            .filter(move |r| r.end > wrap)
+            .map(move |r| {
+                let lo = r.start.max(wrap) - wrap;
+                (lo as usize..(r.end - wrap) as usize, r.count)
+            });
+        let unwrapped = self
+            .runs
+            .iter()
+            .filter(move |r| r.start < wrap)
+            .map(move |r| {
+                let hi = r.end.min(wrap) + start;
+                ((r.start + start) as usize..hi as usize, r.count)
+            });
+        wrapped.chain(unwrapped)
     }
 }
 
@@ -809,6 +837,13 @@ mod tests {
             (10, 0, 2, 5, 9),
             (7, 5, 3, 100, 3),
             (1000, 5, 5, 3000, 0),
+            // The farm_100k shape: n = 3,000 below the period of 20,000,
+            // from disk 0 and from a start whose footprint wraps.
+            (100_000, 5, 5, 3000, 0),
+            (100_000, 5, 5, 3000, 93_001),
+            // Non-coprime strides with n past the period (500 and 2,500).
+            (1000, 6, 4, 1234, 999),
+            (100_000, 40, 5, 3000, 99_990),
         ] {
             let l = StripingLayout::new(ObjectId(0), start, m, n, d, k);
             let analytic = l.fragments_per_disk();
@@ -950,19 +985,96 @@ mod tests {
         assert!(m.layout(ObjectId(0)).is_some());
     }
 
-    /// The lazy engine's DiskFull error carries the exact same disk,
-    /// requested, and available fields as the materialized scan.
-    #[test]
-    fn lazy_disk_full_error_matches_materialized() {
+    /// A lazy and a materialized map over the same configuration.
+    fn both(disks: u32, stride: u32, cylinders: u32) -> (PlacementMap, PlacementMap) {
         let config = StripingConfig {
-            disks: 12,
-            stride: 1,
+            disks,
+            stride,
             fragment: Bytes::new(1_512_000),
             b_disk: Bandwidth::mbps(20),
             parity_group: None,
         };
-        let mut lazy = PlacementMap::new(config.clone(), 10, 1).unwrap();
-        let mut mat = PlacementMap::new_materialized(config, 10, 1).unwrap();
+        (
+            PlacementMap::new(config.clone(), cylinders, 1).unwrap(),
+            PlacementMap::new_materialized(config, cylinders, 1).unwrap(),
+        )
+    }
+
+    /// A run of the profile that crosses disk `D − 1 → 0` splits into two
+    /// slices, and the wrapped half is checked first: the error names the
+    /// lowest over-full disk, as the materialized scan does, although the
+    /// unwrapped half (disk 11) is over-full too.
+    #[test]
+    fn wrapped_run_reports_the_lowest_over_full_disk() {
+        // Stride 1: M = 3, n = 2 from disk 0 puts 1, 2, 2, 1 fragments on
+        // disks 0..4, so from disk 10 the run of 2s covers disks 11 and 0.
+        // The stationary stride 12 puts 2 on each of disks 10, 11 and 0.
+        for stride in [1, 12] {
+            let (mut lazy, mut mat) = both(12, stride, 10);
+            let mut id = 0;
+            for disk in [0, 10, 11] {
+                for _ in 0..9 {
+                    // One subobject of degree 1: one fragment on `disk`.
+                    lazy.place_at(&spec(id, 20, 1), disk).unwrap();
+                    mat.place_at(&spec(id, 20, 1), disk).unwrap();
+                    id += 1;
+                }
+            }
+            let before = lazy.used_cylinders();
+            let big = spec(id, 60, 2);
+            let a = lazy.place_at(&big, 10).unwrap_err();
+            let b = mat.place_at(&big, 10).unwrap_err();
+            assert_eq!(a, b, "stride {stride}");
+            assert_eq!(
+                a,
+                Error::DiskFull {
+                    disk: DiskId(0),
+                    requested: Bytes::new(2 * 1_512_000),
+                    available: Bytes::new(1_512_000),
+                },
+                "stride {stride}"
+            );
+            assert_eq!(lazy.used_cylinders(), before);
+            assert_eq!(mat.used_cylinders(), before);
+        }
+    }
+
+    /// At `farm_100k`'s shape (D = 100,000, k = 5, M = 5, n = 3,000,
+    /// 3,000 cylinders) the lazy engine's slices account exactly like the
+    /// materialized engine over round-robin placements, a few starts whose
+    /// footprint wraps past disk 99,999, and removes that keep the
+    /// materialized side's ranges small.
+    #[test]
+    fn farm_100k_shape_matches_materialized() {
+        let (mut lazy, mut mat) = both(100_000, 5, 3000);
+        let mut resident: Vec<ObjectId> = Vec::new();
+        for i in 0..200u32 {
+            let s = spec(i, 100, 3000);
+            let (a, b) = if i % 20 == 19 {
+                let start = 86_000 + 700 * (i / 20);
+                (lazy.place_at(&s, start), mat.place_at(&s, start))
+            } else {
+                (lazy.place(&s), mat.place(&s))
+            };
+            assert_eq!(a, b, "object {i}");
+            resident.push(s.id);
+            if resident.len() > 16 {
+                let victim = resident.swap_remove(i as usize * 7 % resident.len());
+                lazy.remove(victim).unwrap();
+                mat.remove(victim).unwrap();
+            }
+            if i % 25 == 24 {
+                assert_eq!(lazy.used_cylinders(), mat.used_cylinders(), "object {i}");
+            }
+        }
+        assert_eq!(lazy.skew_ratio(), mat.skew_ratio());
+    }
+
+    /// The lazy engine's DiskFull error carries the exact same disk,
+    /// requested, and available fields as the materialized scan.
+    #[test]
+    fn lazy_disk_full_error_matches_materialized() {
+        let (mut lazy, mut mat) = both(12, 1, 10);
         // Partially fill, then overflow with a big object.
         let small = spec(0, 60, 20); // 60 fragments
         lazy.place_at(&small, 0).unwrap();
@@ -1055,17 +1167,7 @@ mod tests {
     /// engine's skewed path and still accounts exactly.
     #[test]
     fn lazy_skewed_path_accounts_exactly() {
-        let mut lazy = map(10, 10, 1000); // k ≡ 0 mod D: stationary
-        let mut reference = {
-            let config = StripingConfig {
-                disks: 10,
-                stride: 10,
-                fragment: Bytes::new(1_512_000),
-                b_disk: Bandwidth::mbps(20),
-                parity_group: None,
-            };
-            PlacementMap::new_materialized(config, 1000, 1).unwrap()
-        };
+        let (mut lazy, mut reference) = both(10, 10, 1000); // k ≡ 0 mod D: stationary
         for (i, start) in [(0u32, 0u32), (1, 4), (2, 7)] {
             let s = spec(i, 40, 30); // M=2, stationary pair of disks
             lazy.place_at(&s, start).unwrap();

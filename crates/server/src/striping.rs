@@ -32,7 +32,7 @@ use ss_core::media::ObjectCatalog;
 use ss_core::placement::{PlacementMap, StripingConfig, StripingLayout};
 use ss_disk::RebuildJob;
 use ss_sim::{DeterministicRng, FaultEvent, FaultKind};
-use ss_types::{Error, NodeId, NodeTopology, ObjectId, Result, SimTime};
+use ss_types::{DiskId, Error, NodeId, NodeTopology, ObjectId, Result, SimTime};
 
 /// The striping server model (driven by [`Server`]).
 pub type StripingModel = Kernel<StripingPolicy>;
@@ -603,8 +603,7 @@ impl PlacementPolicy for StripingPolicy {
     }
 
     fn rebuild_fragments(&self, disk: u32) -> u64 {
-        u64::from(self.placement.used_cylinders()[disk as usize])
-            / u64::from(self.cylinders_per_fragment)
+        u64::from(self.placement.used_on(DiskId(disk))) / u64::from(self.cylinders_per_fragment)
     }
 
     fn ledger_of(&self, disk: u32) -> Option<u32> {

@@ -52,19 +52,21 @@ echo "==> benchmark --workload farm_100k (pinned full-size digest)"
 cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
   --workload farm_100k --seed 1994 --seconds 1 --trace 0
 
-echo "==> fault suites (per-suite test counts)"
-# The degraded-mode harness: property sweep + goldens (now spanning the
-# parity/rebuild axes), coalescing proptest, backoff retry-queue
-# properties, seed-stability digests, dense-vs-sparse under fault plans,
-# delivery-machine properties (incl.
-# the recorded proptest regression, re-run both via its sidecar and as a
-# directed case), the distributed-tier equivalence sweep, and the
-# crash-consistent storage plane (recovery reconciliation + scrub
-# completeness properties), and the SLO/QoS plane (ledger
-# reconciliation, alert determinism, root-cause attribution), and the
-# config fuzz property (every deserialized config validates and runs or
-# is refused with a typed error).
-for suite in fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties config_validation; do
+echo "==> property suites (per-suite test counts)"
+# The placement engines (lazy counters against materialized cylinder
+# ranges, parity-free and parity-inflated, and the fragment profile
+# against brute force), then the degraded-mode harness: property sweep +
+# goldens (now spanning the parity/rebuild axes), coalescing proptest,
+# backoff retry-queue properties, seed-stability digests, dense-vs-sparse
+# under fault plans, delivery-machine properties (incl. the recorded
+# proptest regression, re-run both via its sidecar and as a directed
+# case), the distributed-tier equivalence sweep, and the crash-consistent
+# storage plane (recovery reconciliation + scrub completeness
+# properties), and the SLO/QoS plane (ledger reconciliation, alert
+# determinism, root-cause attribution), and the config fuzz property
+# (every deserialized config validates and runs or is refused with a
+# typed error).
+for suite in placement_properties fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties config_validation; do
   count=$(cargo test -q --test "$suite" 2>&1 | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p')
   if [ -z "$count" ] || [ "$count" -eq 0 ]; then
     echo "ci.sh: suite $suite reported no passing tests" >&2

@@ -145,14 +145,17 @@ proptest! {
     /// The lazy (counter-based) engine is observably equivalent to the
     /// materialized (cylinder-allocator) engine: the same operation
     /// sequence produces the same successes, the same *errors* (variant
-    /// and every field), the same per-disk used/free cylinders, the same
-    /// layouts, and the same skew ratio.
+    /// and every field), the same per-disk used/free cylinders (read whole
+    /// and one disk at a time), the same layouts, and the same skew ratio,
+    /// parity-free or with a parity group of 1 to 4 inflating every
+    /// profile.
     #[test]
     fn lazy_engine_matches_materialized(
         d in 4u32..24,
         k in 0u32..25,
         cylinders in 10u32..80,
         cpf in 1u32..3,
+        group in 0u32..5,
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
         let config = StripingConfig {
@@ -160,7 +163,7 @@ proptest! {
             stride: k,
             fragment: Bytes::megabytes(2),
             b_disk: Bandwidth::mbps(20),
-            parity_group: None,
+            parity_group: (group > 0).then_some(group),
         };
         let mut lazy = PlacementMap::new(config.clone(), cylinders, cpf).unwrap();
         let mut mat = PlacementMap::new_materialized(config, cylinders, cpf).unwrap();
@@ -190,7 +193,12 @@ proptest! {
                     prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
                 }
             }
-            prop_assert_eq!(lazy.used_cylinders(), mat.used_cylinders());
+            let used = mat.used_cylinders();
+            prop_assert_eq!(&lazy.used_cylinders(), &used);
+            for (disk, &u) in used.iter().enumerate() {
+                prop_assert_eq!(lazy.used_on(DiskId(disk as u32)), u, "disk {}", disk);
+                prop_assert_eq!(mat.used_on(DiskId(disk as u32)), u, "disk {}", disk);
+            }
             prop_assert_eq!(lazy.free_cylinders(), mat.free_cylinders());
             prop_assert_eq!(lazy.resident_count(), mat.resident_count());
             prop_assert_eq!(lazy.skew_ratio(), mat.skew_ratio());
