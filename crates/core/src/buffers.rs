@@ -6,7 +6,8 @@
 //! many buffers for its entire lifetime. [`BufferTracker`] charges and
 //! releases those buffers and reports the high-water mark — the number the
 //! system architect must actually provision (on top of the per-disk
-//! masking buffer of equation (1), see [`ss_disk::min_buffer_memory`]).
+//! masking buffer of equation (1), which ss-disk's `min_buffer_memory`
+//! computes).
 
 use serde::{Deserialize, Serialize};
 use ss_types::{Bytes, Error, Result};

@@ -9,12 +9,13 @@
 //! * [`media`] — media types, object specifications, and the derived
 //!   quantities of Table 1 (degree of declustering `M_X`, subobject size,
 //!   display time).
-//! * [`placement`] — the placement engines. [`placement::StripingLayout`]
-//!   maps every fragment `X_{i.j}` of every object to a `(disk, cylinder)`
-//!   pair using the staggered rule
+//! * [`placement`] — [`placement::StripingLayout`] maps every fragment
+//!   `X_{i.j}` of every object to a disk using the staggered rule
 //!   `disk(X_{i.j}) = (start + i·k + j) mod D`; simple striping is the
 //!   special case `k = M`, and the degenerate `k = D` reproduces the
 //!   single-cluster assignment of virtual data replication.
+//!   [`placement::PlacementMap`] counts each disk's used cylinders so
+//!   placements respect storage capacity.
 //! * [`frame`] — the rotating **virtual disk** coordinate frame of §3.2.1:
 //!   virtual disk `v` at interval `t` is physical disk `(v + k·t) mod D`,
 //!   under which an active display occupies a *fixed* set of `M` virtual
@@ -78,4 +79,4 @@ pub use coalesce::{ActiveFragmentedDisplay, CoalescePlan, LostRead};
 pub use frame::VirtualFrame;
 pub use interconnect::InterconnectLedger;
 pub use media::{MediaType, ObjectCatalog, ObjectSpec};
-pub use placement::{FragmentAddr, StripingConfig, StripingLayout};
+pub use placement::{StripingConfig, StripingLayout};

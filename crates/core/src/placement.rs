@@ -1,5 +1,5 @@
-//! Placement engines: mapping every fragment of every object onto
-//! `(disk, cylinder)` addresses.
+//! Placement: mapping every fragment of every object onto a disk, and
+//! charging each disk's storage capacity.
 //!
 //! The staggered rule places fragment `j` of subobject `i` of an object
 //! whose first subobject starts on disk `s` at physical disk
@@ -13,12 +13,11 @@
 //!   replication**: every subobject lands on the same `M` disks.
 //!
 //! [`StripingLayout`] is the pure address arithmetic; [`PlacementMap`]
-//! additionally tracks per-disk cylinder allocation so residency decisions
-//! respect storage capacity.
+//! additionally counts the cylinders in use on each disk so residency
+//! decisions respect storage capacity.
 
 use crate::media::ObjectSpec;
 use serde::{Deserialize, Serialize};
-use ss_disk::{CylinderAllocator, CylinderRange};
 use ss_types::{Bandwidth, Bytes, DiskId, Error, ObjectId, Result};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -97,15 +96,6 @@ impl StripingConfig {
     }
 }
 
-/// The disk/cylinder address of one fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct FragmentAddr {
-    /// The drive holding the fragment.
-    pub disk: DiskId,
-    /// The first cylinder of the fragment on that drive.
-    pub cylinder: u32,
-}
-
 /// Pure address arithmetic for one placed object.
 ///
 /// ```
@@ -172,11 +162,6 @@ impl StripingLayout {
         DiskId(pos as u32)
     }
 
-    /// The disk holding the first fragment of subobject `sub`.
-    pub fn subobject_start_disk(&self, sub: u32) -> DiskId {
-        self.fragment_disk(sub, 0)
-    }
-
     /// How many fragments of this object land on each disk (length-`D`
     /// vector).
     ///
@@ -232,43 +217,6 @@ impl StripingLayout {
     }
 }
 
-/// One object's placement: address arithmetic plus the cylinder ranges it
-/// occupies on each disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PlacedObject {
-    /// The address arithmetic.
-    pub layout: StripingLayout,
-    /// Cylinder ranges occupied per disk (indexed by disk id; empty for
-    /// untouched disks).
-    pub ranges: Vec<Vec<CylinderRange>>,
-}
-
-impl PlacedObject {
-    /// Cylinders this object occupies on `disk`.
-    pub fn cylinders_on(&self, disk: DiskId) -> u32 {
-        self.ranges[disk.index()].iter().map(|r| r.len).sum()
-    }
-}
-
-/// Which capacity-accounting backend a [`PlacementMap`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementBackend {
-    /// Per-disk first-fit [`CylinderAllocator`]s plus explicit
-    /// [`PlacedObject`] cylinder ranges for every resident object. The
-    /// reference engine: tests and diagnostics that need real cylinder
-    /// addresses use it.
-    Materialized,
-    /// Closed-form accounting: per-disk *used-cylinder counters* only,
-    /// derived from the layout arithmetic. Placement success/failure,
-    /// per-disk usage, and skew are identical to the materialized engine
-    /// (a [`CylinderAllocator`] allocation succeeds iff enough cylinders
-    /// are free, regardless of fragmentation), but no ranges are stored.
-    /// Placements whose fragment-count profile is rotation-uniform commit
-    /// in O(1); the others check and commit a few disk slices covering
-    /// only the disks they occupy.
-    Lazy,
-}
-
 /// One maximal run of a start-0 profile: disks `start..end` each receive
 /// `count > 0` fragments.
 #[derive(Debug, Clone, Copy)]
@@ -278,7 +226,7 @@ struct Run {
     count: u32,
 }
 
-/// The fragment-count profile the lazy backend caches per
+/// The fragment-count profile a [`PlacementMap`] caches per
 /// `(degree, subobjects)` class, for a start disk of 0. A start-`s`
 /// layout's `fragments_per_disk` is this profile rotated by `s`, so one
 /// O(min(n, P)·M + D) build (see [`StripingLayout::fragments_per_disk`])
@@ -293,9 +241,21 @@ struct Profile {
     runs: Vec<Run>,
 }
 
-/// The lazy backend's state: counters instead of allocators.
+/// A placement map over the whole farm: layouts plus per-disk
+/// used-cylinder counters.
+///
+/// A fragment fits wherever its disk has `cylinders_per_fragment` free
+/// cylinders, so the counters alone decide every placement and no
+/// cylinder addresses are stored. Placements whose fragment-count profile
+/// is rotation-uniform commit in O(1); the others check and commit a few
+/// disk slices covering only the disks they occupy.
+/// `tests/placement_properties.rs` checks every operation against a model
+/// that charges each fragment at `(s + i·k + j) mod D` one by one.
 #[derive(Debug, Clone)]
-struct LazyState {
+pub struct PlacementMap {
+    config: StripingConfig,
+    cylinders_per_fragment: u32,
+    cylinders: u32,
     /// Used cylinders contributed equally to *every* disk by
     /// uniform-profile placements.
     uniform_used: u32,
@@ -309,32 +269,6 @@ struct LazyState {
     /// Start-0 profiles keyed by `(degree, subobjects)`.
     profiles: HashMap<(u32, u32), Profile>,
     layouts: HashMap<ObjectId, StripingLayout>,
-}
-
-/// The two interchangeable engines (see [`PlacementBackend`]).
-#[derive(Debug, Clone)]
-enum Engine {
-    Materialized {
-        allocators: Vec<CylinderAllocator>,
-        placed: HashMap<ObjectId, PlacedObject>,
-    },
-    Lazy(LazyState),
-}
-
-/// A placement map over the whole farm: layouts plus capacity accounting.
-///
-/// [`PlacementMap::new`] builds the **lazy** engine (the hot-path default:
-/// full-farm setup is closed-form). [`PlacementMap::new_materialized`]
-/// builds the reference engine that additionally tracks real cylinder
-/// ranges; the two are observably equivalent for every operation except
-/// [`PlacementMap::placed_object`] (see `tests/placement_properties.rs`
-/// for the machine-checked equivalence).
-#[derive(Debug, Clone)]
-pub struct PlacementMap {
-    config: StripingConfig,
-    cylinders_per_fragment: u32,
-    cylinders: u32,
-    engine: Engine,
     next_start: u32,
     /// First start of the current round-robin cycle; bumped by one when a
     /// non-coprime stride wraps, so successive cycles cover *all* residues
@@ -343,8 +277,7 @@ pub struct PlacementMap {
 }
 
 impl PlacementMap {
-    /// Creates an empty map over drives with `cylinders` cylinders each,
-    /// using the lazy (counter-based) engine.
+    /// Creates an empty map over drives with `cylinders` cylinders each.
     /// `cylinders_per_fragment` is how many cylinders one fragment spans
     /// (1 in the Table 3 configuration, 2 for the §3.1 "two-cylinder
     /// fragments" variant).
@@ -353,65 +286,21 @@ impl PlacementMap {
         cylinders: u32,
         cylinders_per_fragment: u32,
     ) -> Result<Self> {
-        Self::with_backend(
-            config,
-            cylinders,
-            cylinders_per_fragment,
-            PlacementBackend::Lazy,
-        )
-    }
-
-    /// Like [`PlacementMap::new`] but with the materialized
-    /// (cylinder-range) engine.
-    pub fn new_materialized(
-        config: StripingConfig,
-        cylinders: u32,
-        cylinders_per_fragment: u32,
-    ) -> Result<Self> {
-        Self::with_backend(
-            config,
-            cylinders,
-            cylinders_per_fragment,
-            PlacementBackend::Materialized,
-        )
-    }
-
-    /// Creates an empty map with an explicit engine choice.
-    pub fn with_backend(
-        config: StripingConfig,
-        cylinders: u32,
-        cylinders_per_fragment: u32,
-        backend: PlacementBackend,
-    ) -> Result<Self> {
         config.validate()?;
         if cylinders_per_fragment == 0 {
             return Err(Error::InvalidConfig {
                 reason: "fragment must span at least one cylinder".into(),
             });
         }
-        let engine = match backend {
-            PlacementBackend::Materialized => {
-                let cyl_capacity = config.fragment / u64::from(cylinders_per_fragment);
-                Engine::Materialized {
-                    allocators: (0..config.disks)
-                        .map(|d| CylinderAllocator::new(DiskId(d), cylinders, cyl_capacity))
-                        .collect(),
-                    placed: HashMap::new(),
-                }
-            }
-            PlacementBackend::Lazy => Engine::Lazy(LazyState {
-                uniform_used: 0,
-                skewed_used: vec![0; config.disks as usize],
-                max_skewed_used: 0,
-                profiles: HashMap::new(),
-                layouts: HashMap::new(),
-            }),
-        };
         Ok(PlacementMap {
+            skewed_used: vec![0; config.disks as usize],
             config,
             cylinders_per_fragment,
             cylinders,
-            engine,
+            uniform_used: 0,
+            max_skewed_used: 0,
+            profiles: HashMap::new(),
+            layouts: HashMap::new(),
             next_start: 0,
             cycle_base: 0,
         })
@@ -422,55 +311,24 @@ impl PlacementMap {
         &self.config
     }
 
-    /// Which engine this map runs.
-    pub fn backend(&self) -> PlacementBackend {
-        match self.engine {
-            Engine::Materialized { .. } => PlacementBackend::Materialized,
-            Engine::Lazy(_) => PlacementBackend::Lazy,
-        }
-    }
-
     /// Number of placed (resident) objects.
     pub fn resident_count(&self) -> usize {
-        match &self.engine {
-            Engine::Materialized { placed, .. } => placed.len(),
-            Engine::Lazy(s) => s.layouts.len(),
-        }
+        self.layouts.len()
     }
 
     /// True iff `id` is placed.
     pub fn is_resident(&self, id: ObjectId) -> bool {
-        match &self.engine {
-            Engine::Materialized { placed, .. } => placed.contains_key(&id),
-            Engine::Lazy(s) => s.layouts.contains_key(&id),
-        }
+        self.layouts.contains_key(&id)
     }
 
     /// The layout of `id`, if resident.
     pub fn layout(&self, id: ObjectId) -> Option<StripingLayout> {
-        match &self.engine {
-            Engine::Materialized { placed, .. } => placed.get(&id).map(|p| p.layout),
-            Engine::Lazy(s) => s.layouts.get(&id).copied(),
-        }
-    }
-
-    /// The materialized placement of `id` with its cylinder ranges.
-    /// `None` if `id` is not resident **or** the map runs the lazy
-    /// engine (which stores no ranges).
-    pub fn placed_object(&self, id: ObjectId) -> Option<&PlacedObject> {
-        match &self.engine {
-            Engine::Materialized { placed, .. } => placed.get(&id),
-            Engine::Lazy(_) => None,
-        }
+        self.layouts.get(&id).copied()
     }
 
     /// Iterates over resident object ids (arbitrary order).
     pub fn resident_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        let (a, b) = match &self.engine {
-            Engine::Materialized { placed, .. } => (Some(placed.keys().copied()), None),
-            Engine::Lazy(s) => (None, Some(s.layouts.keys().copied())),
-        };
-        a.into_iter().flatten().chain(b.into_iter().flatten())
+        self.layouts.keys().copied()
     }
 
     /// Places `spec` starting at the next round-robin start disk.
@@ -479,17 +337,18 @@ impl PlacementMap {
     ///
     /// Start selection balances storage for every stride: a stationary
     /// layout (`k ≡ 0 mod D`) packs objects side by side (VDR-style, each
-    /// object's `M` disks directly after the previous one's); a rotating
-    /// layout advances by the stride, and when the start cycles back to
-    /// its origin (non-coprime strides revisit only `D/gcd(D,k)`
-    /// positions) the cycle origin shifts by one so the next round covers
-    /// fresh residues.
+    /// object's `M + ⌈M/g⌉` data and parity disks directly after the
+    /// previous one's); a rotating layout advances by the stride, and
+    /// when the start cycles back to its origin (non-coprime strides
+    /// revisit only `D/gcd(D,k)` positions) the cycle origin shifts by one
+    /// so the next round covers fresh residues.
     pub fn place(&mut self, spec: &ObjectSpec) -> Result<StripingLayout> {
         let d = self.config.disks;
         let k = self.config.stride % d;
         let start = self.next_start;
         let next = if k == 0 {
-            (start + spec.degree(self.config.b_disk)) % d
+            let degree = spec.degree(self.config.b_disk);
+            (start + degree + self.config.parity_fragments(degree)) % d
         } else {
             let wrapped = (start + k) % d;
             if wrapped == self.cycle_base {
@@ -535,130 +394,83 @@ impl PlacementMap {
         // layout's fragment profile is exactly the storage bill.
         let cap_layout = layout.with_parity(parity);
         let cpf = self.cylinders_per_fragment;
-        match &mut self.engine {
-            Engine::Materialized { allocators, placed } => {
-                let per_disk = cap_layout.fragments_per_disk();
-                // Feasibility check before mutating any allocator, in
-                // u64: an absurd fragment span must fail, not overflow.
-                for (d, &frags) in per_disk.iter().enumerate() {
-                    let need = u64::from(frags) * u64::from(cpf);
-                    let have = allocators[d].free_cylinders();
-                    if u64::from(have) < need {
-                        return Err(Error::DiskFull {
-                            disk: DiskId(d as u32),
-                            requested: self.config.fragment * u64::from(frags),
-                            available: allocators[d].free_bytes(),
-                        });
+        let cylinders = u64::from(self.cylinders);
+        let cyl_capacity = self.config.fragment / u64::from(cpf);
+        let fragment = self.config.fragment;
+        // Sums in u64: an absurd fragment span must fail, not overflow.
+        // Committed counts stay within `cylinders`.
+        let uniform = u64::from(self.uniform_used);
+        let used = |skew: u32| uniform + u64::from(skew);
+        // The error at the lowest over-full disk `d`, which would take `c`
+        // fragments.
+        let disk_full = |d: usize, c: u32, skew: u32| Error::DiskFull {
+            disk: DiskId(d as u32),
+            requested: fragment * u64::from(c),
+            available: cyl_capacity * (cylinders - used(skew)),
+        };
+        let profile = Profile::cached(&mut self.profiles, &cap_layout);
+        match profile.uniform {
+            Some(c) => {
+                // Rotation-invariant: every disk takes the same hit, so one
+                // comparison against the fullest disk decides feasibility,
+                // and commitment is a single counter bump.
+                let need = u64::from(c) * u64::from(cpf);
+                if used(self.max_skewed_used) + need > cylinders {
+                    // The bound may be stale after removes: either some
+                    // disk really is over-full, or the exact maximum fits.
+                    let skewed = &self.skewed_used;
+                    match skewed.iter().position(|&s| used(s) + need > cylinders) {
+                        Some(d) => return Err(disk_full(d, c, skewed[d])),
+                        None => self.max_skewed_used = skewed.iter().copied().max().unwrap_or(0),
                     }
                 }
-                let mut ranges = vec![Vec::new(); self.config.disks as usize];
-                for (d, &frags) in per_disk.iter().enumerate() {
-                    let need = frags * cpf;
-                    if need > 0 {
-                        ranges[d] = allocators[d]
-                            .allocate(need)
-                            .expect("feasibility was checked");
-                    }
-                }
-                placed.insert(spec.id, PlacedObject { layout, ranges });
+                self.uniform_used += need as u32;
             }
-            Engine::Lazy(state) => {
-                let cylinders = u64::from(self.cylinders);
-                let cyl_capacity = self.config.fragment / u64::from(cpf);
-                let fragment = self.config.fragment;
-                // Sums in u64: an absurd fragment span must fail, not
-                // overflow. Committed counts stay within `cylinders`.
-                let uniform = u64::from(state.uniform_used);
-                let used = |skew: u32| uniform + u64::from(skew);
-                // The error the materialized scan raises at its first
-                // over-full disk `d`, which would take `c` fragments.
-                let disk_full = |d: usize, c: u32, skew: u32| Error::DiskFull {
-                    disk: DiskId(d as u32),
-                    requested: fragment * u64::from(c),
-                    available: cyl_capacity * (cylinders - used(skew)),
-                };
-                let profile = Profile::cached(&mut state.profiles, &cap_layout);
-                match profile.uniform {
-                    Some(c) => {
-                        // Rotation-invariant: every disk takes the same
-                        // hit, so one comparison against the fullest disk
-                        // decides feasibility, and commitment is a single
-                        // counter bump.
-                        let need = u64::from(c) * u64::from(cpf);
-                        if used(state.max_skewed_used) + need > cylinders {
-                            // The bound may be stale after removes: either
-                            // some disk really is over-full, or the exact
-                            // maximum fits.
-                            let skewed = &state.skewed_used;
-                            match skewed.iter().position(|&s| used(s) + need > cylinders) {
-                                Some(d) => return Err(disk_full(d, c, skewed[d])),
-                                None => {
-                                    state.max_skewed_used =
-                                        skewed.iter().copied().max().unwrap_or(0)
-                                }
-                            }
-                        }
-                        state.uniform_used += need as u32;
+            None => {
+                // Slices come in disk order, so the first failing slice
+                // holds the lowest over-full disk.
+                let (start, disks) = (layout.start_disk, self.config.disks);
+                let mut peak = 0u64; // max(skewed_used) over the slices once committed
+                for (range, c) in profile.slices(start, disks) {
+                    let need = u64::from(c) * u64::from(cpf);
+                    let slice = &self.skewed_used[range.clone()];
+                    let fullest = slice.iter().copied().max().unwrap_or(0);
+                    if used(fullest) + need > cylinders {
+                        let i = slice
+                            .iter()
+                            .position(|&s| used(s) + need > cylinders)
+                            .expect("the slice's fullest disk is over");
+                        return Err(disk_full(range.start + i, c, slice[i]));
                     }
-                    None => {
-                        // Slices come in disk order, so the first failing
-                        // slice holds the lowest over-full disk.
-                        let (start, disks) = (layout.start_disk, self.config.disks);
-                        let mut peak = 0u64; // max(skewed_used) over the slices once committed
-                        for (range, c) in profile.slices(start, disks) {
-                            let need = u64::from(c) * u64::from(cpf);
-                            let slice = &state.skewed_used[range.clone()];
-                            let fullest = slice.iter().copied().max().unwrap_or(0);
-                            if used(fullest) + need > cylinders {
-                                let i = slice
-                                    .iter()
-                                    .position(|&s| used(s) + need > cylinders)
-                                    .expect("the slice's fullest disk is over");
-                                return Err(disk_full(range.start + i, c, slice[i]));
-                            }
-                            peak = peak.max(u64::from(fullest) + need);
-                        }
-                        for (range, c) in profile.slices(start, disks) {
-                            for skew in &mut state.skewed_used[range] {
-                                *skew += c * cpf;
-                            }
-                        }
-                        state.max_skewed_used = state.max_skewed_used.max(peak as u32);
+                    peak = peak.max(u64::from(fullest) + need);
+                }
+                for (range, c) in profile.slices(start, disks) {
+                    for skew in &mut self.skewed_used[range] {
+                        *skew += c * cpf;
                     }
                 }
-                state.layouts.insert(spec.id, layout);
+                self.max_skewed_used = self.max_skewed_used.max(peak as u32);
             }
         }
+        self.layouts.insert(spec.id, layout);
         Ok(layout)
     }
 
     /// Removes `id`, returning its cylinders to the free pools.
     pub fn remove(&mut self, id: ObjectId) -> Result<()> {
         let cpf = self.cylinders_per_fragment;
-        match &mut self.engine {
-            Engine::Materialized { allocators, placed } => {
-                let obj = placed.remove(&id).ok_or(Error::NotResident(id))?;
-                for (d, runs) in obj.ranges.into_iter().enumerate() {
-                    for run in runs {
-                        allocators[d].free(run);
-                    }
-                }
-            }
-            Engine::Lazy(state) => {
-                let layout = state.layouts.remove(&id).ok_or(Error::NotResident(id))?;
-                // Refund exactly what place_at charged: the parity-inflated
-                // fragment profile.
-                let cap_layout = layout.with_parity(self.config.parity_fragments(layout.degree));
-                let profile = Profile::cached(&mut state.profiles, &cap_layout);
-                match profile.uniform {
-                    Some(c) => state.uniform_used -= c * cpf,
-                    None => {
-                        // `max_skewed_used` stays an upper bound.
-                        for (range, c) in profile.slices(layout.start_disk, self.config.disks) {
-                            for skew in &mut state.skewed_used[range] {
-                                *skew -= c * cpf;
-                            }
-                        }
+        let layout = self.layouts.remove(&id).ok_or(Error::NotResident(id))?;
+        // Refund exactly what place_at charged: the parity-inflated
+        // fragment profile.
+        let cap_layout = layout.with_parity(self.config.parity_fragments(layout.degree));
+        let profile = Profile::cached(&mut self.profiles, &cap_layout);
+        match profile.uniform {
+            Some(c) => self.uniform_used -= c * cpf,
+            None => {
+                // `max_skewed_used` stays an upper bound.
+                for (range, c) in profile.slices(layout.start_disk, self.config.disks) {
+                    for skew in &mut self.skewed_used[range] {
+                        *skew -= c * cpf;
                     }
                 }
             }
@@ -669,18 +481,7 @@ impl PlacementMap {
     /// Used cylinders on `disk`: `used_cylinders()[disk]` without building
     /// the per-disk vector.
     pub fn used_on(&self, disk: DiskId) -> u32 {
-        match &self.engine {
-            Engine::Materialized { allocators, .. } => allocators[disk.index()].used_cylinders(),
-            Engine::Lazy(s) => s.uniform_used + s.skewed_used[disk.index()],
-        }
-    }
-
-    /// Free cylinders per disk.
-    pub fn free_cylinders(&self) -> Vec<u32> {
-        self.used_cylinders()
-            .into_iter()
-            .map(|used| self.cylinders - used)
-            .collect()
+        self.uniform_used + self.skewed_used[disk.index()]
     }
 
     /// Used cylinders per disk.
@@ -919,9 +720,9 @@ mod tests {
         // needing 144 fragments must fail leaving the map untouched.
         let mut m = map(12, 1, 10);
         let s = spec(0, 60, 48); // 48 × 3 = 144 fragments
-        let before = m.free_cylinders();
+        let before = m.used_cylinders();
         assert!(matches!(m.place_at(&s, 0), Err(Error::DiskFull { .. })));
-        assert_eq!(m.free_cylinders(), before);
+        assert_eq!(m.used_cylinders(), before);
     }
 
     #[test]
@@ -958,133 +759,13 @@ mod tests {
     }
 
     #[test]
-    fn placed_object_cylinder_accounting() {
-        let config = StripingConfig {
-            disks: 9,
-            stride: 3,
-            fragment: Bytes::new(1_512_000),
-            b_disk: Bandwidth::mbps(20),
-            parity_group: None,
-        };
-        let mut m = PlacementMap::new_materialized(config, 100, 1).unwrap();
+    fn simple_striping_cylinder_accounting() {
+        let mut m = map(9, 3, 100);
         m.place_at(&spec(0, 60, 9), 0).unwrap(); // M=3, simple striping
-        let p = m.placed_object(ObjectId(0)).unwrap();
-        // 9 subobjects × 3 fragments over 9 disks = 3 per disk.
+                                                 // 9 subobjects × 3 fragments over 9 disks = 3 per disk.
         for d in 0..9 {
-            assert_eq!(p.cylinders_on(DiskId(d)), 3);
+            assert_eq!(m.used_on(DiskId(d)), 3);
         }
-    }
-
-    #[test]
-    fn lazy_is_the_default_and_stores_no_ranges() {
-        let mut m = map(12, 1, 100);
-        assert_eq!(m.backend(), PlacementBackend::Lazy);
-        m.place_at(&spec(0, 60, 12), 0).unwrap();
-        assert!(m.is_resident(ObjectId(0)));
-        assert!(m.placed_object(ObjectId(0)).is_none());
-        assert!(m.layout(ObjectId(0)).is_some());
-    }
-
-    /// A lazy and a materialized map over the same configuration.
-    fn both(disks: u32, stride: u32, cylinders: u32) -> (PlacementMap, PlacementMap) {
-        let config = StripingConfig {
-            disks,
-            stride,
-            fragment: Bytes::new(1_512_000),
-            b_disk: Bandwidth::mbps(20),
-            parity_group: None,
-        };
-        (
-            PlacementMap::new(config.clone(), cylinders, 1).unwrap(),
-            PlacementMap::new_materialized(config, cylinders, 1).unwrap(),
-        )
-    }
-
-    /// A run of the profile that crosses disk `D − 1 → 0` splits into two
-    /// slices, and the wrapped half is checked first: the error names the
-    /// lowest over-full disk, as the materialized scan does, although the
-    /// unwrapped half (disk 11) is over-full too.
-    #[test]
-    fn wrapped_run_reports_the_lowest_over_full_disk() {
-        // Stride 1: M = 3, n = 2 from disk 0 puts 1, 2, 2, 1 fragments on
-        // disks 0..4, so from disk 10 the run of 2s covers disks 11 and 0.
-        // The stationary stride 12 puts 2 on each of disks 10, 11 and 0.
-        for stride in [1, 12] {
-            let (mut lazy, mut mat) = both(12, stride, 10);
-            let mut id = 0;
-            for disk in [0, 10, 11] {
-                for _ in 0..9 {
-                    // One subobject of degree 1: one fragment on `disk`.
-                    lazy.place_at(&spec(id, 20, 1), disk).unwrap();
-                    mat.place_at(&spec(id, 20, 1), disk).unwrap();
-                    id += 1;
-                }
-            }
-            let before = lazy.used_cylinders();
-            let big = spec(id, 60, 2);
-            let a = lazy.place_at(&big, 10).unwrap_err();
-            let b = mat.place_at(&big, 10).unwrap_err();
-            assert_eq!(a, b, "stride {stride}");
-            assert_eq!(
-                a,
-                Error::DiskFull {
-                    disk: DiskId(0),
-                    requested: Bytes::new(2 * 1_512_000),
-                    available: Bytes::new(1_512_000),
-                },
-                "stride {stride}"
-            );
-            assert_eq!(lazy.used_cylinders(), before);
-            assert_eq!(mat.used_cylinders(), before);
-        }
-    }
-
-    /// At `farm_100k`'s shape (D = 100,000, k = 5, M = 5, n = 3,000,
-    /// 3,000 cylinders) the lazy engine's slices account exactly like the
-    /// materialized engine over round-robin placements, a few starts whose
-    /// footprint wraps past disk 99,999, and removes that keep the
-    /// materialized side's ranges small.
-    #[test]
-    fn farm_100k_shape_matches_materialized() {
-        let (mut lazy, mut mat) = both(100_000, 5, 3000);
-        let mut resident: Vec<ObjectId> = Vec::new();
-        for i in 0..200u32 {
-            let s = spec(i, 100, 3000);
-            let (a, b) = if i % 20 == 19 {
-                let start = 86_000 + 700 * (i / 20);
-                (lazy.place_at(&s, start), mat.place_at(&s, start))
-            } else {
-                (lazy.place(&s), mat.place(&s))
-            };
-            assert_eq!(a, b, "object {i}");
-            resident.push(s.id);
-            if resident.len() > 16 {
-                let victim = resident.swap_remove(i as usize * 7 % resident.len());
-                lazy.remove(victim).unwrap();
-                mat.remove(victim).unwrap();
-            }
-            if i % 25 == 24 {
-                assert_eq!(lazy.used_cylinders(), mat.used_cylinders(), "object {i}");
-            }
-        }
-        assert_eq!(lazy.skew_ratio(), mat.skew_ratio());
-    }
-
-    /// The lazy engine's DiskFull error carries the exact same disk,
-    /// requested, and available fields as the materialized scan.
-    #[test]
-    fn lazy_disk_full_error_matches_materialized() {
-        let (mut lazy, mut mat) = both(12, 1, 10);
-        // Partially fill, then overflow with a big object.
-        let small = spec(0, 60, 20); // 60 fragments
-        lazy.place_at(&small, 0).unwrap();
-        mat.place_at(&small, 0).unwrap();
-        let big = spec(1, 60, 48); // 144 fragments > remaining 60
-        let a = lazy.place_at(&big, 3).unwrap_err();
-        let b = mat.place_at(&big, 3).unwrap_err();
-        assert_eq!(a, b);
-        assert!(matches!(a, Error::DiskFull { .. }));
-        assert_eq!(lazy.used_cylinders(), mat.used_cylinders());
     }
 
     fn parity_map(disks: u32, stride: u32, cylinders: u32, group: u32) -> PlacementMap {
@@ -1116,28 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn parity_capacity_agrees_across_backends() {
-        let config = StripingConfig {
-            disks: 9,
-            stride: 3,
-            fragment: Bytes::new(1_512_000),
-            b_disk: Bandwidth::mbps(20),
-            parity_group: Some(3),
-        };
-        let mut lazy = PlacementMap::new(config.clone(), 50, 1).unwrap();
-        let mut mat = PlacementMap::new_materialized(config, 50, 1).unwrap();
-        for (i, start) in [(0u32, 0u32), (1, 3), (2, 7)] {
-            let s = spec(i, 60, 9); // M = 3 + 1 parity
-            lazy.place_at(&s, start).unwrap();
-            mat.place_at(&s, start).unwrap();
-        }
-        assert_eq!(lazy.used_cylinders(), mat.used_cylinders());
-        lazy.remove(ObjectId(1)).unwrap();
-        mat.remove(ObjectId(1)).unwrap();
-        assert_eq!(lazy.used_cylinders(), mat.used_cylinders());
-    }
-
-    #[test]
     fn parity_stripe_must_fit_the_farm() {
         // M = 3 data + 3 parity (g = 1) needs 6 offsets; a 5-disk farm
         // cannot hold the inflated stripe.
@@ -1161,22 +820,5 @@ mod tests {
             config.validate(),
             Err(Error::InvalidConfig { .. })
         ));
-    }
-
-    /// A stationary (non-uniform-profile) layout goes through the lazy
-    /// engine's skewed path and still accounts exactly.
-    #[test]
-    fn lazy_skewed_path_accounts_exactly() {
-        let (mut lazy, mut reference) = both(10, 10, 1000); // k ≡ 0 mod D: stationary
-        for (i, start) in [(0u32, 0u32), (1, 4), (2, 7)] {
-            let s = spec(i, 40, 30); // M=2, stationary pair of disks
-            lazy.place_at(&s, start).unwrap();
-            reference.place_at(&s, start).unwrap();
-        }
-        assert_eq!(lazy.used_cylinders(), reference.used_cylinders());
-        assert_eq!(lazy.skew_ratio(), reference.skew_ratio());
-        lazy.remove(ObjectId(1)).unwrap();
-        reference.remove(ObjectId(1)).unwrap();
-        assert_eq!(lazy.used_cylinders(), reference.used_cylinders());
     }
 }

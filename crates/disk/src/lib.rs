@@ -1,7 +1,8 @@
 //! # ss-disk
 //!
 //! The magnetic-disk substrate: geometry, head-movement timing, the paper's
-//! effective-bandwidth model, and a per-drive cylinder allocator.
+//! effective-bandwidth model, per-drive availability and rebuild, and the
+//! journaled slot metadata the storage plane keeps for each drive.
 //!
 //! Two calibrated parameter sets ship with the crate:
 //!
@@ -18,14 +19,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod allocator;
 mod availability;
 mod metadata;
 mod params;
 mod rebuild;
 mod timing;
 
-pub use allocator::{CylinderAllocator, CylinderRange};
 pub use availability::AvailabilityMask;
 pub use metadata::{DiskMetadata, LatentError, RecoveryReport, TxnOp};
 pub use params::DiskParams;

@@ -179,13 +179,6 @@ impl DiskMetadata {
         self.slots - self.used_slots()
     }
 
-    /// Slots allocated to `object` (0 when not present).
-    pub fn object_slots(&self, object: u64) -> u32 {
-        self.extents
-            .get(&object)
-            .map_or(0, |ex| ex.iter().map(|&(_, len)| len).sum())
-    }
-
     /// True iff `object` has at least one extent on this drive.
     pub fn holds(&self, object: u64) -> bool {
         self.extents.contains_key(&object)
@@ -194,11 +187,6 @@ impl DiskMetadata {
     /// Objects with at least one extent here, ascending.
     pub fn objects(&self) -> impl Iterator<Item = u64> + '_ {
         self.extents.keys().copied()
-    }
-
-    /// Transactions currently in the journal (since the last checkpoint).
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
     }
 
     /// Latent errors currently planted and undetected.
@@ -374,13 +362,6 @@ impl DiskMetadata {
             injected: now,
         });
         Some((slot, object))
-    }
-
-    /// A full scrub pass over this drive: every latent error is detected
-    /// and drained (repair is the caller's job — parity reconstruction,
-    /// replica copy, or evict-and-refetch).
-    pub fn scrub_scan(&mut self) -> Vec<LatentError> {
-        std::mem::take(&mut self.latent)
     }
 
     /// A chunked scrub scan: detects and drains the latent errors whose
@@ -574,14 +555,14 @@ mod tests {
         assert!(m.commit_alloc(8, 5));
         assert!(!m.commit_alloc(7, 3), "double alloc rejected");
         assert_eq!(m.used_slots(), 15);
-        assert_eq!(m.object_slots(7), 10);
+        assert_eq!(m.extents[&7].iter().map(|&(_, len)| len).sum::<u32>(), 10);
         assert!(m.holds(8));
         assert!(m.verify());
         assert!(m.commit_free(7));
         assert!(!m.commit_free(7), "double free rejected");
         assert_eq!(m.used_slots(), 5);
         assert!(m.verify());
-        assert_eq!(m.journal_len(), 3, "two allocs + one free journaled");
+        assert_eq!(m.journal.len(), 3, "two allocs + one free journaled");
     }
 
     #[test]
@@ -594,7 +575,7 @@ mod tests {
         assert!(m.commit_free(3));
         // Free: [0,10) ∪ [20,30); 15 slots must span both runs.
         assert!(m.commit_alloc(4, 15));
-        assert_eq!(m.object_slots(4), 15);
+        assert_eq!(m.extents[&4].iter().map(|&(_, len)| len).sum::<u32>(), 15);
         assert!(m.verify());
         assert!(!m.commit_alloc(5, 10), "only 5 slots left");
         assert!(m.commit_alloc(5, 5));
@@ -613,7 +594,7 @@ mod tests {
         assert!(r.discarded_allocs.is_empty());
         assert!(r.clean);
         assert_eq!(m.used_slots(), 20, "committed allocations survive");
-        assert_eq!(m.journal_len(), 0, "recovery checkpoints the journal");
+        assert_eq!(m.journal.len(), 0, "recovery checkpoints the journal");
         assert!(m.verify());
     }
 
@@ -677,7 +658,7 @@ mod tests {
         assert_eq!(r.latent_planted, 1);
         assert!(r.clean);
         assert_eq!(m.latent_len(), 1);
-        let found = m.scrub_scan();
+        let found = m.scrub_scan_range(0, m.slots());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].object, 1);
         assert_eq!(m.latent_len(), 0);
@@ -712,7 +693,7 @@ mod tests {
         // Empty drive: nothing to tear.
         assert!(m.commit_free(if object == 1 { 2 } else { 1 }));
         assert!(m.torn_write(7, t0).is_none());
-        let found = m.scrub_scan();
+        let found = m.scrub_scan_range(0, m.slots());
         assert!(found.is_empty());
     }
 
@@ -722,7 +703,7 @@ mod tests {
         for i in 0..100u64 {
             assert!(m.commit_alloc(i, 1));
         }
-        assert_eq!(m.journal_len(), MAX_JOURNAL);
+        assert_eq!(m.journal.len(), MAX_JOURNAL);
         let r = m.power_loss(2);
         assert_eq!(r.replayed, MAX_JOURNAL as u64);
         assert!(r.clean);

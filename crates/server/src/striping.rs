@@ -154,7 +154,8 @@ impl DistState {
 }
 
 /// Striping's placement state: the virtual-frame interval scheduler, the
-/// cylinder-exact placement map, and the tertiary staging tables.
+/// placement map's per-disk used-cylinder counters, and the tertiary
+/// staging tables.
 pub struct StripingPolicy {
     b_disk: ss_types::Bandwidth,
     /// §3.1 naive mode: reserve aligned groups of this many disks.

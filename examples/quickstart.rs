@@ -34,7 +34,7 @@ fn main() -> Result<()> {
         movie.display_time(config.b_disk, config.fragment),
     );
 
-    // Place it: every fragment gets a (disk, cylinder) address.
+    // Place it: each fragment gets a disk and is charged to its capacity.
     let mut placement = PlacementMap::new(config.clone(), disk.cylinders, 1)?;
     let layout = placement.place_at(&movie, 4)?;
     println!("\nfirst three subobjects land on:");

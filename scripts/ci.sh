@@ -25,6 +25,16 @@ echo "==> cargo test --workspace -q (every crate's unit tests)"
 # gated here.
 cargo test --workspace -q
 
+echo "==> examples (each runs to exit 0)"
+# Clippy only compiles the examples; running them catches a panic or an
+# error return on the public-API paths they walk (quickstart places
+# through PlacementMap). Each takes well under a second in release.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  cargo run --release -q --example "$name" > /dev/null
+  echo "    $name: ok"
+done
+
 echo "==> benchmark --quick (public-API build + pinned digests of all four workloads)"
 # The repository benchmark is a package of its own, built only against
 # the crates' public APIs, so this step also catches an API break the
@@ -53,9 +63,9 @@ cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Car
   --workload farm_100k --seed 1994 --seconds 1 --trace 0
 
 echo "==> property suites (per-suite test counts)"
-# The placement engines (lazy counters against materialized cylinder
-# ranges, parity-free and parity-inflated, and the fragment profile
-# against brute force), then the degraded-mode harness: property sweep +
+# Placement (the map's counters against a per-fragment reference model,
+# parity-free and parity-inflated, and the fragment profile against
+# brute force), then the degraded-mode harness: property sweep +
 # goldens (now spanning the parity/rebuild axes), coalescing proptest,
 # backoff retry-queue properties, seed-stability digests, dense-vs-sparse
 # under fault plans, delivery-machine properties (incl. the recorded

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use ss_core::admission::{AdmissionGrant, AdmissionPolicy, IntervalScheduler};
     pub use ss_core::frame::VirtualFrame;
     pub use ss_core::media::{MediaType, ObjectCatalog, ObjectSpec};
-    pub use ss_core::placement::{PlacementBackend, PlacementMap, StripingConfig, StripingLayout};
+    pub use ss_core::placement::{PlacementMap, StripingConfig, StripingLayout};
     pub use ss_disk::{AvailabilityMask, DiskParams};
     pub use ss_server::{
         config::{
