@@ -14,10 +14,19 @@
 //!   early are buffered; fragment 0 is always pipelined directly, matching
 //!   Algorithm 1's `w_offset = z_i − z_0 − i ≥ 0`). The grant reports the
 //!   total buffer bill.
+//!
+//! After a rejection, [`IntervalScheduler::no_pass_before`] bounds the
+//! first interval at which the same plan could pass, so a caller need not
+//! retry before it.
 
 use crate::frame::VirtualFrame;
 use serde::{Deserialize, Serialize};
 use ss_types::{Error, ObjectId, Result};
+
+/// The most intervals [`IntervalScheduler::no_pass_before`] scans for a
+/// start whose aligned virtual disks are all free. A rotation period
+/// (`D / gcd(D, k)`) shorter than this is scanned whole.
+pub const NO_PASS_SCAN_CAP: u64 = 1024;
 
 /// How aggressively admission may assemble a display from free disks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -504,6 +513,134 @@ impl IntervalScheduler {
         }
     }
 
+    /// An interval before which [`Self::plan`] with these arguments
+    /// cannot succeed at any interval from `now` on, for as long as no
+    /// horizon is lowered and no outage window is removed or shortened
+    /// (commits, background holds and new windows only make plans fail
+    /// more). Read-only. The latest of three bounds:
+    ///
+    /// * the count test both planners open with: fewer than `degree`
+    ///   virtual disks are free before [`Self::earliest_free`]`(degree)`,
+    ///   and a fragmented plan counts `max_delay_intervals` ahead;
+    /// * contiguous only, per outage window open at `now` that the
+    ///   planner cannot read through (a slow episode always, a failure
+    ///   unless a parity group is set): subobject `X_j` sits `j·k` disks
+    ///   past `X_0`, so a display visits the window's disk at the same
+    ///   offsets from its start whenever it starts. With `j` the first
+    ///   such offset, every start before `until − j` reads the disk while
+    ///   the window is open;
+    /// * contiguous only, the first interval from `now` at which all
+    ///   `degree` aligned virtual disks are free, scanned over at most one
+    ///   rotation period and [`NO_PASS_SCAN_CAP`] intervals. A full period
+    ///   with no free start bounds each start's later alignments by the
+    ///   horizon that blocked it, since the same disks align again every
+    ///   period.
+    ///
+    /// The result may be at or before `now`: it bounds the first success,
+    /// it does not promise one.
+    ///
+    /// ```
+    /// use ss_core::admission::{AdmissionPolicy, IntervalScheduler, Outage};
+    /// use ss_core::frame::VirtualFrame;
+    /// use ss_types::ObjectId;
+    ///
+    /// let mut s = IntervalScheduler::new(VirtualFrame::new(8, 1));
+    /// s.add_outage(Outage { disk: 3, from: 0, until: 100, hard: true });
+    /// // From disk 0 with stride 1, fragment 1 of a 2-wide display reads
+    /// // disk 3 two intervals after the start, so every start before
+    /// // 100 − 2 reads the failed disk.
+    /// let c = AdmissionPolicy::Contiguous;
+    /// assert_eq!(s.no_pass_before(0, 0, 2, 40, c), 98);
+    /// assert!(s.plan(97, ObjectId(0), 0, 2, 40, c).is_err());
+    /// assert!(s.plan(98, ObjectId(0), 0, 2, 40, c).is_ok());
+    /// ```
+    pub fn no_pass_before(
+        &self,
+        now: u64,
+        start_disk: u32,
+        degree: u32,
+        subobjects: u32,
+        policy: AdmissionPolicy,
+    ) -> u64 {
+        let count = self
+            .earliest_free(degree)
+            .expect("the degree fits the farm");
+        match policy {
+            AdmissionPolicy::Fragmented {
+                max_delay_intervals,
+                ..
+            } => count.saturating_sub(max_delay_intervals),
+            AdmissionPolicy::Contiguous => {
+                let v0 = self.frame.virtual_of(start_disk % self.frame.disks(), now);
+                count
+                    .max(self.outage_bound(now, v0, degree, subobjects))
+                    .max(self.aligned_free_bound(now, v0, degree))
+            }
+        }
+    }
+
+    /// The outage term of [`Self::no_pass_before`] for the aligned virtual
+    /// disks `v0, v0 + 1, …` of a display starting at `now`.
+    fn outage_bound(&self, now: u64, v0: u32, degree: u32, subobjects: u32) -> u64 {
+        let d = self.frame.disks();
+        let end = now + u64::from(subobjects);
+        let mut bound = 0;
+        for o in &self.outages {
+            if !o.covers(now) || (o.hard && self.parity_group.is_some()) {
+                continue;
+            }
+            let first = (0..degree)
+                .filter_map(|i| self.frame.next_alignment((v0 + i) % d, o.disk, now))
+                .filter(|&t| t < end)
+                .min();
+            if let Some(t) = first {
+                bound = bound.max(o.until.saturating_sub(t - now));
+            }
+        }
+        bound
+    }
+
+    /// The scan term of [`Self::no_pass_before`]: the first start from
+    /// `now` whose `degree` aligned virtual disks are all free, where the
+    /// aligned run over `X_0` begins at `v0` at `now` and recedes by the
+    /// stride each interval.
+    fn aligned_free_bound(&self, now: u64, mut v0: u32, degree: u32) -> u64 {
+        let (d, k) = (self.frame.disks(), self.frame.stride());
+        let period = self.frame.period();
+        let span = period.min(NO_PASS_SCAN_CAP);
+        let mut later = u64::MAX;
+        for s in now..now + span {
+            let (head, tail) = self.aligned_horizons(v0, degree);
+            match head.iter().chain(tail).find(|&&h| h > s) {
+                None => return s,
+                // This start's disks align again at `s + q·period`, and
+                // that one stays busy until `h`.
+                Some(&h) => {
+                    let wait = (h - s).div_ceil(period).saturating_mul(period);
+                    later = later.min(s.saturating_add(wait));
+                }
+            }
+            v0 = if v0 >= k { v0 - k } else { v0 + d - k };
+        }
+        if span == period {
+            later
+        } else {
+            now + span
+        }
+    }
+
+    /// The horizons of the `degree` aligned virtual disks `v0, v0 + 1, …`
+    /// (mod `D`): the run up to the frame's last disk, then the wrapped
+    /// rest.
+    fn aligned_horizons(&self, v0: u32, degree: u32) -> (&[u64], &[u64]) {
+        let first = (self.frame.disks() - v0).min(degree) as usize;
+        let lo = v0 as usize;
+        (
+            &self.free_from[lo..lo + first],
+            &self.free_from[..degree as usize - first],
+        )
+    }
+
     /// The mutating half of [`Self::try_admit`]: books every granted
     /// virtual disk (and parity companion) through its reading window and
     /// emits the observability events. `grant` must have been produced by
@@ -563,10 +700,7 @@ impl IntervalScheduler {
         // no modular solve and no outage scan per fragment.
         let v0 = self.frame.virtual_of(start_disk % d, now);
         let free = if self.outages.is_empty() {
-            let first = (d - v0).min(degree) as usize;
-            let lo = v0 as usize;
-            let head = &self.free_from[lo..lo + first];
-            let tail = &self.free_from[..degree as usize - first];
+            let (head, tail) = self.aligned_horizons(v0, degree);
             (head.iter().filter(|&&f| f <= now).count()
                 + tail.iter().filter(|&&f| f <= now).count()) as u32
         } else {

@@ -346,20 +346,24 @@ impl PlacementMap {
         let d = self.config.disks;
         let k = self.config.stride % d;
         let start = self.next_start;
-        let next = if k == 0 {
+        // The next start and cycle origin, stored only once the placement
+        // succeeds.
+        let (next, base) = if k == 0 {
             let degree = spec.degree(self.config.b_disk);
-            (start + degree + self.config.parity_fragments(degree)) % d
+            let next = (start + degree + self.config.parity_fragments(degree)) % d;
+            (next, self.cycle_base)
         } else {
             let wrapped = (start + k) % d;
             if wrapped == self.cycle_base {
-                self.cycle_base = (self.cycle_base + 1) % d;
-                self.cycle_base
+                let base = (self.cycle_base + 1) % d;
+                (base, base)
             } else {
-                wrapped
+                (wrapped, self.cycle_base)
             }
         };
         let layout = self.place_at(spec, start)?;
         self.next_start = next;
+        self.cycle_base = base;
         Ok(layout)
     }
 

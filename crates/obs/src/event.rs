@@ -50,7 +50,9 @@ pub enum Event {
         /// direct read.
         reconstructed: u64,
     },
-    /// An admission attempt found no feasible slot this interval.
+    /// An admission attempt found no feasible slot this interval: one
+    /// per planned rejection. A striping waiter asleep until its plan
+    /// can pass is not planned, so it emits none.
     AdmitReject {
         /// Catalog id of the rejected object.
         object: u32,

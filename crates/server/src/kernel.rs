@@ -201,6 +201,13 @@ pub struct Waiter {
     /// parks an exhausted waiter until the next fault transition resets
     /// the queue.
     pub(crate) next_attempt: u64,
+    /// First interval at which the waiter's plan may pass
+    /// (`IntervalScheduler::no_pass_before`, set by striping on a
+    /// rejection while backoff is unarmed): before it the waiter sleeps
+    /// and admission does not plan it. Apart from `next_attempt`, so
+    /// backoff runs unchanged; 0 is awake, and every event that can let a
+    /// plan pass sooner sets it back to 0.
+    pub(crate) wake: u64,
 }
 
 /// Distributed-tier state, armed by `config.distributed`: the node
@@ -724,14 +731,16 @@ impl<X> ServerCore<X> {
     }
 
     /// Every fault transition changes what is admissible, so the backoff
-    /// queue starts over: parked waiters get a fresh attempt budget.
-    fn reset_backoff(&mut self) {
-        if self.config.parity.is_none() {
-            return;
-        }
+    /// queue starts over (parked waiters get a fresh attempt budget) and
+    /// every sleeping waiter wakes.
+    fn reset_queue(&mut self) {
+        let parity = self.config.parity.is_some();
         for w in &mut self.queue {
-            w.attempts = 0;
-            w.next_attempt = 0;
+            w.wake = 0;
+            if parity {
+                w.attempts = 0;
+                w.next_attempt = 0;
+            }
         }
     }
 
@@ -744,6 +753,7 @@ impl<X> ServerCore<X> {
             issued,
             attempts: 0,
             next_attempt: 0,
+            wake: 0,
         };
         if self.trace.is_some() {
             while let Some((at, object)) = self.trace.as_mut().and_then(|tr| tr.pop_due(now)) {
@@ -912,7 +922,7 @@ impl<P: PlacementPolicy> Kernel<P> {
             scheme.transition(core, &ev, t, now, until, drain);
         }
         if transitioned {
-            core.reset_backoff();
+            core.reset_queue();
         }
     }
 
@@ -959,7 +969,7 @@ impl<P: PlacementPolicy> Kernel<P> {
             }
         }
         if completed {
-            core.reset_backoff();
+            core.reset_queue();
         }
     }
 

@@ -361,7 +361,9 @@ impl PlacementPolicy for StripingPolicy {
                 continue;
             }
             if !self.displayable(w.object, now) {
-                // Evicted while queued: re-fetch.
+                // Evicted while queued: re-fetch. Its layout may move, so
+                // its wake no longer holds.
+                w.wake = 0;
                 core.queue.push(w);
                 continue;
             }
@@ -376,17 +378,24 @@ impl PlacementPolicy for StripingPolicy {
                 // Joined an in-flight shared stream.
                 continue;
             }
+            if w.wake > t {
+                // Asleep: no plan can pass before its wake. Debug builds
+                // still plan it, to check the bound.
+                debug_assert!(
+                    self.plan_fails(&w, t),
+                    "{} asleep until interval {} is admissible at {t}",
+                    w.object,
+                    w.wake
+                );
+                core.queue.push(w);
+                continue;
+            }
             let layout = self
                 .placement
                 .layout(w.object)
                 .expect("displayable object is placed");
+            let (start_disk, degree) = self.reservation(&layout);
             let spec = self.catalog.get(w.object).expect("catalog object");
-            // §3.1 naive mode: round the reservation up to a whole
-            // aligned cluster; staggered striping reserves exactly M_X.
-            let (start_disk, degree) = match self.cluster_round {
-                Some(c) => (layout.start_disk - layout.start_disk % c, c),
-                None => (layout.start_disk, layout.degree),
-            };
             let viewing = spec.display_time(self.b_disk, core.config.fragment_size());
             // Copied out so the catalog borrow ends before the admission
             // gate (which needs the router and ledger).
@@ -395,15 +404,25 @@ impl PlacementPolicy for StripingPolicy {
             // `plan` + `commit` is exactly `try_admit` (admission.rs),
             // split open so the interconnect gate can run between them;
             // with the tier off the gate admits as `(NodeId(0), 0)` and
-            // touches nothing.
-            let attempt = self
-                .scheduler
-                .plan(t, w.object, start_disk, degree, subobjects, self.policy)
-                .and_then(|grant| {
-                    let (home, extra) = self.admit_gate(core, &grant, subobjects)?;
-                    self.scheduler.commit(t, &grant, subobjects);
-                    Ok((grant, home, extra))
-                });
+            // touches nothing. A rejected plan puts the waiter to sleep
+            // until its bound (and past this interval, so the tick's
+            // second pass skips it) unless backoff paces it instead. A
+            // gate refusal leaves it awake: the router draws on every
+            // gate attempt, so skipping one would move the draws.
+            let plan =
+                self.scheduler
+                    .plan(t, w.object, start_disk, degree, subobjects, self.policy);
+            if plan.is_err() && !backoff {
+                w.wake = self
+                    .scheduler
+                    .no_pass_before(t, start_disk, degree, subobjects, self.policy)
+                    .max(t + 1);
+            }
+            let attempt = plan.and_then(|grant| {
+                let (home, extra) = self.admit_gate(core, &grant, subobjects)?;
+                self.scheduler.commit(t, &grant, subobjects);
+                Ok((grant, home, extra))
+            });
             match attempt {
                 Ok((grant, home, extra_buffers)) => {
                     // (Naive cluster-rounding reserves more disks than the
@@ -723,10 +742,12 @@ impl PlacementPolicy for StripingPolicy {
         let mut horizon = core.deadline;
         // Queued admissions probe the rotated virtual frame each interval,
         // but both planners reject outright while fewer virtual disks than
-        // the attempt's degree are free — so with the scheduler untouched
+        // the attempt's degree are free, and a sleeping waiter is not
+        // planned before its wake — so with the scheduler untouched
         // (commits and completions are wakeup sources themselves), every
-        // attempt before `earliest_free(min degree)` is a side-effect-free
-        // rejection and those intervals can be skipped wholesale.
+        // attempt before the later of `earliest_free(min degree)` and the
+        // earliest wake is a side-effect-free rejection and those
+        // intervals can be skipped wholesale.
         if !core.queue.is_empty() {
             // With the backoff queue armed, a waiter before its
             // `next_attempt` interval is skipped without side effects, so
@@ -810,6 +831,36 @@ impl StripingPolicy {
         plane.stats.scrub_interference_intervals += added;
     }
 
+    /// The `(start disk, degree)` admission plans `layout`'s object
+    /// with. §3.1 naive mode rounds the reservation up to a whole aligned
+    /// cluster; staggered striping reserves exactly `M_X`.
+    fn reservation(&self, layout: &StripingLayout) -> (u32, u32) {
+        match self.cluster_round {
+            Some(c) => (layout.start_disk - layout.start_disk % c, c),
+            None => (layout.start_disk, layout.degree),
+        }
+    }
+
+    /// True when planning `w` at interval `t` fails: the debug check
+    /// that a sleeping waiter's bound holds.
+    fn plan_fails(&self, w: &Waiter, t: u64) -> bool {
+        let layout = self
+            .placement
+            .layout(w.object)
+            .expect("displayable object is placed");
+        let (start_disk, degree) = self.reservation(&layout);
+        self.scheduler
+            .plan(
+                t,
+                w.object,
+                start_disk,
+                degree,
+                layout.subobjects,
+                self.policy,
+            )
+            .is_err()
+    }
+
     /// `object`'s degree of declustering, or `unknown` for an id outside
     /// the catalog.
     fn degree_of(&self, object: ObjectId, unknown: u32) -> u32 {
@@ -832,8 +883,10 @@ impl StripingPolicy {
             if self.materializing[o.index()].is_some_and(|t| t <= now) {
                 self.materializing[o.index()] = None;
                 self.materializing_ids.remove(i);
+                // A re-queued waiter wakes: its layout may have moved.
                 let waiters = std::mem::take(&mut self.wait_tertiary[o.index()]);
-                core.queue.extend(waiters);
+                core.queue
+                    .extend(waiters.into_iter().map(|w| Waiter { wake: 0, ..w }));
             } else {
                 i += 1;
             }
@@ -997,7 +1050,14 @@ impl StripingPolicy {
             };
             // A handover lowers the bill by exactly its saving.
             let left = frag_state.buffer_total() - plan.buffer_saving;
-            self.hand_over(core.dist.as_mut(), &mut core.buffers, d, &plan, t);
+            self.hand_over(
+                core.dist.as_mut(),
+                &mut core.buffers,
+                &mut core.queue,
+                d,
+                &plan,
+                t,
+            );
             core.metrics.coalesces += 1;
             ss_obs::obs!(ss_obs::Event::Coalesce {
                 object: d.object.0,
@@ -1013,18 +1073,23 @@ impl StripingPolicy {
     /// Commits `plan`, a handover of one of `d`'s fragments made at
     /// interval `t`: moves the fragment's reads in the scheduler,
     /// force-books its new remote reads, and releases the buffers the
-    /// handover saves. Coalesce and rescue differ only in what they count
-    /// afterwards.
+    /// handover saves. The handing-over disk frees sooner, so every
+    /// sleeping waiter in `queue` wakes. Coalesce and rescue differ only
+    /// in what they count afterwards.
     fn hand_over(
         &mut self,
         dist: Option<&mut DistState>,
         buffers: &mut BufferTracker,
+        queue: &mut [Waiter],
         d: &mut Active,
         plan: &CoalescePlan,
         t: u64,
     ) {
         let f = d.ext.fragmented.as_mut().expect("plan needs read state");
         self.scheduler.apply_coalesce(f, plan);
+        for w in queue {
+            w.wake = 0;
+        }
         if let Some(dist) = dist {
             dist.rebook_fragment(self.scheduler.frame(), d.home_node, f, plan.frag, t);
         }
@@ -1072,7 +1137,14 @@ impl StripingPolicy {
                 let f = d.ext.fragmented.as_ref().expect("read state of lost reads");
                 match self.scheduler.plan_rescue(f, frag, t) {
                     Some(plan) => {
-                        self.hand_over(core.dist.as_mut(), &mut core.buffers, d, &plan, t);
+                        self.hand_over(
+                            core.dist.as_mut(),
+                            &mut core.buffers,
+                            &mut core.queue,
+                            d,
+                            &plan,
+                            t,
+                        );
                         let g = core.metrics.degraded_mut();
                         g.rescues += 1;
                         g.rescue_buffer_overhead += d.delivery_start - plan.new_read_start;
@@ -1172,19 +1244,24 @@ impl StripingPolicy {
     }
 
     /// The boundary of the first interval at which some queued admission
-    /// could pass the planners' leading free-disk count test. `None` when
-    /// no queued degree fits the farm at all. Under the fragmented policy
-    /// the count test looks `max_delay_intervals` ahead, so the bound
-    /// backs off by the same amount.
+    /// could pass: the later of the planners' leading free-disk count
+    /// test and the earliest wake in the queue. `None` when no queued
+    /// degree fits the farm at all. Under the fragmented policy the count
+    /// test looks `max_delay_intervals` ahead, so the bound backs off by
+    /// the same amount. With sharing armed a sleeping waiter may still
+    /// join a stream at any executed tick, which its wake does not bound,
+    /// so the wakes defer no tick there.
     fn earliest_admission_attempt(&self, core: &Core) -> Option<SimTime> {
-        let m_min = core
+        let (m_min, wake) = core
             .queue
             .iter()
             .map(|w| {
-                self.cluster_round
-                    .unwrap_or_else(|| self.degree_of(w.object, 1))
+                let m = self
+                    .cluster_round
+                    .unwrap_or_else(|| self.degree_of(w.object, 1));
+                (m, w.wake)
             })
-            .min()
+            .reduce(|(m, a), (n, b)| (m.min(n), a.min(b)))
             .expect("caller checked the queue is non-empty");
         let delay = match self.policy {
             AdmissionPolicy::Contiguous => 0,
@@ -1193,7 +1270,10 @@ impl StripingPolicy {
                 ..
             } => max_delay_intervals,
         };
-        let t = self.scheduler.earliest_free(m_min)?.saturating_sub(delay);
+        let mut t = self.scheduler.earliest_free(m_min)?.saturating_sub(delay);
+        if core.config.sharing.is_none() {
+            t = t.max(wake);
+        }
         Some(SimTime::from_micros(t * core.interval.as_micros()))
     }
 }

@@ -62,10 +62,22 @@ echo "==> benchmark --workload farm_100k (pinned full-size digest)"
 cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
   --workload farm_100k --seed 1994 --seconds 1 --trace 0
 
+echo "==> benchmark --workload obs (pinned full-size digest)"
+# The full-size journaled cells (nine per scheme) at the pinned seed,
+# checked against their pinned digest and end-of-run invariants (about
+# 2 s). Disk 3 fails with no parity, so no striping display can start
+# until the repair and every rejected waiter sleeps through the outage;
+# the quick pass runs only two of these cells. A hard gate, like the
+# quick pass.
+cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+  --workload obs --seed 1994 --seconds 1 --trace 0
+
 echo "==> property suites (per-suite test counts)"
 # Placement (the map's counters against a per-fragment reference model,
 # parity-free and parity-inflated, and the fragment profile against
-# brute force), then the degraded-mode harness: property sweep +
+# brute force), admission (sound grants, the outage walker against a
+# per-interval scan, and the wake bound against planning every interval
+# up to it), then the degraded-mode harness: property sweep +
 # goldens (now spanning the parity/rebuild axes), coalescing proptest,
 # backoff retry-queue properties, seed-stability digests, dense-vs-sparse
 # under fault plans, delivery-machine properties (incl. the recorded
@@ -76,7 +88,7 @@ echo "==> property suites (per-suite test counts)"
 # determinism, root-cause attribution), and the config fuzz property
 # (every deserialized config validates and runs or is refused with a
 # typed error).
-for suite in placement_properties fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties config_validation; do
+for suite in placement_properties admission_properties fault_properties coalesce_properties backoff_properties seed_stability tick_equivalence obs_properties sharing_equivalence delivery_properties distributed_equivalence crash_properties slo_properties config_validation; do
   count=$(cargo test -q --test "$suite" 2>&1 | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p')
   if [ -z "$count" ] || [ "$count" -eq 0 ]; then
     echo "ci.sh: suite $suite reported no passing tests" >&2

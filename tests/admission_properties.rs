@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use staggered_striping::core::admission::{
-    AdmissionGrant, AdmissionPolicy, IntervalScheduler, Outage, WindowKind,
+    AdmissionGrant, AdmissionPolicy, IntervalScheduler, Outage, WindowKind, NO_PASS_SCAN_CAP,
 };
 use staggered_striping::core::coalesce::{ActiveFragmentedDisplay, LostRead};
 use staggered_striping::prelude::*;
@@ -292,4 +292,86 @@ proptest! {
             );
         }
     }
+}
+
+/// `no_pass_before` bounds the first interval at which `plan` can pass:
+/// over random horizons, hard and soft windows (open at the query or
+/// later), parity on and off, and stationary, even-sharing and arbitrary
+/// strides, `plan` fails under both policies at every interval from the
+/// query up to the bound (the query interval itself included). With no
+/// window, a contiguous bound inside the scan's reach is exact: `plan`
+/// passes there. Some cases must sleep past `now + 1`, or the check would
+/// be vacuous.
+#[test]
+fn no_pass_before_bounds_the_first_passing_plan() {
+    const CASES: u64 = 2_000;
+    let mut rng = proptest::TestRng::new(0x51ee9);
+    let (mut slept, mut exact) = (0u64, 0u64);
+    for case in 0..CASES {
+        let class = rng.below(3);
+        let d = match class {
+            1 => 2 * (1 + rng.below(12)),
+            _ => 1 + rng.below(24),
+        } as u32;
+        let k = match class {
+            0 => d * rng.below(3) as u32,        // stationary, 0 included
+            1 => 2 * (1 + rng.below(20)) as u32, // shares a factor with D
+            _ => rng.below(40) as u32,
+        };
+        let frame = VirtualFrame::new(d, k);
+        let now = 30 + rng.below(30);
+        let mut sched = IntervalScheduler::new(frame);
+        for v in 0..d {
+            sched.set_free_from(v, rng.below(now + 80));
+        }
+        sched.retire(now);
+        let windows = rng.below(4);
+        for _ in 0..windows {
+            let from = rng.below(now + 40);
+            sched.add_outage(Outage {
+                disk: rng.below(u64::from(d)) as u32,
+                from,
+                until: from + rng.below(80),
+                hard: rng.below(2) == 0,
+            });
+        }
+        if rng.below(2) == 0 {
+            sched.set_parity_group(Some(1 + rng.below(4) as u32));
+        }
+        let start = rng.below(u64::from(d)) as u32;
+        let degree = 1 + rng.below(u64::from(d.min(6))) as u32;
+        let subobjects = 1 + rng.below(40) as u32;
+        let fragmented = AdmissionPolicy::Fragmented {
+            max_buffer_fragments: rng.below(30),
+            max_delay_intervals: rng.below(10),
+        };
+        for policy in [AdmissionPolicy::Contiguous, fragmented] {
+            let bound = sched.no_pass_before(now, start, degree, subobjects, policy);
+            let plan = |t| sched.plan(t, ObjectId(0), start, degree, subobjects, policy);
+            for t in now..bound.min(now + 1_000) {
+                assert!(
+                    plan(t).is_err(),
+                    "case {case}: D={d} k={k} start={start} M={degree} n={subobjects} \
+                     {policy:?} {:?} parity {:?}: bound {bound} from {now}, \
+                     but plan passes at {t}",
+                    sched.outages(),
+                    sched.parity_group(),
+                );
+            }
+            slept += u64::from(bound > now + 1);
+            if policy == AdmissionPolicy::Contiguous
+                && windows == 0
+                && bound < now + frame.period().min(NO_PASS_SCAN_CAP)
+            {
+                assert!(
+                    plan(bound).is_ok(),
+                    "case {case}: D={d} k={k} start={start} M={degree}: \
+                     the scan found {bound}, where plan fails"
+                );
+                exact += 1;
+            }
+        }
+    }
+    assert!(slept > CASES / 4, "only {slept} bounds lie past now + 1");
+    assert!(exact > CASES / 20, "only {exact} scans found a free start");
 }

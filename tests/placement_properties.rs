@@ -171,21 +171,22 @@ impl Model {
     /// The round-robin start: a stationary stride packs each object's
     /// data and parity disks directly after the previous object's; a
     /// rotating stride advances by `k`, and shifts the cycle origin by one
-    /// each time it comes back to it.
+    /// each time it comes back to it. A refused placement moves neither.
     fn place(&mut self, spec: &ObjectSpec) -> Result<StripingLayout> {
         let (d, start) = (self.config.disks, self.next_start);
         let k = self.config.stride % d;
-        let next = if k == 0 {
+        let (next, base) = if k == 0 {
             let m = spec.degree(self.config.b_disk);
-            (start + m + self.parity(m)) % d
+            ((start + m + self.parity(m)) % d, self.cycle_base)
         } else if (start + k) % d == self.cycle_base {
-            self.cycle_base = (self.cycle_base + 1) % d;
-            self.cycle_base
+            let base = (self.cycle_base + 1) % d;
+            (base, base)
         } else {
-            (start + k) % d
+            ((start + k) % d, self.cycle_base)
         };
         let layout = self.place_at(spec, start)?;
         self.next_start = next;
+        self.cycle_base = base;
         Ok(layout)
     }
 
@@ -560,5 +561,41 @@ fn stationary_packing_skips_the_parity_disks() {
     }
     assert_eq!(starts, [0, 4, 8]);
     assert_eq!(map.used_cylinders(), vec![10; 12]);
+    agree(&map, &model).unwrap();
+}
+
+/// A refused round-robin placement leaves the map unchanged, the
+/// round-robin position and cycle origin included: after a `DiskFull` at
+/// the start where a non-coprime stride wraps, the starts continue the
+/// sequence an unrefused run takes, through every residue class.
+#[test]
+fn refused_place_keeps_the_round_robin() {
+    // D = 4, k = 2: one cycle visits starts 0 and 2, the next 1 and 3.
+    // A degree-1 object of 2 subobjects from start s fills disks s and
+    // s + 2.
+    let (mut map, mut model) = pair(4, 2, None, 4);
+    let mut starts = Vec::new();
+    let first = spec(0, 20, 2);
+    let layout = map.place(&first).unwrap();
+    assert_eq!(model.place(&first), Ok(layout));
+    starts.push(layout.start_disk);
+    // Fill disks 0 and 2, so the next start (2, where the cycle wraps)
+    // is refused.
+    let filler = spec(1, 20, 6);
+    assert_eq!(map.place_at(&filler, 0), model.place_at(&filler, 0));
+    let refused = spec(2, 20, 2);
+    let before = map.used_cylinders();
+    let a = map.place(&refused);
+    assert_eq!(a, model.place(&refused));
+    assert!(matches!(a, Err(Error::DiskFull { .. })), "{a:?}");
+    assert_eq!(map.used_cylinders(), before);
+    assert_eq!(map.remove(filler.id), model.remove(filler.id));
+    for id in 2..8 {
+        let s = spec(id, 20, 2);
+        let layout = map.place(&s).unwrap();
+        assert_eq!(model.place(&s), Ok(layout), "object {id}");
+        starts.push(layout.start_disk);
+    }
+    assert_eq!(starts, [0, 2, 1, 3, 2, 0, 3]);
     agree(&map, &model).unwrap();
 }

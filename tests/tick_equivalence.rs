@@ -203,3 +203,35 @@ fn think_time_delays_the_next_request() {
         }
     }
 }
+
+/// With disk 3 failed over the middle half of the window and no parity,
+/// every display of the small farm visits the failed disk within one
+/// rotation period, so no plan can pass until just before the repair:
+/// each rejected waiter sleeps until then, and the outage's boundaries
+/// are skipped instead of ticked. The report still equals the dense one.
+#[test]
+fn an_unavoidable_outage_is_skipped_not_ticked() {
+    for stations in [4, 8, 16] {
+        let mut cfg = ServerConfig::small_test(stations, 1994);
+        let secs = |d: SimDuration| d.as_micros() / 1_000_000;
+        let (warmup, measure) = (secs(cfg.warmup), secs(cfg.measure));
+        cfg.faults = fault_plan(1, warmup, measure);
+        let (fail, repair) = (
+            SimTime::from_secs(warmup + measure / 4),
+            SimTime::from_secs(warmup + 3 * measure / 4),
+        );
+        let mut server = StripingServer::new(cfg.clone()).expect("valid config");
+        let mut inside = 0u64;
+        while server.step() {
+            inside += u64::from(fail < server.now() && server.now() < repair);
+        }
+        assert!(
+            inside <= 50,
+            "{stations} stations: {inside} ticks inside the outage"
+        );
+        let sparse = server.run();
+        cfg.dense_ticks = true;
+        let dense = stepped(&cfg).expect("clock accounting holds");
+        assert_eq!(dense, sparse, "{stations} stations");
+    }
+}
