@@ -6,7 +6,8 @@
 //! The registry is deliberately dumb storage: the server models feed it
 //! one row per interval boundary (executed *and* replayed — sparse
 //! ticking skips quiescent boundaries, so the models re-materialize the
-//! skipped samples), and the CSV renderers emit byte-deterministic
+//! skipped samples, and repeat a heat row that cannot have changed
+//! rather than fill it), and the CSV renderers emit byte-deterministic
 //! artifacts for the bench harness.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,17 +34,24 @@ impl Default for RegistrySpec {
     }
 }
 
-/// One run of consecutive identical heatmap rows: the `count`
-/// boundaries starting at `start` all carried `row`. Farm occupancy
-/// changes far less often than once per interval (a saturated farm is
-/// all-busy for thousands of boundaries in a row), so run-length
-/// storage turns the dominant capture cost — one disks-wide vector per
-/// boundary — into a comparison against the open run.
+/// One run of consecutive heatmap rows that share one frame row:
+/// boundary `start + i` carried `row` rotated right by `offsets[i]`
+/// disks. A scheme keeps its occupancy in its own frame (striping's
+/// virtual disks shift right by `k` every interval), and that occupancy
+/// changes far less often than once per interval, so a run costs one
+/// disks-wide row per change plus one offset per boundary.
 #[derive(Debug)]
 struct HeatRun {
     start: u64,
-    count: u64,
     row: Vec<f32>,
+    offsets: Vec<u32>,
+}
+
+impl HeatRun {
+    /// The interval after the run's last boundary.
+    fn end(&self) -> u64 {
+        self.start + self.offsets.len() as u64
+    }
 }
 
 /// The registry proper. See the module docs.
@@ -94,41 +102,71 @@ impl Registry {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Append one per-disk utilization row (`row[d]` in `[0, 1]`) for
-    /// `interval`. Rows beyond `max_heatmap_rows` are dropped and
-    /// counted.
-    pub fn heatmap_row(&mut self, interval: u64, row: Vec<f32>) {
-        self.accept_heat_row(interval, &row);
-    }
-
-    /// Like [`Registry::heatmap_row`], but `fill` writes the row into a
-    /// buffer the registry reuses across calls — the per-boundary hot
-    /// path, which avoids one disks-wide allocation per interval.
-    pub fn heatmap_row_with(&mut self, interval: u64, fill: impl FnOnce(&mut Vec<f32>)) {
-        let mut buf = std::mem::take(&mut self.heat_scratch);
-        buf.clear();
-        fill(&mut buf);
-        self.accept_heat_row(interval, &buf);
-        self.heat_scratch = buf;
-    }
-
-    fn accept_heat_row(&mut self, interval: u64, row: &[f32]) {
+    /// Appends boundary `interval`'s per-disk utilization row (cells in
+    /// `[0, 1]`). `fill` writes the row, in the frame its scheme keeps
+    /// occupancy in, into an empty buffer the registry reuses, and
+    /// returns the frame's rotation `offset` at `interval`: physical
+    /// disk `p` reads frame cell `(p − offset) mod D`. A frame row equal
+    /// to the open run's, at the interval after it, extends that run.
+    /// Rows beyond `max_heatmap_rows` are dropped and counted, and their
+    /// `fill` is never called.
+    pub fn heatmap_row_with(&mut self, interval: u64, fill: impl FnOnce(&mut Vec<f32>) -> u32) {
         if self.heatmap_rows >= self.spec.max_heatmap_rows {
             self.heatmap_dropped += 1;
             return;
         }
+        let mut row = std::mem::take(&mut self.heat_scratch);
+        row.clear();
+        let offset = fill(&mut row);
+        debug_assert!(
+            self.spec.disks == 0 || row.len() == self.spec.disks as usize,
+            "a heat row of {} cells on a farm of {} disks",
+            row.len(),
+            self.spec.disks
+        );
+        debug_assert!(
+            (offset as usize) < row.len().max(1),
+            "offset {offset} past a row of {} cells",
+            row.len()
+        );
         self.heatmap_rows += 1;
-        if let Some(last) = self.heatmap.last_mut() {
-            if last.start + last.count == interval && last.row == row {
-                last.count += 1;
-                return;
+        match self.heatmap.last_mut() {
+            Some(last) if last.end() == interval && last.row == row => {
+                last.offsets.push(offset);
+                self.heat_scratch = row;
             }
+            _ => self.heatmap.push(HeatRun {
+                start: interval,
+                row,
+                offsets: vec![offset],
+            }),
         }
-        self.heatmap.push(HeatRun {
-            start: interval,
-            count: 1,
-            row: row.to_vec(),
-        });
+    }
+
+    /// Records boundary `interval` as the open run's frame row at
+    /// `offset`, in O(1): the caller vouches that the frame row has not
+    /// changed since `interval − 1`. Returns false, recording nothing,
+    /// when the open run does not end at `interval − 1`; the caller then
+    /// fills the row. At the row cap the boundary is dropped and counted,
+    /// and the call returns true.
+    pub fn heatmap_repeat(&mut self, interval: u64, offset: u32) -> bool {
+        if self.heatmap_rows >= self.spec.max_heatmap_rows {
+            self.heatmap_dropped += 1;
+            return true;
+        }
+        match self.heatmap.last_mut() {
+            Some(last) if last.end() == interval => {
+                debug_assert!(
+                    (offset as usize) < last.row.len().max(1),
+                    "offset {offset} past a row of {} cells",
+                    last.row.len()
+                );
+                last.offsets.push(offset);
+                self.heatmap_rows += 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Heatmap rows accepted so far (before run-length dedup).
@@ -184,7 +222,9 @@ impl Registry {
     }
 
     /// Renders the per-disk utilization heatmap as CSV
-    /// (`interval,d0,...,dN`).
+    /// (`interval,d0,...,dN`): each boundary's frame row, rotated right
+    /// by its offset, as the slice from `D − offset` on followed by the
+    /// slice before it.
     pub fn heatmap_csv(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("interval");
@@ -193,9 +233,10 @@ impl Registry {
         }
         out.push('\n');
         for run in &self.heatmap {
-            for i in 0..run.count {
-                write!(out, "{}", run.start + i).expect("write to String");
-                for v in &run.row {
+            for (t, &offset) in (run.start..).zip(&run.offsets) {
+                write!(out, "{t}").expect("write to String");
+                let (head, tail) = run.row.split_at(run.row.len() - offset as usize);
+                for v in tail.iter().chain(head) {
                     write!(out, ",{v}").expect("write to String");
                 }
                 out.push('\n');
@@ -232,38 +273,82 @@ mod tests {
         assert_eq!(r.series_csv(), "interval,active,util\n0,1,\n1,2,0.5\n");
     }
 
+    fn registry(disks: u32, max_heatmap_rows: usize) -> Registry {
+        Registry::new(RegistrySpec {
+            disks,
+            interval_us: 1_000,
+            max_heatmap_rows,
+        })
+    }
+
+    /// Fills `row` as the frame row at `offset`.
+    fn frame(row: &[f32], offset: u32) -> impl FnOnce(&mut Vec<f32>) -> u32 + '_ {
+        move |buf| {
+            buf.extend_from_slice(row);
+            offset
+        }
+    }
+
+    #[test]
+    fn an_offset_row_renders_as_its_rotation() {
+        let mut r = registry(4, 8);
+        let row = [0.25, 0.5, 0.75, 1.0];
+        r.heatmap_row_with(0, frame(&row, 0));
+        // Physical disk p reads frame cell (p - offset) mod D.
+        assert!(r.heatmap_repeat(1, 1));
+        assert!(r.heatmap_repeat(2, 3));
+        assert_eq!(r.heatmap_runs(), 1);
+        assert_eq!(
+            r.heatmap_csv(),
+            "interval,d0,d1,d2,d3\n\
+             0,0.25,0.5,0.75,1\n\
+             1,1,0.25,0.5,0.75\n\
+             2,0.5,0.75,1,0.25\n"
+        );
+    }
+
+    #[test]
+    fn a_repeat_after_a_gap_records_nothing() {
+        let mut r = registry(2, 8);
+        assert!(!r.heatmap_repeat(0, 0), "no open run to extend");
+        r.heatmap_row_with(0, frame(&[1.0, 0.0], 0));
+        assert!(!r.heatmap_repeat(2, 1), "interval 1 was never recorded");
+        assert_eq!(
+            (r.heatmap_len(), r.heatmap_runs(), r.heatmap_dropped()),
+            (1, 1, 0)
+        );
+        assert_eq!(r.heatmap_csv(), "interval,d0,d1\n0,1,0\n");
+    }
+
     #[test]
     fn heatmap_cap_counts_drops() {
-        let mut r = Registry::new(RegistrySpec {
-            disks: 2,
-            interval_us: 1_000,
-            max_heatmap_rows: 2,
-        });
-        for t in 0..4 {
-            r.heatmap_row(t, vec![1.0, 0.0]);
+        let mut r = registry(2, 2);
+        for t in 0..3 {
+            r.heatmap_row_with(t, frame(&[1.0, 0.0], 0));
         }
+        // At the cap a repeat is a drop too, whether or not a fill
+        // would have been.
+        assert!(r.heatmap_repeat(3, 1));
+        r.heatmap_row_with(4, |_| unreachable!("a dropped row is never filled"));
         assert_eq!(r.heatmap_len(), 2);
-        assert_eq!(r.heatmap_dropped(), 2);
+        assert_eq!(r.heatmap_dropped(), 3);
         assert_eq!(r.heatmap_csv(), "interval,d0,d1\n0,1,0\n1,1,0\n");
     }
 
     #[test]
-    fn heatmap_dedups_identical_consecutive_rows() {
-        let mut r = Registry::new(RegistrySpec {
-            disks: 2,
-            interval_us: 1_000,
-            ..RegistrySpec::default()
-        });
-        r.heatmap_row(0, vec![1.0, 1.0]);
-        r.heatmap_row_with(1, |buf| buf.extend_from_slice(&[1.0, 1.0]));
-        r.heatmap_row_with(2, |buf| buf.extend_from_slice(&[0.0, 1.0]));
+    fn a_changed_frame_row_opens_a_new_run() {
+        let mut r = registry(2, 8);
+        r.heatmap_row_with(0, frame(&[1.0, 1.0], 0));
+        r.heatmap_row_with(1, frame(&[1.0, 1.0], 1));
+        r.heatmap_row_with(2, frame(&[0.0, 1.0], 1));
+        assert!(r.heatmap_repeat(3, 0));
         // A gap breaks the run even when the row matches.
-        r.heatmap_row(4, vec![0.0, 1.0]);
-        assert_eq!(r.heatmap_len(), 4);
+        r.heatmap_row_with(5, frame(&[0.0, 1.0], 0));
+        assert_eq!(r.heatmap_len(), 5);
         assert_eq!(r.heatmap_runs(), 3);
         assert_eq!(
             r.heatmap_csv(),
-            "interval,d0,d1\n0,1,1\n1,1,1\n2,0,1\n4,0,1\n"
+            "interval,d0,d1\n0,1,1\n1,1,1\n2,1,0\n3,0,1\n5,0,1\n"
         );
     }
 }

@@ -104,9 +104,19 @@ pub trait PlacementPolicy: Sized {
         at: SimTime,
     ) -> f64;
 
-    /// Fills the per-physical-disk busy row at `t` into the empty `row`
-    /// (observability only).
-    fn heat_row(&mut self, t: u64, at: SimTime, row: &mut Vec<f32>);
+    /// Fills the heat row at boundary `at` (interval `t`) into the empty
+    /// `row`, one busy cell per disk in the frame the scheme keeps its
+    /// occupancy in, and returns the frame's rotation at `t`: physical
+    /// disk `p` reads cell `(p − offset) mod D` (observability only).
+    fn heat_row(&mut self, t: u64, at: SimTime, row: &mut Vec<f32>) -> u32;
+
+    /// At a skipped boundary `t`, the rotation of `t`'s heat row when
+    /// its frame row is provably the one at `t − 1`, so the registry can
+    /// repeat it without a fill; `None` when it may differ. Only the
+    /// schemes not `FROZEN_BETWEEN_TICKS` are asked.
+    fn heat_repeat(&self, _t: u64) -> Option<u32> {
+        None
+    }
 
     /// The earliest instant a scheme-side event can change state, no
     /// later than `core.deadline`; a value `<= now` ticks densely.
@@ -871,6 +881,7 @@ impl<P: PlacementPolicy> Kernel<P> {
                 core.queue.len() as f64,
                 util,
                 wasted,
+                None,
                 |row| scheme.heat_row(t, now, row),
             );
         }
@@ -1062,6 +1073,10 @@ impl<P: PlacementPolicy> Kernel<P> {
     /// model's repeated same-timestamp sets each contribute exactly +0.0
     /// after the first. A scheme whose busy state is frozen between ticks
     /// is sampled once per skipped range; the others once per boundary.
+    /// A heat row that cannot have changed since the previous boundary
+    /// is repeated, not filled: every boundary of a frozen range after
+    /// its first, and whatever [`PlacementPolicy::heat_repeat`] vouches
+    /// for.
     fn replay_skipped(&mut self, now: SimTime) {
         let Kernel { core, scheme } = self;
         let interval = core.interval;
@@ -1075,21 +1090,21 @@ impl<P: PlacementPolicy> Kernel<P> {
             }
             let t = b.as_micros() / us;
             let util = scheme.utilization(t, b);
-            let obs = ss_obs::enabled().then(|| {
-                let mut row = Vec::new();
-                scheme.heat_row(t, b, &mut row);
-                (row, scheme.wasted(&core.active, active, t, b))
-            });
+            let wasted = ss_obs::enabled().then(|| scheme.wasted(&core.active, active, t, b));
+            // The range's first boundary fills its row, sampled after the
+            // tick, and compares it with the tick's; the rest repeat it.
+            let mut offset = None;
             core.metrics
                 .replay_boundaries(core.last_tick, interval, now, |at| {
-                    if let Some((row, wasted)) = &obs {
+                    if let Some(wasted) = wasted {
                         crate::metrics::obs_boundary_row(
                             at.as_micros() / us,
                             active,
                             queue_depth,
                             util,
-                            *wasted,
-                            |buf| buf.extend_from_slice(row),
+                            wasted,
+                            offset,
+                            |row| *offset.insert(scheme.heat_row(t, b, row)),
                         );
                     }
                     (active, util)
@@ -1108,6 +1123,7 @@ impl<P: PlacementPolicy> Kernel<P> {
                             queue_depth,
                             util,
                             wasted,
+                            scheme.heat_repeat(t),
                             |row| scheme.heat_row(t, b, row),
                         );
                     }

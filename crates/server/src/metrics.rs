@@ -467,22 +467,27 @@ impl Default for MetricsCollector {
 /// Feeds one interval-boundary row into the installed observability
 /// registry: the four scalar series (active displays, admission-queue
 /// depth, committed utilization, wasted-bandwidth fraction) plus one
-/// per-disk heatmap row. A no-op when no sink is installed; `heat` is
-/// only evaluated when one is, so callers may defer the per-disk scan.
+/// per-disk heatmap row. A no-op when no sink is installed. `repeat`
+/// carries the row's rotation when its frame row is the previous
+/// boundary's; `heat` fills it otherwise, and only when a sink is
+/// installed, so callers may defer the per-disk scan.
 pub(crate) fn obs_boundary_row(
     t: u64,
     active: f64,
     queue_depth: f64,
     utilization: f64,
     wasted: f64,
-    heat: impl FnOnce(&mut Vec<f32>),
+    repeat: Option<u32>,
+    heat: impl FnOnce(&mut Vec<f32>) -> u32,
 ) {
     ss_obs::with_registry(|r| {
         r.series_point("active_displays", t, active);
         r.series_point("queue_depth", t, queue_depth);
         r.series_point("utilization", t, utilization);
         r.series_point("wasted_fraction", t, wasted);
-        r.heatmap_row_with(t, heat);
+        if !repeat.is_some_and(|offset| r.heatmap_repeat(t, offset)) {
+            r.heatmap_row_with(t, heat);
+        }
     });
 }
 

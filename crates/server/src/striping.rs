@@ -703,29 +703,22 @@ impl PlacementPolicy for StripingPolicy {
         ((committed - reading as f64) / f64::from(d)).max(0.0)
     }
 
-    /// Physical disk `p` is busy iff the virtual disk over it has a
-    /// committed read. Walks only the minority side of the frame: a
-    /// saturated farm is all-busy and a quiescent one all-free, so most
-    /// boundaries are a constant fill with no per-disk modular arithmetic
-    /// at all.
-    fn heat_row(&mut self, t: u64, _at: SimTime, row: &mut Vec<f32>) {
-        let frame = self.scheduler.frame();
-        let disks = frame.disks();
-        let free = self.scheduler.free_count(t);
-        let (majority, minority_free) = if free * 2 >= disks {
-            (0.0, false)
-        } else {
-            (1.0, true)
-        };
-        row.resize(disks as usize, majority);
-        if free == 0 || free == disks {
-            return;
-        }
-        for v in 0..disks {
-            if self.scheduler.is_free(v, t) == minority_free {
-                row[frame.physical(v, t) as usize] = 1.0 - majority;
-            }
-        }
+    /// The row in the rotating frame: virtual disk `v` is busy iff it has
+    /// a committed read, `free_from[v] > t`. It sits over physical disk
+    /// `(v + k·t) mod D`, so the row's rotation is `k·t mod D`.
+    fn heat_row(&mut self, t: u64, _at: SimTime, row: &mut Vec<f32>) -> u32 {
+        let s = &self.scheduler;
+        let disks = s.frame().disks();
+        row.extend((0..disks).map(|v| if s.is_free(v, t) { 0.0 } else { 1.0 }));
+        s.frame().physical(0, t)
+    }
+
+    /// Between executed ticks the horizons stand still, so a virtual
+    /// disk's busy bit flips at `t` only if its horizon falls in
+    /// `(t − 1, t]`; equal free counts at both ends mean none does.
+    fn heat_repeat(&self, t: u64) -> Option<u32> {
+        let s = &self.scheduler;
+        (s.free_count(t - 1) == s.free_count(t)).then(|| s.frame().physical(0, t))
     }
 
     fn wakeup(&self, core: &Core, now: SimTime) -> SimTime {

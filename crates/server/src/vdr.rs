@@ -34,6 +34,8 @@ pub struct VdrPolicy {
     farm: ClusterFarm,
     /// Disks per cluster (the media's degree of declustering).
     degree: u32,
+    /// Disks in the farm, whole clusters or not (the heat row's width).
+    disks: u32,
     subobjects: u32,
     /// Completion time of the copy/materialization in flight for each
     /// object, dense by object id (`None` = no copy running).
@@ -380,6 +382,7 @@ impl PlacementPolicy for VdrPolicy {
             vdr,
             farm,
             degree: config.degree(),
+            disks: config.disks,
             subobjects: config.subobjects,
             copy_done: vec![None; objects],
             copy_ids: Vec::new(),
@@ -655,16 +658,18 @@ impl PlacementPolicy for VdrPolicy {
 
     /// A VDR cluster is one indivisible delivery pipeline, so all `M`
     /// disks of a non-idle cluster count busy together; disks beyond the
-    /// last whole cluster serve no data and always read idle.
-    fn heat_row(&mut self, _t: u64, at: SimTime, row: &mut Vec<f32>) {
+    /// last whole cluster serve no data and always read idle. Clusters
+    /// sit on fixed disks, so the row's rotation is 0.
+    fn heat_row(&mut self, _t: u64, at: SimTime, row: &mut Vec<f32>) -> u32 {
         let degree = self.degree as usize;
-        row.resize(self.vdr.clusters as usize * degree, 0.0);
+        row.resize(self.disks as usize, 0.0);
         for c in 0..self.vdr.clusters {
             if !matches!(self.farm.status(ClusterId(c), at), ClusterStatus::Idle) {
                 let base = c as usize * degree;
                 row[base..base + degree].fill(1.0);
             }
         }
+        0
     }
 
     /// Every cluster-status transition happens at a display end or a copy

@@ -114,21 +114,33 @@ echo "==> trace_dump --quick (observability export + reconciliation gate)"
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace --format perfetto
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace --format jsonl
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace --format csv
-# The registry's two interval-indexed artifacts must agree row for row.
-heat_rows=$(wc -l < target/ci-trace/heatmap.csv)
-series_rows=$(wc -l < target/ci-trace/series.csv)
-if [ "$heat_rows" -ne "$series_rows" ] || [ "$heat_rows" -le 1 ]; then
-  echo "ci.sh: heatmap.csv ($heat_rows rows) and series.csv ($series_rows rows) disagree" >&2
-  exit 1
-fi
-echo "    heatmap/series: $((heat_rows - 1)) interval rows each"
-# Same seed, same journal bytes: rerun and compare.
+cargo run --release -p ss-bench --bin trace_dump -- --quick --vdr --out target/ci-trace-vdr --format csv
+# On both schemes the registry's two interval-indexed artifacts must
+# agree row for row, and every heatmap line must hold as many fields as
+# its header: the interval and one cell per disk.
+for dir in target/ci-trace target/ci-trace-vdr; do
+  heat_rows=$(wc -l < "$dir/heatmap.csv")
+  series_rows=$(wc -l < "$dir/series.csv")
+  if [ "$heat_rows" -ne "$series_rows" ] || [ "$heat_rows" -le 1 ]; then
+    echo "ci.sh: $dir: heatmap.csv ($heat_rows rows) and series.csv ($series_rows rows) disagree" >&2
+    exit 1
+  fi
+  if ! awk -F, 'NR==1{n=NF} NF!=n{exit 1}' "$dir/heatmap.csv"; then
+    echo "ci.sh: $dir/heatmap.csv has a line whose field count differs from its header's" >&2
+    exit 1
+  fi
+  echo "    $dir heatmap/series: $((heat_rows - 1)) interval rows each, every line as wide as the header"
+done
+# Same seed, same bytes: rerun and compare the journal and both CSVs.
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace-rerun --format jsonl
-if ! cmp -s target/ci-trace/trace.jsonl target/ci-trace-rerun/trace.jsonl; then
-  echo "ci.sh: same-seed journals differ between reruns" >&2
-  exit 1
-fi
-echo "    journal: $(wc -l < target/ci-trace/trace.jsonl) events, byte-identical across reruns"
+cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace-rerun --format csv
+for f in trace.jsonl heatmap.csv series.csv; do
+  if ! cmp -s "target/ci-trace/$f" "target/ci-trace-rerun/$f"; then
+    echo "ci.sh: same-seed trace_dump artifacts differ between reruns ($f)" >&2
+    exit 1
+  fi
+done
+echo "    journal: $(wc -l < target/ci-trace/trace.jsonl) events; journal and both CSVs byte-identical across reruns"
 
 echo "==> ops_report --quick (SLO/QoS reconciliation + alert-determinism gates)"
 # ops_report replays a faulted multi-node crash+scrub demo config on

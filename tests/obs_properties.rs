@@ -496,3 +496,98 @@ fn all_planes_reconcile_on_vdr() {
     assert!(count(&events, |e| matches!(e, Event::ScrubChunk { .. })) > 0);
     assert!(count(&events, |e| matches!(e, Event::Startup { .. })) > 0);
 }
+
+/// FNV-1a, the digest the repository benchmark pins its reports with.
+fn fnv1a(text: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The registry's two interval-indexed artifacts of three faulted
+/// cells, pinned by digest: striping with and without parity + rebuild,
+/// and VDR. The digests come from a build that filled every physical
+/// row disk by disk, so they check the rotated rendering against an
+/// independent fill: a rotation in the wrong direction moves a digest.
+#[test]
+fn registry_csvs_match_their_pinned_digests() {
+    for (striping, heal, heatmap, series) in [
+        (true, true, "783d3268534fe233", "3eced68255844693"),
+        (true, false, "aec54edde4f35b09", "482a512079411aee"),
+        (false, false, "c6b250eaad07f860", "b4224c92a1e0d9ec"),
+    ] {
+        let cfg = obs_config(striping, 8, 1994, 1, heal);
+        let (_, _, registry) = run_with_journal(&cfg);
+        let cell = format!("striping {striping}, heal {heal}");
+        assert_eq!(
+            fnv1a(&registry.heatmap_csv()),
+            heatmap,
+            "heatmap.csv of {cell}"
+        );
+        assert_eq!(
+            fnv1a(&registry.series_csv()),
+            series,
+            "series.csv of {cell}"
+        );
+    }
+}
+
+/// A VDR farm whose disk count is no multiple of the cluster size: the
+/// disks past the last whole cluster serve no data and read idle, so
+/// every heatmap line still holds the interval and one cell per disk.
+#[test]
+fn a_vdr_heatmap_covers_the_disks_past_the_last_cluster() {
+    let mut cfg = ServerConfig::small_vdr_test(8, 3);
+    cfg.disks = 22;
+    let (_, _, registry) = run_with_journal(&cfg);
+    let csv = registry.heatmap_csv();
+    assert!(csv.lines().count() > 1, "the run recorded heat rows");
+    for line in csv.lines() {
+        assert_eq!(line.split(',').count(), 23, "{line}");
+    }
+    for line in csv.lines().skip(1) {
+        assert!(line.ends_with(",0,0"), "disks 20 and 21 are idle: {line}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Skipping quiescent boundaries leaves the registry's artifacts as
+    /// they are: a sparse run's heatmap and series CSVs equal, byte for
+    /// byte, those of the same config ticked at every boundary. The
+    /// sparse run fills only the boundaries whose row can have changed
+    /// and repeats the rest, so this checks the repeat decision.
+    #[test]
+    fn sparse_registry_equals_dense_registry(
+        seed in 0u64..1_000_000,
+        stations in 4u32..=8,
+        striping in proptest::bool::ANY,
+        failures in 0u32..=2,
+        heal in proptest::bool::ANY,
+        fragmented in proptest::bool::ANY,
+        sharing in proptest::bool::ANY,
+    ) {
+        let mut sparse = obs_config(striping, stations, seed, failures, heal);
+        if fragmented {
+            if let Scheme::Striping { policy, .. } = &mut sparse.scheme {
+                *policy = AdmissionPolicy::Fragmented {
+                    max_buffer_fragments: 16,
+                    max_delay_intervals: 8,
+                };
+            }
+        }
+        if sharing {
+            sparse.sharing = Some(SharingConfig::window(8));
+        }
+        let mut dense = sparse.clone();
+        dense.dense_ticks = true;
+        let (_, _, a) = run_with_journal(&sparse);
+        let (_, _, b) = run_with_journal(&dense);
+        prop_assert_eq!(a.heatmap_csv(), b.heatmap_csv(), "heatmap.csv");
+        prop_assert_eq!(a.series_csv(), b.series_csv(), "series.csv");
+    }
+}
