@@ -591,6 +591,26 @@ impl<X> ServerCore<X> {
         true
     }
 
+    /// Whether a queued waiter may try a join at the boundary after
+    /// `now`: a live stream of its object whose lag there is at most
+    /// `min(batch_window, prefix_intervals)`. Such a try joins, or counts
+    /// a prefix-cache miss, at every boundary a dense run visits, so the
+    /// clock may not skip it; once the lag passes the window every try
+    /// fails before the cache is asked. (A stream yet to start counts
+    /// too: its lag-0 join needs no prefix.)
+    fn join_retries_next(&self, now: SimTime) -> bool {
+        let Some(sh) = self.config.sharing else {
+            return false;
+        };
+        let t = self.interval_index(now);
+        let reach = sh.batch_window.min(sh.prefix_intervals);
+        self.active.iter().any(|d| {
+            !d.primary_done
+                && d.delivery_start.saturating_add(reach) > t
+                && self.queue.iter().any(|w| w.object == d.object)
+        })
+    }
+
     /// Journals a viewer's startup wait (observability only).
     pub(crate) fn journal_startup(&self, object: ObjectId, t: u64, wait: SimDuration) {
         ss_obs::record(ss_obs::Event::Startup {
@@ -991,9 +1011,9 @@ impl<P: PlacementPolicy> Kernel<P> {
     /// means "state may change every interval, tick densely".
     fn next_wakeup(&self, now: SimTime) -> SimTime {
         let core = &self.core;
-        // A queued fetch facing a free device retries its (possibly
-        // eviction-blocked) space reservation each interval.
-        if !core.fetch_queue.is_empty() && core.tertiary.busy_until() <= now {
+        // A waiter inside a stream's join window retries the join (and
+        // may count a prefix-cache miss) each interval.
+        if core.join_retries_next(now) {
             return now;
         }
         let mut horizon = self.scheme.wakeup(core, now);
@@ -1036,8 +1056,13 @@ impl<P: PlacementPolicy> Kernel<P> {
             }
         }
         // (d) A busy tertiary device frees up for the next queued fetch.
-        if !core.fetch_queue.is_empty() {
-            horizon = horizon.min(core.tertiary.busy_until());
+        // Past the pump, a queued fetch facing a free device was refused
+        // (no admissible eviction target, or every resident pinned), and
+        // every input to that answer changes only at an executed tick or
+        // at a wakeup counted here, so it sleeps until then.
+        let free_at = core.tertiary.busy_until();
+        if !core.fetch_queue.is_empty() && free_at > now {
+            horizon = horizon.min(free_at);
         }
         // (c) The next open-system or trace arrival.
         if let Some((at, _)) = core.next_arrival {

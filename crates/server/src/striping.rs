@@ -179,6 +179,10 @@ pub struct StripingPolicy {
     cylinders_per_fragment: u32,
     /// Deterministic delay stream for the admission backoff queue.
     backoff_rng: DeterministicRng,
+    /// The last pump refused a fetch after evicting: its retry places at
+    /// the round-robin start, not at the last victim's, so it may pass at
+    /// the next boundary.
+    fetch_retry: bool,
 }
 
 /// The storage plane's view of a placement layout: `(disk, fragments)`
@@ -278,6 +282,7 @@ impl PlacementPolicy for StripingPolicy {
             next_naive_start: 0,
             cylinders_per_fragment: config.cylinders_per_fragment,
             backoff_rng: DeterministicRng::seed_from_u64(config.seed).derive("backoff"),
+            fetch_retry: false,
         };
         Ok((scheme, n_objects))
     }
@@ -573,6 +578,7 @@ impl PlacementPolicy for StripingPolicy {
 
     fn pump(&mut self, core: &mut Core, now: SimTime) {
         self.coalesce_pass(core, now);
+        self.fetch_retry = false;
         core.pump_fetches(now, |core, object| self.fetch(core, object, now));
     }
 
@@ -723,7 +729,12 @@ impl PlacementPolicy for StripingPolicy {
 
     fn wakeup(&self, core: &Core, now: SimTime) -> SimTime {
         // Fragmented displays migrate one fragment per interval: that
-        // cannot be predicted from timestamps alone.
+        // cannot be predicted from timestamps alone. A fetch refused after
+        // evicting retries at another start, which the evictions may have
+        // cleared.
+        if self.fetch_retry {
+            return now;
+        }
         if core.active.iter().any(|d| {
             d.ext
                 .fragmented
@@ -963,7 +974,7 @@ impl StripingPolicy {
 
     /// Evicts least-frequently-accessed idle objects until `object` fits,
     /// then reserves space by placing it. Returns false if no progress is
-    /// possible right now.
+    /// possible right now; a refusal that evicted sets `fetch_retry`.
     fn reserve_space(&mut self, core: &mut Core, object: ObjectId) -> bool {
         let spec = self.catalog.get(object).expect("catalog object").clone();
         // After an eviction, place into the victim's slot: evicting the
@@ -1017,7 +1028,10 @@ impl StripingPolicy {
                                 p.record_free(u64::from(v.0));
                             }
                         }
-                        None => return false,
+                        None => {
+                            self.fetch_retry = reuse_start.is_some();
+                            return false;
+                        }
                     }
                 }
                 Err(e) => panic!("unexpected placement failure: {e}"),
@@ -1241,9 +1255,8 @@ impl StripingPolicy {
     /// test and the earliest wake in the queue. `None` when no queued
     /// degree fits the farm at all. Under the fragmented policy the count
     /// test looks `max_delay_intervals` ahead, so the bound backs off by
-    /// the same amount. With sharing armed a sleeping waiter may still
-    /// join a stream at any executed tick, which its wake does not bound,
-    /// so the wakes defer no tick there.
+    /// the same amount. A sleeping waiter still tries to join a shared
+    /// stream, but the kernel ticks every boundary at which one may.
     fn earliest_admission_attempt(&self, core: &Core) -> Option<SimTime> {
         let (m_min, wake) = core
             .queue
@@ -1263,11 +1276,10 @@ impl StripingPolicy {
                 ..
             } => max_delay_intervals,
         };
-        let mut t = self.scheduler.earliest_free(m_min)?.saturating_sub(delay);
-        if core.config.sharing.is_none() {
-            t = t.max(wake);
-        }
-        Some(SimTime::from_micros(t * core.interval.as_micros()))
+        let t = self.scheduler.earliest_free(m_min)?.saturating_sub(delay);
+        Some(SimTime::from_micros(
+            t.max(wake) * core.interval.as_micros(),
+        ))
     }
 }
 

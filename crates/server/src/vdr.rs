@@ -52,6 +52,9 @@ pub struct VdrPolicy {
     /// The farm's contents change count when the storage plane last
     /// mirrored it.
     synced_changes: u64,
+    /// The last admission pass left a waiter queued because the
+    /// interconnect refused its display (see [`PlacementPolicy::wakeup`]).
+    gate_refused: bool,
 }
 
 type Core = ServerCore<ClusterId>;
@@ -390,6 +393,7 @@ impl PlacementPolicy for VdrPolicy {
             cluster_down: vec![0; clusters],
             cluster_slow: vec![0; clusters],
             synced_changes: 0,
+            gate_refused: false,
         };
         Ok((scheme, objects))
     }
@@ -444,6 +448,7 @@ impl PlacementPolicy for VdrPolicy {
             self.queue_len[w.object.index()] += 1;
         }
         let mut still = Vec::with_capacity(waiters.len());
+        self.gate_refused = false;
         for &w in &waiters {
             let o = w.object.index();
             if core.config.sharing.is_some()
@@ -460,6 +465,7 @@ impl PlacementPolicy for VdrPolicy {
                     // Interconnect saturated: the replica stays idle, the
                     // request stays queued, and a later pass retries once
                     // link intervals free up.
+                    self.gate_refused = true;
                     still.push(w);
                     continue;
                 };
@@ -674,10 +680,16 @@ impl PlacementPolicy for VdrPolicy {
 
     /// Every cluster-status transition happens at a display end or a copy
     /// completion, and all farm decisions are deterministic in the
-    /// statuses plus the (tick-only) LFU counts — so between these
-    /// instants a tick is a provable no-op, waiters included. Copy
-    /// completions register replicas.
-    fn wakeup(&self, core: &Core, _now: SimTime) -> SimTime {
+    /// statuses plus the (tick-only) LFU counts and queue lengths — so
+    /// between these instants a tick is a provable no-op, waiters and a
+    /// refused tertiary fetch included. Copy completions register
+    /// replicas. One refusal is not a farm decision: a waiter whose
+    /// display the interconnect refused retries with a fresh router draw
+    /// at every boundary, so while one is queued the clock ticks densely.
+    fn wakeup(&self, core: &Core, now: SimTime) -> SimTime {
+        if self.gate_refused {
+            return now;
+        }
         self.copy_ids
             .iter()
             .filter_map(|o| self.copy_done[o.index()])

@@ -44,6 +44,17 @@ echo "==> benchmark --quick (public-API build + pinned digests of all four workl
 # hard gate: no CI_PERF_STRICT escape.
 cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --quick
 
+echo "==> benchmark --workload fig8 (pinned full-size digest)"
+# The full-size Figure 8 grid (162 cells: three seeds of 1-256 stations
+# under three means, both schemes, 4 h warm-up and 12 h measured) at the
+# pinned seed, checked against its pinned digest and end-of-run
+# invariants (a few seconds). The quick pass runs one seed over a 1.5 h
+# window, so only this run reaches the 256-station VDR cells whose
+# refused tertiary fetches sleep between wakeups. A hard gate, like the
+# quick pass.
+cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+  --workload fig8 --seed 1994 --seconds 1 --trace 0
+
 echo "==> benchmark --workload degraded (pinned full-size digest)"
 # The full-size degraded cell pair at the pinned seed, checked against
 # its pinned digest and end-of-run invariants (about 2 s). Its VDR cell

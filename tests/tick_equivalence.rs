@@ -5,22 +5,28 @@
 //! The property sweeps both schemes and all three arrival models over
 //! randomized small configurations; the deterministic tests pin down
 //! that the sparse scheduler actually skips work on paper-scale
-//! Figure-8 cells (a vacuous equivalence would pass the property).
+//! Figure-8 cells (a vacuous equivalence would pass the property), and
+//! that each refusal the clock may or may not sleep through is handled
+//! as a dense run would.
 
 use proptest::prelude::*;
 use staggered_striping::prelude::*;
-use staggered_striping::server::config::{ArrivalModel, MaterializeMode, QueuePolicy, Scheme};
+use staggered_striping::server::config::{
+    ArrivalModel, MaterializeMode, MediaMix, MixEntry, QueuePolicy, Scheme,
+};
 use staggered_striping::server::kernel::{PlacementPolicy, Server};
 use staggered_striping::server::vdr::vdr_config_for;
 use staggered_striping::server::{StripingServer, VdrServer};
 
 /// A randomized small configuration: both schemes, all arrival models,
 /// every queue policy, warm and cold starts, short windows, zero and
-/// nonzero station think times, and every fault-plan shape (none,
-/// scheduled windows, a stochastic storm).
+/// nonzero station think times, every fault-plan shape (none, scheduled
+/// windows, a stochastic storm), a farm too small for the catalog (where
+/// fetches are refused), stream sharing, and a 4-node split whose links
+/// refuse displays.
 fn config_strategy() -> impl Strategy<Value = ServerConfig> {
     (
-        1u32..=6,        // stations
+        1u32..=12,       // stations
         0u64..1_000,     // seed
         0u8..3,          // arrival model selector (striping only)
         prop::bool::ANY, // VDR?
@@ -28,11 +34,13 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
         0u8..3,          // queue policy selector
         // warmup / measure seconds; zero think time, or 1–240 s
         (60u64..=240, 300u64..=900, prop::bool::ANY, 1u64..=240),
-        0u8..4, // fault plan selector
+        // fault plan, farm capacity, sharing and interconnect selectors
+        (0u8..4, 0u8..4, 0u8..3, 0u64..=10),
     )
         .prop_map(
-            |(stations, seed, arrival, vdr, preload, queue, timing, faults)| {
+            |(stations, seed, arrival, vdr, preload, queue, timing, planes)| {
                 let (warmup, measure, thinks, think) = timing;
+                let (faults, capacity, sharing, link) = planes;
                 let mut c = ServerConfig::small_test(stations, seed);
                 c.warmup = SimDuration::from_secs(warmup);
                 c.measure = SimDuration::from_secs(measure);
@@ -47,6 +55,29 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
                     1 => QueuePolicy::SmallestFirst,
                     _ => QueuePolicy::LargestFirst,
                 };
+                match capacity {
+                    // One VDR replica per cluster; a striping farm that
+                    // holds two of its ten objects.
+                    1 if vdr => c.disk.cylinders = 40,
+                    1 => c.disk.cylinders = 25,
+                    // Objects of two degrees and uneven lengths (striping
+                    // only): a victim's slot may not fit the fetch.
+                    2 if !vdr => {
+                        c.disk.cylinders = 20;
+                        c.mix = Some(uneven_mix());
+                    }
+                    _ => {}
+                }
+                c.sharing = match sharing {
+                    1 => Some(SharingConfig::window(2)),
+                    2 => Some(SharingConfig::window(8)),
+                    _ => None,
+                };
+                // A third of the cases split the farm over four nodes
+                // whose links carry 1–3 fragments per interval.
+                if link <= 3 {
+                    c.distributed = Some(split(&c, link.max(1)));
+                }
                 if vdr {
                     // The VDR baseline runs the closed workload only.
                     c.scheme = Scheme::Vdr {
@@ -75,6 +106,39 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
                 c
             },
         )
+}
+
+/// Ten objects in id order alternating a 6-disk and a 2-disk media type,
+/// 10–30 and 40–28 subobjects long.
+fn uneven_mix() -> MediaMix {
+    let wide = MediaType::new("wide-120", Bandwidth::mbps(120));
+    let narrow = MediaType::new("narrow-40", Bandwidth::mbps(40));
+    MediaMix {
+        entries: (0..5)
+            .flat_map(|i| {
+                [
+                    MixEntry {
+                        media: wide.clone(),
+                        count: 1,
+                        subobjects: 10 + 5 * i,
+                    },
+                    MixEntry {
+                        media: narrow.clone(),
+                        count: 1,
+                        subobjects: 40 - 3 * i,
+                    },
+                ]
+            })
+            .collect(),
+    }
+}
+
+/// `c`'s farm split evenly over four nodes whose links each carry
+/// `link` fragments per interval.
+fn split(c: &ServerConfig, link: u64) -> DistributedConfig {
+    let mut d = DistributedConfig::even(4, c.disks);
+    d.interconnect.link_fragments_per_interval = Some(link);
+    d
 }
 
 /// The fault-plan axis of the sweep. Sparse ticking must stay
@@ -108,15 +172,15 @@ fn fault_plan(selector: u8, warmup: u64, measure: u64) -> FaultPlan {
     }
 }
 
-/// Steps `cfg` to its deadline and returns its report, checking the
-/// clock's accounting on the way: every interval boundary from zero to
-/// the first one at or after the deadline is either executed or skipped,
-/// exactly once, and dense runs skip none.
-fn stepped(cfg: &ServerConfig) -> std::result::Result<RunReport, TestCaseError> {
+/// Steps `cfg` to its deadline and returns its report and executed
+/// ticks, checking the clock's accounting on the way: every interval
+/// boundary from zero to the first one at or after the deadline is
+/// either executed or skipped, exactly once, and dense runs skip none.
+fn stepped(cfg: &ServerConfig) -> std::result::Result<(RunReport, u64), TestCaseError> {
     fn drive<P: PlacementPolicy>(
         mut server: Server<P>,
         cfg: &ServerConfig,
-    ) -> std::result::Result<RunReport, TestCaseError> {
+    ) -> std::result::Result<(RunReport, u64), TestCaseError> {
         let mut ticks = 0u64;
         while server.step() {
             ticks += 1;
@@ -129,7 +193,7 @@ fn stepped(cfg: &ServerConfig) -> std::result::Result<RunReport, TestCaseError> 
         if cfg.dense_ticks {
             prop_assert_eq!(skipped, 0);
         }
-        Ok(server.run())
+        Ok((server.run(), ticks))
     }
     match cfg.scheme {
         Scheme::Vdr { .. } => drive(VdrServer::new(cfg.clone()).expect("valid config"), cfg),
@@ -138,7 +202,7 @@ fn stepped(cfg: &ServerConfig) -> std::result::Result<RunReport, TestCaseError> 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The full `RunReport` — every derived statistic included — is
     /// identical whether ticks run densely or quiescent intervals are
@@ -149,8 +213,8 @@ proptest! {
         dense.dense_ticks = true;
         let mut sparse = cfg;
         sparse.dense_ticks = false;
-        let a = stepped(&dense)?;
-        let b = stepped(&sparse)?;
+        let (a, _) = stepped(&dense)?;
+        let (b, _) = stepped(&sparse)?;
         prop_assert_eq!(a, b);
     }
 }
@@ -191,10 +255,7 @@ fn think_time_delays_the_next_request() {
             (ServerConfig::small_vdr_test(4, 42), vdr),
         ] {
             cfg.think_time = SimDuration::from_secs(think_secs);
-            let sparse = stepped(&cfg).expect("clock accounting holds");
-            cfg.dense_ticks = true;
-            let dense = stepped(&cfg).expect("clock accounting holds");
-            assert_eq!(dense, sparse, "think {think_secs} s");
+            let (sparse, _) = sparse_equals_dense(&cfg);
             assert_eq!(
                 sparse.displays_completed, displays,
                 "{} with think {think_secs} s",
@@ -231,7 +292,70 @@ fn an_unavoidable_outage_is_skipped_not_ticked() {
         );
         let sparse = server.run();
         cfg.dense_ticks = true;
-        let dense = stepped(&cfg).expect("clock accounting holds");
+        let (dense, _) = stepped(&cfg).expect("clock accounting holds");
         assert_eq!(dense, sparse, "{stations} stations");
     }
+}
+
+/// Runs `cfg` sparse and dense, asserts that the reports are equal, and
+/// returns the sparse report with the sparse run's executed ticks.
+fn sparse_equals_dense(cfg: &ServerConfig) -> (RunReport, u64) {
+    let (sparse, ticks) = stepped(cfg).expect("clock accounting holds");
+    let mut dense = cfg.clone();
+    dense.dense_ticks = true;
+    let (dense, _) = stepped(&dense).expect("clock accounting holds");
+    assert_eq!(dense, sparse);
+    (sparse, ticks)
+}
+
+/// With eight stations on VDR's four clusters, the fetch queue's head
+/// waits most of the run for an idle cluster it may evict. A refused
+/// fetch can only pass once a display ends, a copy lands or a request
+/// arrives, all of them wakeups, so the clock sleeps through the
+/// boundaries in between: about 250 of the run's 3,474 are executed
+/// (3,091 when each refusal forced the next boundary).
+#[test]
+fn a_refused_fetch_is_skipped_not_ticked() {
+    let (_, ticks) = sparse_equals_dense(&ServerConfig::small_vdr_test(8, 1994));
+    assert!(ticks <= 400, "{ticks} ticks executed");
+}
+
+/// A waiter queued while a stream of its object is inside the join
+/// window, with the object's prefix not cached, tries the join at every
+/// boundary and counts a prefix-cache miss each time. The clock ticks
+/// those boundaries, so the sparse run counts the dense run's 11 misses
+/// (it counted 1 when it skipped them).
+#[test]
+fn a_waiter_inside_a_join_window_is_ticked() {
+    let mut cfg = ServerConfig::small_test(8, 13);
+    cfg.sharing = Some(SharingConfig::window(8));
+    let (report, _) = sparse_equals_dense(&cfg);
+    assert_eq!(report.sharing.expect("sharing armed").cache_misses, 11);
+}
+
+/// A VDR display the interconnect refused stays queued and retries with
+/// a fresh router draw at every boundary, so the clock ticks while one
+/// waits. On a 4-node split with one fragment per link per interval the
+/// sparse run completes the dense run's 228 displays (it completed 6
+/// when it slept through the retries).
+#[test]
+fn a_vdr_display_the_link_refused_is_ticked() {
+    let mut cfg = ServerConfig::small_vdr_test(4, 0);
+    cfg.distributed = Some(split(&cfg, 1));
+    let (report, _) = sparse_equals_dense(&cfg);
+    assert_eq!(report.displays_completed, 228);
+}
+
+/// On a farm far too small for a catalog of uneven objects, a fetch can
+/// be refused after evicting: no victim's slot fits it, but its retry
+/// places at the round-robin start, which the evictions may have
+/// cleared. A dense run retries at the next boundary; so does the sparse
+/// run.
+#[test]
+fn a_fetch_refused_after_evicting_is_retried_next_interval() {
+    let mut cfg = ServerConfig::small_test(4, 0);
+    cfg.disk.cylinders = 20;
+    cfg.mix = Some(uneven_mix());
+    let (report, _) = sparse_equals_dense(&cfg);
+    assert_eq!(report.displays_completed, 105);
 }
