@@ -22,6 +22,7 @@
 use crate::frame::VirtualFrame;
 use serde::{Deserialize, Serialize};
 use ss_types::{Error, ObjectId, Result};
+use std::ops::ControlFlow;
 
 /// The most intervals [`IntervalScheduler::no_pass_before`] scans for a
 /// start whose aligned virtual disks are all free. A rotation period
@@ -173,9 +174,10 @@ pub struct IntervalScheduler {
     /// `O(log W)`, and a commit updates it in `O(M log W)`, so no
     /// admission pays per disk.
     index: HorizonIndex,
-    /// Known unavailability windows (fault injection). Empty in a
-    /// fault-free run, in which case every outage-aware code path below
-    /// reduces to the baseline behavior exactly.
+    /// Known unavailability windows (fault injection), ordered by disk
+    /// (registration order within one disk). Empty in a fault-free run,
+    /// in which case every outage-aware code path below reduces to the
+    /// baseline behavior exactly.
     outages: Vec<Outage>,
     /// Parity-group size (data fragments per rotated parity fragment),
     /// when the placement carries parity. `None` — the default — keeps
@@ -223,7 +225,8 @@ impl IntervalScheduler {
             from: outage.from,
             until: outage.until,
         });
-        self.outages.push(outage);
+        let at = self.outages.partition_point(|o| o.disk <= outage.disk);
+        self.outages.insert(at, outage);
     }
 
     /// Drops windows that have fully elapsed by interval `now`.
@@ -231,7 +234,7 @@ impl IntervalScheduler {
         self.outages.retain(|o| o.until > now);
     }
 
-    /// The currently registered unavailability windows.
+    /// The currently registered unavailability windows, ordered by disk.
     pub fn outages(&self) -> &[Outage] {
         &self.outages
     }
@@ -250,12 +253,24 @@ impl IntervalScheduler {
             .any(|o| kind.admits(o) && self.first_visit(o, v, start_t, end_t).is_some())
     }
 
+    /// True when physical disk `p` lies in an open `kind` window at
+    /// interval `t`: a bisection to `p`'s windows, not a walk of every
+    /// window.
+    fn down_at(&self, kind: WindowKind, p: u32, t: u64) -> bool {
+        let first = self.outages.partition_point(|o| o.disk < p);
+        self.outages[first..]
+            .iter()
+            .take_while(|o| o.disk == p)
+            .any(|o| kind.admits(o) && o.covers(t))
+    }
+
     /// The outage walker: calls `visit(t, window)` for every interval `t`
     /// in `[start_t, end_t)` at which virtual disk `v` sits over the disk
     /// of an open `kind` window in `outages` — window by window in
-    /// `outages` order, ascending within each. Visits of one disk recur
-    /// every [`VirtualFrame::period`] intervals, so each window contributes
-    /// an arithmetic progression from its first visit.
+    /// `outages` order, ascending within each — until `visit` breaks, and
+    /// returns whether it did. Visits of one disk recur every
+    /// [`VirtualFrame::period`] intervals, so each window contributes an
+    /// arithmetic progression from its first visit.
     #[inline]
     pub(crate) fn for_each_conflict(
         &self,
@@ -264,17 +279,18 @@ impl IntervalScheduler {
         v: u32,
         start_t: u64,
         end_t: u64,
-        mut visit: impl FnMut(u64, &Outage),
-    ) {
+        mut visit: impl FnMut(u64, &Outage) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let period = self.frame.period();
         for o in outages.iter().filter(|o| kind.admits(o)) {
             if let Some((mut t, end)) = self.first_visit(o, v, start_t, end_t) {
                 while t < end {
-                    visit(t, o);
+                    visit(t, o)?;
                     t += period;
                 }
             }
         }
+        ControlFlow::Continue(())
     }
 
     /// The first interval at which virtual disk `v` sits over window
@@ -305,7 +321,11 @@ impl IntervalScheduler {
     /// Reconstruction fails (returns `None`, so callers fall through to
     /// their normal rejection) when two members of one group — parity
     /// included — are lost in the same interval, when a member would read
-    /// through a slow episode, or when a needed companion is busy.
+    /// through a slow episode, or when a needed companion is busy. Every
+    /// refusal is the same `None`, so the plan stops at the first one it
+    /// can prove: busy and slow members before any lost read is walked,
+    /// and, group by group, the first lost read at which a later member of
+    /// its group is lost too.
     fn plan_degraded_aligned(
         &self,
         t0: u64,
@@ -327,48 +347,58 @@ impl IntervalScheduler {
             return None;
         }
         let window = t0 + u64::from(subobjects);
-        let mut conflicts: Vec<Vec<u64>> = Vec::with_capacity(degree as usize);
-        let mut lost = Vec::new();
-        let mut reconstructed = 0u64;
-        for i in 0..degree {
-            let v = self.frame.virtual_of((start_disk + i) % d, t0);
-            // A slow disk still holds its data: refuse it, exactly like
-            // the clean planners, instead of spending reconstruction on it.
-            if !self.is_free(v, t0) || self.read_conflict(WindowKind::Soft, v, t0, window) {
-                return None;
-            }
-            // The intervals at which `v` sits over a failed disk.
-            lost.clear();
-            self.for_each_conflict(&self.outages, WindowKind::Hard, v, t0, window, |t, _| {
-                lost.push(t)
-            });
-            lost.sort_unstable();
-            lost.dedup();
-            reconstructed += lost.len() as u64;
-            conflicts.push(lost.clone());
-        }
-        if reconstructed == 0 {
-            // Nothing lost at this alignment: the clean planner's verdict
-            // stands.
+        let v0 = self.frame.virtual_of(start_disk % d, t0);
+        let member = |i: u32| (v0 + i) % d;
+        // A slow disk still holds its data: refuse it, exactly like the
+        // clean planners, instead of spending reconstruction on it.
+        if (0..degree).any(|i| {
+            !self.is_free(member(i), t0)
+                || self.read_conflict(WindowKind::Soft, member(i), t0, window)
+        }) {
             return None;
         }
         let mut companions = Vec::with_capacity(groups as usize);
+        let mut reconstructed = 0u64;
+        let mut lost = Vec::new();
         for q in 0..groups {
             let members = (q * group)..degree.min((q + 1) * group);
             // Every interval at which some member of this group is lost.
-            let mut lost: Vec<u64> = members
-                .clone()
-                .flat_map(|i| conflicts[i as usize].iter().copied())
-                .collect();
-            lost.sort_unstable();
-            if lost.windows(2).any(|w| w[0] == w[1]) {
-                // Two members lost in the same interval: the group equation
-                // has two unknowns — not reconstructable.
-                return None;
+            lost.clear();
+            for i in members.clone() {
+                // Aligned members sit over consecutive disks, so member `j`
+                // reads disk `p + j − i` when member `i` reads disk `p`. A
+                // second loss in one interval leaves the group equation
+                // with two unknowns: not reconstructable. An earlier
+                // member already checked its losses against this one.
+                let doomed = self.for_each_conflict(
+                    &self.outages,
+                    WindowKind::Hard,
+                    member(i),
+                    t0,
+                    window,
+                    |t, o| {
+                        let also_lost = (i + 1..members.end)
+                            .any(|j| self.down_at(WindowKind::Hard, (o.disk + j - i) % d, t));
+                        if also_lost {
+                            return ControlFlow::Break(());
+                        }
+                        lost.push(t);
+                        ControlFlow::Continue(())
+                    },
+                );
+                if doomed.is_break() {
+                    return None;
+                }
             }
             if lost.is_empty() {
                 continue; // group untouched, no parity read needed
             }
+            // Two windows on one disk may both cover an interval; members'
+            // losses are disjoint, so the distinct intervals are the
+            // group's reconstructed reads.
+            lost.sort_unstable();
+            lost.dedup();
+            reconstructed += lost.len() as u64;
             let v_p = self.frame.virtual_of((start_disk + degree + q) % d, t0);
             if !self.is_free(v_p, t0) {
                 return None;
@@ -376,19 +406,22 @@ impl IntervalScheduler {
             // The parity fragment must itself be readable at every lost
             // interval — its companion disk must not sit over a failed or
             // slow disk exactly when the reconstruction needs it.
-            for &t in &lost {
-                let p = self.frame.physical(v_p, t);
-                if self.outages.iter().any(|o| o.disk == p && o.covers(t)) {
-                    return None;
-                }
+            if lost
+                .iter()
+                .any(|&t| self.down_at(WindowKind::Any, self.frame.physical(v_p, t), t))
+            {
+                return None;
             }
             companions.push(v_p);
         }
+        if reconstructed == 0 {
+            // Nothing lost at this alignment: the clean planner's verdict
+            // stands.
+            return None;
+        }
         Some(AdmissionGrant {
             object,
-            virtual_disks: (0..degree)
-                .map(|i| self.frame.virtual_of((start_disk + i) % d, t0))
-                .collect(),
+            virtual_disks: (0..degree).map(member).collect(),
             read_start: vec![t0; degree as usize],
             delivery_start: t0,
             end_interval: window,

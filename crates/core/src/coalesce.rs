@@ -13,6 +13,7 @@
 use crate::admission::{AdmissionGrant, IntervalScheduler, Outage, WindowKind};
 use serde::{Deserialize, Serialize};
 use ss_types::ObjectId;
+use std::ops::ControlFlow;
 
 /// The live scheduling state of one (possibly fragmented) display.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -196,15 +197,18 @@ impl IntervalScheduler {
             .enumerate()
         {
             let (frag, from) = (i as u32, base.max(now));
-            self.for_each_conflict(outages, WindowKind::Hard, v, from, base + n, |at, o| {
-                let subobject = u32::try_from(at - base).expect("subobject fits u32");
-                out.push(LostRead {
-                    frag,
-                    subobject,
-                    at,
-                    disk: o.disk,
+            // The visitor never breaks: every lost read is collected.
+            let _ =
+                self.for_each_conflict(outages, WindowKind::Hard, v, from, base + n, |at, o| {
+                    let subobject = u32::try_from(at - base).expect("subobject fits u32");
+                    out.push(LostRead {
+                        frag,
+                        subobject,
+                        at,
+                        disk: o.disk,
+                    });
+                    ControlFlow::Continue(())
                 });
-            });
         }
         out.sort_by_key(|r| (r.at, r.frag));
         out

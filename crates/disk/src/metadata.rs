@@ -364,6 +364,21 @@ impl DiskMetadata {
         Some((slot, object))
     }
 
+    /// Removes and returns `object`'s latent errors on this drive, in
+    /// injection order.
+    pub fn take_latent(&mut self, object: u64) -> Vec<LatentError> {
+        let mut taken = Vec::new();
+        self.latent.retain(|l| {
+            if l.object == object {
+                taken.push(*l);
+                false
+            } else {
+                true
+            }
+        });
+        taken
+    }
+
     /// A chunked scrub scan: detects and drains the latent errors whose
     /// slot falls in `[lo, hi)`, leaving the rest for later chunks of
     /// the walk.

@@ -34,7 +34,7 @@
 //! zero-armed runs byte-identical to the pre-plane engine.
 
 use crate::metrics::CrashStats;
-use ss_disk::DiskMetadata;
+use ss_disk::{DiskMetadata, LatentError};
 use ss_sim::{CrashEvent, CrashKind, FaultTimeline};
 use ss_types::SimTime;
 use std::collections::BTreeSet;
@@ -347,15 +347,8 @@ impl StoragePlane {
                 found: found.len() as u64,
             });
             for latent in found {
-                self.stats.latent_dwell_s +=
-                    now.saturating_duration_since(latent.injected).as_secs_f64();
                 let parity = repair(disk as u32, latent.object);
-                self.stats.latent_repaired += 1;
-                ss_obs::obs!(ss_obs::Event::ScrubRepair {
-                    disk: disk as u32,
-                    object: latent.object as u32,
-                    parity,
-                });
+                self.count_repair(disk, &latent, now, parity);
             }
             let drive_done = hi >= self.disks[disk].slots();
             let walk = self.scrub.as_mut().expect("checked above");
@@ -371,6 +364,34 @@ impl StoragePlane {
             started.push(self.start_chunk(t));
         }
         started
+    }
+
+    /// Counts the repair of a found latent error on ledger `disk` at
+    /// `now`: its dwell since injection, and one repair, in place by
+    /// parity or not.
+    fn count_repair(&mut self, disk: usize, latent: &LatentError, now: SimTime, parity: bool) {
+        self.stats.latent_dwell_s += now.saturating_duration_since(latent.injected).as_secs_f64();
+        self.stats.latent_repaired += 1;
+        ss_obs::obs!(ss_obs::Event::ScrubRepair {
+            disk: disk as u32,
+            object: latent.object as u32,
+            parity,
+        });
+    }
+
+    /// Completes a scrub repair without parity: the damaged `object`
+    /// leaves every drive and is refetched whole, which rewrites every
+    /// slot it held. Its latent errors on drives the walk has not reached
+    /// are repaired by that same refetch, so they count as found and
+    /// repaired now instead of vanishing uncounted with the freed slots.
+    pub fn free_refetched(&mut self, object: u64, now: SimTime) {
+        for disk in 0..self.disks.len() {
+            for latent in self.disks[disk].take_latent(object) {
+                self.stats.latent_found += 1;
+                self.count_repair(disk, &latent, now, false);
+            }
+        }
+        self.record_free(object);
     }
 
     /// Opens a chunk at interval `t` on the walk's current drive from

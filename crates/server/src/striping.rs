@@ -53,9 +53,11 @@ pub struct StripingDisplay {
     /// clear) — drives the optional drop policy.
     hiccups: u64,
     /// Lost reads already charged as hiccups, so a later failure never
-    /// double-counts them. An ordered set: kept sorted and searched by
-    /// bisection (a sorted `Vec` holds the same set in less memory than a
-    /// `BTreeSet`).
+    /// double-counts them. An ordered set by [`hiccup_key`], failed disk
+    /// first: kept sorted and searched by bisection (a sorted `Vec` holds
+    /// the same set in less memory than a `BTreeSet`). A node outage
+    /// fails its disks in ascending order, so each of its rescue passes
+    /// appends its charges after the whole log.
     hiccup_log: Vec<LostRead>,
     /// Reads admitted *into* an outage window under parity reconstruction:
     /// the planner already booked a companion read that regenerates each
@@ -68,9 +70,17 @@ impl StripingDisplay {
     /// True when lost read `lr` is already accounted for: charged as a
     /// hiccup, or planned into its outage under parity reconstruction.
     fn accounts_for(&self, lr: &LostRead) -> bool {
-        self.hiccup_log.binary_search(lr).is_ok()
+        self.hiccup_log
+            .binary_search_by_key(&hiccup_key(lr), hiccup_key)
+            .is_ok()
             || self.reconstructed_log.binary_search(lr).is_ok()
     }
+}
+
+/// The order of [`StripingDisplay::hiccup_log`]: failed disk, then
+/// fragment, subobject and interval.
+fn hiccup_key(lr: &LostRead) -> (u32, u32, u32, u64) {
+    (lr.disk, lr.frag, lr.subobject, lr.at)
 }
 
 impl DistState {
@@ -620,7 +630,7 @@ impl PlacementPolicy for StripingPolicy {
             if self.rollback_alloc(core, ObjectId(object as u32)) {
                 plane.stats.objects_refetched += 1;
             }
-            plane.record_free(object);
+            plane.free_refetched(object, now);
         }
         for chunk in chunks {
             self.book_scrub(&mut plane, chunk);
@@ -1200,11 +1210,20 @@ impl StripingPolicy {
                         // The drop threshold stays per *stream*: dependents
                         // live and die with the primary's budget.
                         d.ext.hiccups += lost.len() as u64;
-                        // `lost` is one fragment's reads in interval
-                        // order, hence sorted: the stable sort merges the
-                        // two runs in linear time.
-                        d.ext.hiccup_log.extend(lost);
-                        d.ext.hiccup_log.sort();
+                        // `lost` is one fragment's reads on one failed
+                        // disk in interval order, hence sorted. It lands
+                        // after the whole log unless an earlier pass
+                        // charged a later disk; then the stable sort
+                        // merges the two runs in linear time.
+                        let log = &mut d.ext.hiccup_log;
+                        let merge = log
+                            .last()
+                            .zip(lost.first())
+                            .is_some_and(|(last, first)| hiccup_key(last) > hiccup_key(first));
+                        log.extend(lost);
+                        if merge {
+                            log.sort_by_key(hiccup_key);
+                        }
                     }
                 }
             }

@@ -64,6 +64,20 @@ echo "==> benchmark --workload degraded (pinned full-size digest)"
 cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
   --workload degraded --seed 1994 --seconds 1 --trace 0
 
+echo "==> benchmark --workload degraded --seed 7 (unpinned-seed digest)"
+# The same cell pair at seed 7, which no pinned file covers: parity
+# reconstruction planned under a node outage, the rescue passes and the
+# scrub must reproduce this digest byte for byte. The benchmark prints
+# the digest on stderr. A hard gate, like the pinned runs.
+if ! degraded_seed7=$(cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+  --workload degraded --seed 7 --seconds 1 --trace 0 2>&1 >/dev/null) \
+  || ! grep -q "seed 7, digest 1797f1d58f74fa69" <<<"$degraded_seed7"; then
+  echo "$degraded_seed7" >&2
+  echo "ci.sh: degraded at seed 7 failed or no longer reads digest 1797f1d58f74fa69" >&2
+  exit 1
+fi
+echo "    degraded seed 7: digest 1797f1d58f74fa69"
+
 echo "==> benchmark --workload farm_100k (pinned full-size digest)"
 # The full-size 100,000-disk striping cell at the pinned seed, checked
 # against its pinned digest and end-of-run invariants (a few seconds).

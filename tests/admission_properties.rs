@@ -169,7 +169,8 @@ type OutageWalkCase = (
 
 /// A random [`OutageWalkCase`]: stationary (`k ≡ 0 mod D`) and
 /// non-coprime strides included, with hard and soft windows that overlap
-/// and repeat disks.
+/// and repeat disks, and node-like runs: one hard window over a
+/// contiguous range of disks, the way a node outage compiles.
 fn outage_walk_strategy() -> impl Strategy<Value = OutageWalkCase> {
     (1u32..13, proptest::bool::ANY, 0u32..40).prop_flat_map(|(d, stationary, r)| {
         let k = if stationary { d * (r % 3) } else { r };
@@ -184,10 +185,14 @@ fn outage_walk_strategy() -> impl Strategy<Value = OutageWalkCase> {
             }),
             0..8,
         );
+        let runs = prop::collection::vec((0..d, 1..=d, 0u64..40, 0u64..30), 0..3);
         let frags = prop::collection::vec((0..d, 0u64..40), 1..5);
         let queries = prop::collection::vec((0..d, 0u64..60, 0u64..40), 1..12);
-        (windows, frags, 1u32..30, 0u64..50, queries).prop_map(
-            move |(windows, frags, subobjects, now, queries)| {
+        (windows, runs, frags, 1u32..30, 0u64..50, queries).prop_map(
+            move |(mut windows, runs, frags, subobjects, now, queries)| {
+                for (first, count, from, len) in runs {
+                    windows.extend(node_run(first..d.min(first + count), from, from + len));
+                }
                 (
                     VirtualFrame::new(d, k),
                     windows,
@@ -198,6 +203,17 @@ fn outage_walk_strategy() -> impl Strategy<Value = OutageWalkCase> {
                 )
             },
         )
+    })
+}
+
+/// One hard window `[from, until)` on each disk of `disks`: a node
+/// outage.
+fn node_run(disks: std::ops::Range<u32>, from: u64, until: u64) -> impl Iterator<Item = Outage> {
+    disks.map(move |disk| Outage {
+        disk,
+        from,
+        until,
+        hard: true,
     })
 }
 
@@ -374,4 +390,231 @@ fn no_pass_before_bounds_the_first_passing_plan() {
     }
     assert!(slept > CASES / 4, "only {slept} bounds lie past now + 1");
     assert!(exact > CASES / 20, "only {exact} scans found a free start");
+}
+
+/// Why the reference model refuses a contiguous plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// Degraded planning is off, or the inflated layout does not fit.
+    Unarmed,
+    /// A member is busy.
+    Busy,
+    /// A member reads through a slow episode.
+    Slow,
+    /// Two members of one group are lost in the same interval.
+    DoubleLoss,
+    /// A needed companion is busy, or sits over an open window at one of
+    /// its group's lost intervals.
+    Companion,
+}
+
+/// A farm for the degraded-planning model: its frame, the busy horizon of
+/// every virtual disk, its windows and its parity group.
+struct ModelFarm {
+    frame: VirtualFrame,
+    free_from: Vec<u64>,
+    outages: Vec<Outage>,
+    parity: Option<u32>,
+}
+
+impl ModelFarm {
+    /// True when physical disk `p` lies in an open window that `kind`
+    /// counts at interval `t`.
+    fn down(&self, kind: WindowKind, p: u32, t: u64) -> bool {
+        self.outages
+            .iter()
+            .any(|o| counts(kind, o) && o.disk == p && o.covers(t))
+    }
+
+    /// The intervals of `span` at which virtual disk `v` sits over a disk
+    /// in an open window that `kind` counts.
+    fn visits(&self, kind: WindowKind, v: u32, span: std::ops::Range<u64>) -> Vec<u64> {
+        span.filter(|&t| self.down(kind, self.frame.physical(v, t), t))
+            .collect()
+    }
+
+    /// `plan(now, …, Contiguous)` by brute force: the clean count first,
+    /// then degraded planning, interval by interval. A refusal carries
+    /// the clean count and its cause.
+    fn plan(
+        &self,
+        now: u64,
+        start: u32,
+        degree: u32,
+        subobjects: u32,
+    ) -> std::result::Result<AdmissionGrant, (u32, Refusal)> {
+        let d = self.frame.disks();
+        let span = now..now + u64::from(subobjects);
+        let members: Vec<u32> = (0..degree)
+            .map(|i| self.frame.virtual_of((start + i) % d, now))
+            .collect();
+        let busy = |v: u32| self.free_from[v as usize] > now;
+        let free = members
+            .iter()
+            .filter(|&&v| !busy(v) && self.visits(WindowKind::Any, v, span.clone()).is_empty())
+            .count() as u32;
+        let grant = |companions, reconstructed| AdmissionGrant {
+            object: ObjectId(0),
+            virtual_disks: members.clone(),
+            read_start: vec![now; degree as usize],
+            delivery_start: now,
+            end_interval: span.end,
+            buffer_fragments: 0,
+            parity_companions: companions,
+            reconstructed_intervals: reconstructed,
+        };
+        if free == degree {
+            return Ok(grant(Vec::new(), 0));
+        }
+        let refuse = |why| Err((free, why));
+        let Some(group) = self.parity else {
+            return refuse(Refusal::Unarmed);
+        };
+        let groups = degree.div_ceil(group);
+        if !self.outages.iter().any(|o| o.hard) || degree + groups > d {
+            return refuse(Refusal::Unarmed);
+        }
+        if members.iter().any(|&v| busy(v)) {
+            return refuse(Refusal::Busy);
+        }
+        if members
+            .iter()
+            .any(|&v| !self.visits(WindowKind::Soft, v, span.clone()).is_empty())
+        {
+            return refuse(Refusal::Slow);
+        }
+        let lost: Vec<Vec<u64>> = members
+            .iter()
+            .map(|&v| self.visits(WindowKind::Hard, v, span.clone()))
+            .collect();
+        let mut companions = Vec::new();
+        for q in 0..groups {
+            let group_lost = &lost[(q * group) as usize..degree.min((q + 1) * group) as usize];
+            let lost_at = |t: u64| group_lost.iter().filter(|l| l.contains(&t)).count();
+            if span.clone().any(|t| lost_at(t) >= 2) {
+                return refuse(Refusal::DoubleLoss);
+            }
+            if group_lost.iter().all(|l| l.is_empty()) {
+                continue;
+            }
+            let v_p = self.frame.virtual_of((start + degree + q) % d, now);
+            let exposed = span.clone().any(|t| {
+                lost_at(t) > 0 && self.down(WindowKind::Any, self.frame.physical(v_p, t), t)
+            });
+            if busy(v_p) || exposed {
+                return refuse(Refusal::Companion);
+            }
+            companions.push(v_p);
+        }
+        // The clean count failed with every member free and clear of slow
+        // disks, so some read is lost.
+        let reconstructed = lost.iter().map(|l| l.len() as u64).sum();
+        assert!(reconstructed > 0, "a clean refusal lost no read");
+        Ok(grant(companions, reconstructed))
+    }
+}
+
+/// Contiguous `plan` agrees with [`ModelFarm::plan`], a brute-force
+/// per-interval model of degraded planning: the same grant field by
+/// field, or a refusal with the same clean count. Frames share a factor
+/// with their stride (`gcd(D, k) > 1`, stationary ones included), hard
+/// windows come in node-like runs beside single hard and slow windows,
+/// and the parity group is 1–4. Each refusal cause and degraded grants
+/// must all occur, or the check would be vacuous.
+#[test]
+fn degraded_contiguous_plans_match_the_reference_model() {
+    const CASES: u64 = 1_500;
+    let mut rng = proptest::TestRng::new(0xdea7);
+    let mut seen: std::collections::BTreeMap<String, u64> = Default::default();
+    for case in 0..CASES {
+        let g = 2 + rng.below(3) as u32;
+        let d = g * (1 + rng.below(8) as u32);
+        let k = g * rng.below(12) as u32;
+        let frame = VirtualFrame::new(d, k);
+        let mut farm = ModelFarm {
+            frame,
+            free_from: (0..d)
+                .map(|_| if rng.below(8) == 0 { rng.below(60) } else { 0 })
+                .collect(),
+            outages: Vec::new(),
+            parity: Some(1 + rng.below(4) as u32),
+        };
+        for _ in 0..rng.below(3) {
+            let first = rng.below(u64::from(d)) as u32;
+            let count = 1 + rng.below(u64::from(d) / 2) as u32;
+            let from = rng.below(40);
+            let until = from + 1 + rng.below(60);
+            farm.outages
+                .extend(node_run(first..d.min(first + count), from, until));
+        }
+        for _ in 0..rng.below(4) {
+            let from = rng.below(40);
+            farm.outages.push(Outage {
+                disk: rng.below(u64::from(d)) as u32,
+                from,
+                until: from + 1 + rng.below(40),
+                hard: rng.below(3) != 0,
+            });
+        }
+        let mut sched = IntervalScheduler::new(frame);
+        for (v, &h) in farm.free_from.iter().enumerate() {
+            sched.set_free_from(v as u32, h);
+        }
+        for &o in &farm.outages {
+            sched.add_outage(o);
+        }
+        sched.set_parity_group(farm.parity);
+        for _ in 0..6 {
+            let now = rng.below(50);
+            let start = rng.below(u64::from(d)) as u32;
+            let degree = 1 + rng.below(u64::from(d.min(8))) as u32;
+            let subobjects = 1 + rng.below(2 * frame.period() + 6) as u32;
+            let got = sched.plan(
+                now,
+                ObjectId(0),
+                start,
+                degree,
+                subobjects,
+                AdmissionPolicy::Contiguous,
+            );
+            let want = farm.plan(now, start, degree, subobjects);
+            let label = match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    assert_eq!(g, w, "case {case}: D={d} k={k} {:?}", farm.outages);
+                    if w.reconstructed_intervals > 0 {
+                        "degraded grant".to_string()
+                    } else {
+                        "clean grant".to_string()
+                    }
+                }
+                (Err(Error::AdmissionRejected { needed, free, .. }), Err((want_free, why))) => {
+                    assert_eq!(
+                        (*needed, *free),
+                        (degree, *want_free),
+                        "case {case}: D={d} k={k} refused for {why:?}"
+                    );
+                    format!("{why:?}")
+                }
+                _ => panic!(
+                    "case {case}: D={d} k={k} parity {:?} start={start} M={degree} \
+                     n={subobjects} at {now} over {:?}: plan {got:?}, model {want:?}",
+                    farm.parity, farm.outages
+                ),
+            };
+            *seen.entry(label).or_default() += 1;
+        }
+    }
+    for label in [
+        "degraded grant",
+        "clean grant",
+        "Busy",
+        "Slow",
+        "DoubleLoss",
+        "Companion",
+    ] {
+        assert!(
+            seen.get(label).copied().unwrap_or(0) >= 20,
+            "too few {label} cases: {seen:?}"
+        );
+    }
 }
