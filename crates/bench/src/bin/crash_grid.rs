@@ -20,18 +20,15 @@
 //!   structurally zero; the striping scheme books real verification
 //!   bandwidth and pays for it here.
 //!
-//! Emits `crash_grid.csv` and `crash_grid.json`; in full mode the
-//! summary is also merged into `BENCH_engine.json` under a `crash` key.
-//! `--quick` runs one scrub rate on a shortened window — the CI smoke
-//! mode `scripts/ci.sh` runs.
+//! Emits `crash_grid.csv` and `crash_grid.json`. `--quick` runs one
+//! scrub rate on a shortened window — the CI smoke mode `scripts/ci.sh`
+//! runs.
 //!
 //! Run from the repo root:
 //! `cargo run --release -p ss-bench --bin crash_grid [-- --quick]`.
 
 use serde::Serialize;
-use ss_bench::grid::{
-    merge_section, pct_of, perf_strict, run_cells, success_pct, write_csv, write_json, Bound,
-};
+use ss_bench::grid::{pct_of, perf_strict, run_cells, success_pct, write_csv, write_json, Bound};
 use ss_bench::HarnessOpts;
 use ss_server::config::ScrubConfig;
 use ss_server::{RunReport, ServerConfig};
@@ -64,8 +61,7 @@ struct CrashCell {
     scrub_interference_intervals: u64,
 }
 
-/// The `crash_grid.json` artifact (and the `crash` section of
-/// `BENCH_engine.json` in full mode).
+/// The `crash_grid.json` artifact.
 #[derive(Debug, Serialize)]
 struct CrashGridReport {
     mode: String,
@@ -250,7 +246,6 @@ fn main() {
 
     write_csv(&opts, "crash_grid.csv", &report.cells);
     write_json(&opts, "crash_grid.json", &report);
-    merge_section(&opts, "crash", &report);
     if !crash_gates(recovery_success_pct, scrub_interference_pct, perf_strict()) {
         std::process::exit(1);
     }

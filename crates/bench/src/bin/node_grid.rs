@@ -17,15 +17,13 @@
 //! retention at ≥ 70%, exiting non-zero on a miss (`CI_PERF_STRICT=0`
 //! downgrades it to a warning).
 //!
-//! `--quick` shrinks the window for CI smoke runs; the full run also
-//! merges the grid into `BENCH_engine.json` under a `distributed` key so
-//! the committed baseline carries the node-scaling numbers.
+//! `--quick` shrinks the window for CI smoke runs.
 //!
 //! Run from the repo root:
 //! `cargo run --release -p ss-bench --bin node_grid [-- --quick]`.
 
 use serde::Serialize;
-use ss_bench::grid::{merge_section, pct_of, perf_strict, run_cells, write_json, Bound};
+use ss_bench::grid::{pct_of, perf_strict, run_cells, write_json, Bound};
 use ss_bench::HarnessOpts;
 use ss_server::config::NodeOutage;
 use ss_server::{DistributedConfig, ParityConfig, RebuildConfig, RunReport, ServerConfig};
@@ -57,8 +55,7 @@ struct Cell {
     outage_streams_dropped: u64,
 }
 
-/// The `node_grid.json` artifact (and the `distributed` section of
-/// `BENCH_engine.json` in full mode).
+/// The `node_grid.json` artifact.
 #[derive(Debug, Serialize)]
 struct NodeGridReport {
     mode: String,
@@ -180,7 +177,6 @@ fn main() {
         cells,
     };
     write_json(&opts, "node_grid.json", &report);
-    merge_section(&opts, "distributed", &report);
     if !node_gate(&report.cells, perf_strict()) {
         std::process::exit(1);
     }

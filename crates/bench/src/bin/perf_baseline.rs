@@ -1,9 +1,10 @@
 //! Engine performance baseline: times the Figure-8 grid through the
-//! batch runner and writes `BENCH_engine.json`, the artifact the CI perf
-//! gates read. Per-layer engine costs (catalog placement, admission,
-//! tick percentiles) and the 100,000-disk cell are the repository
+//! batch runner, checks the CI perf gates against the committed
+//! `BENCH_engine.json`, and writes its own artifact. Per-layer engine
+//! costs (catalog placement, admission, tick percentiles), the
+//! 100,000-disk cell and the recorder's cost are the repository
 //! benchmark's (`crates/bench/src/bin/benchmark/`); this binary keeps
-//! only the sections a gate or the history row reads.
+//! only the sections its gates read.
 //!
 //! The grid runs twice: single-threaded (`grid`, the canonical
 //! before/after number) and at `--threads` parallelism
@@ -13,45 +14,39 @@
 //! like-for-like number to compare against the committed full baseline.
 //!
 //! Run from the repo root (`cargo run --release -p ss-bench --bin
-//! perf_baseline [-- --quick]`); the JSON artifact is written to
-//! `BENCH_engine.json` in the current directory (`BENCH_engine.quick.json`
-//! in quick mode, so smoke runs never clobber the committed baseline).
-//! `--quick` runs the quick grid in place of the 54-cell one; the
-//! metric names and schema are identical in both modes.
+//! perf_baseline [-- --quick]`). `--quick` runs the quick grid in place
+//! of the 54-cell one and writes `BENCH_engine.quick.json`, so smoke
+//! runs never touch the committed baseline; a full run rewrites
+//! `BENCH_engine.json` whole, which is how the baseline is re-taken.
+//! The metric names and schema are identical in both modes.
 //!
-//! `--check-against PATH` compares this run's `grid_quick` wall-clock
-//! to the one recorded in the baseline artifact at PATH and exits
-//! non-zero if it regressed more than 2×; set `CI_PERF_STRICT=0` to
-//! downgrade the failure to a warning (shared CI runners are noisy).
-//! It also compares the parallel-grid `speedup_vs_serial` against the
-//! baseline's, but — since the artifact records `cores_available` — the
-//! comparison is skipped with a notice when either box had fewer than 2
-//! cores: on one core the 0.92× "speedup" is batch-runner overhead,
-//! not an engine regression.
+//! Every run, before it times anything, reads the committed
+//! `BENCH_engine.json` in the current directory, then gates:
 //!
-//! `--gate-parallel` enforces the batch-runner scaling contract: on a
-//! machine with at least 4 cores, `grid_parallel` must beat `grid` by
-//! 1.5× or the run exits non-zero (same `CI_PERF_STRICT=0` escape). On
-//! smaller machines the speedup is recorded but the gate passes, since
-//! a 1-core container cannot demonstrate parallel scaling.
+//! * this run's `grid_quick` wall-clock may be at most 2× the
+//!   baseline's;
+//! * this run's parallel `speedup_vs_serial` must hold at least half
+//!   the baseline's, unless either box had fewer than 2 cores (on one
+//!   core a 0.92× "speedup" is batch-runner overhead, not an engine
+//!   regression);
+//! * on a box with at least 4 cores, `grid_parallel` must beat `grid`
+//!   by 1.5× (a 1-core container cannot demonstrate parallel scaling).
 //!
-//! `--append-history` appends one dated JSONL row to
-//! `BENCH_history.jsonl` — the bench trajectory: grid and quick-grid
-//! wall-clocks plus the headline number of each merged section
-//! (`sharing` high-skew capacity ratio, `distributed` widest-split
-//! outage retention, `crash` recovery and scrub-interference
-//! percentages). Sections another bin has not merged yet are skipped
-//! with a notice. Quick runs never append (the trajectory tracks full
-//! baselines only); to make that composition work, a full run *merges*
-//! its report into an existing `BENCH_engine.json` instead of
-//! clobbering it, preserving the sections the grid bins own.
+//! A miss exits non-zero; `CI_PERF_STRICT=0` downgrades it to a warning
+//! (shared CI runners are noisy). A baseline that is missing, does not
+//! parse, or lacks one of the fields the gates read fails the run
+//! whatever `CI_PERF_STRICT` says, so no gate passes vacuously.
 
 use serde::{Deserialize, Serialize};
-use ss_bench::grid::{merge_into_baseline, peak_rss_kb, perf_strict, Bound, BASELINE};
+use ss_bench::grid::{perf_strict, Bound};
 use ss_bench::HarnessOpts;
 use ss_server::experiment::{fig8_configs, run_batch_stats};
 use ss_server::ServerConfig;
 use std::time::Instant;
+
+/// The committed engine baseline, read by every run's gates and
+/// rewritten by a full run.
+const BASELINE: &str = "BENCH_engine.json";
 
 /// Small Figure-8 grid wall-clock result.
 #[derive(Debug, Clone, Serialize)]
@@ -86,18 +81,16 @@ struct BenchReport {
     /// is scheduling overhead, not a regression — so comparisons read
     /// this before judging the parallel section.
     cores_available: u64,
-    /// Peak resident set (VmHWM) of this process, in kilobytes.
-    peak_rss_kb: u64,
 }
 
-/// The subset of a baseline artifact `--check-against` needs. Extra
-/// fields in the JSON are ignored; `grid_quick` is optional so the
-/// check degrades gracefully against pre-schema baselines.
+/// The fields of the baseline artifact the gates read. Each is
+/// required: a baseline missing one fails to parse, like a garbled file.
+/// Extra fields in the JSON are ignored.
 #[derive(Debug, Deserialize)]
-struct BaselineProbe {
-    grid_quick: Option<BaselineGrid>,
-    grid_parallel: Option<BaselineParallel>,
-    cores_available: Option<u64>,
+struct Baseline {
+    grid_quick: BaselineGrid,
+    grid_parallel: BaselineParallel,
+    cores_available: u64,
 }
 
 /// Seconds field of a baseline grid section.
@@ -109,7 +102,12 @@ struct BaselineGrid {
 /// Speedup field of a baseline parallel-grid section.
 #[derive(Debug, Deserialize)]
 struct BaselineParallel {
-    speedup_vs_serial: Option<f64>,
+    speedup_vs_serial: f64,
+}
+
+/// Parses baseline artifact text, naming [`BASELINE`] in the error.
+fn parse_baseline(text: &str) -> Result<Baseline, String> {
+    serde_json::from_str(text).map_err(|e| format!("cannot parse {BASELINE}: {e}"))
 }
 
 /// The Figure-8 grid (paper-scale D = 1000 cells with shortened
@@ -148,23 +146,23 @@ fn bench_grid(quick: bool, seed: u64, threads: usize) -> GridMetrics {
     }
 }
 
-/// The `--gate-parallel` CI gate: with 4 or more cores available, the
-/// parallel grid must beat the serial grid by at least 1.5x. On smaller
-/// machines (this includes 1-core CI containers, where the batch runner
-/// cannot win) the gate reports and passes. Without `strict`
+/// The scaling gate: with 4 or more cores available, the parallel grid
+/// must beat the serial grid by at least 1.5x. On smaller machines
+/// (this includes 1-core CI containers, where the batch runner cannot
+/// win) the gate reports and passes. Without `strict`
 /// (`CI_PERF_STRICT=0`) a miss is only a warning.
 fn gate_parallel_speedup(grid: &GridMetrics, grid_parallel: &GridMetrics, strict: bool) -> bool {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let speedup = grid.seconds / grid_parallel.seconds;
     if cores < 4 {
         eprintln!(
-            "gate-parallel: only {cores} core(s) available; speedup {speedup:.2}x recorded, gate skipped (needs >= 4)"
+            "parallel: only {cores} core(s) available; speedup {speedup:.2}x recorded, gate skipped (needs >= 4)"
         );
         return true;
     }
     Bound::Floor(1.5).gate(
         &format!(
-            "gate-parallel: grid_parallel speedup on {} threads ({cores} cores)",
+            "parallel: grid_parallel speedup on {} threads ({cores} cores)",
             grid_parallel.threads
         ),
         speedup,
@@ -172,228 +170,67 @@ fn gate_parallel_speedup(grid: &GridMetrics, grid_parallel: &GridMetrics, strict
     )
 }
 
-/// Compares this run's quick-grid wall-clock to the baseline artifact
-/// at `path`; returns false on a >2x regression (unless `strict` is off,
-/// which downgrades it to a warning). Also compares the parallel-grid
-/// speedup, but only when both this box and the baseline's had 2 or
-/// more cores — on a single core `speedup_vs_serial` measures
-/// scheduling overhead (0.92x is normal), not engine speed, and judging
-/// it would flag every 1-core CI box as a regression.
-fn check_against(path: &str, report: &BenchReport, strict: bool) -> bool {
-    let current = &report.grid_quick;
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-against: cannot read {path}: {e}");
+/// Compares this run against the baseline: false on a >2x quick-grid
+/// regression (unless `strict` is off, which downgrades it to a
+/// warning), and false whatever `strict` says when the baseline could
+/// not be read. Also compares the parallel-grid speedup, but only when
+/// both this box and the baseline's had 2 or more cores — on a single
+/// core `speedup_vs_serial` measures scheduling overhead (0.92x is
+/// normal), not engine speed, and judging it would flag every 1-core CI
+/// box as a regression.
+fn check_against(baseline: &Result<Baseline, String>, report: &BenchReport, strict: bool) -> bool {
+    let baseline = match baseline {
+        Ok(b) => b,
+        Err(msg) => {
+            eprintln!("baseline: {msg}");
             return false;
         }
     };
-    let probe: BaselineProbe = match serde_json::from_str(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("check-against: cannot parse {path}: {e:?}");
-            return false;
-        }
-    };
-    let quick_ok = match &probe.grid_quick {
-        None => {
-            eprintln!(
-                "check-against: {path} has no grid_quick section (pre-schema baseline); skipping"
-            );
-            true
-        }
-        Some(baseline) => {
-            eprintln!(
-                "check-against: quick grid {:.3} s vs baseline {:.3} s",
-                current.seconds, baseline.seconds
-            );
-            Bound::Ceiling(2.0).gate(
-                "check-against: quick-grid slowdown vs baseline (x)",
-                current.seconds / baseline.seconds,
-                strict,
-            )
-        }
-    };
-    quick_ok && check_parallel_against(path, &probe, report, strict)
+    eprintln!(
+        "baseline: quick grid {:.3} s vs baseline {:.3} s",
+        report.grid_quick.seconds, baseline.grid_quick.seconds
+    );
+    let quick_ok = Bound::Ceiling(2.0).gate(
+        "baseline: quick-grid slowdown vs baseline (x)",
+        report.grid_quick.seconds / baseline.grid_quick.seconds,
+        strict,
+    );
+    quick_ok && check_parallel_against(baseline, report, strict)
 }
 
-/// The parallel leg of `--check-against`: this run's `speedup_vs_serial`
-/// must hold at least half the baseline's. Skipped — with a notice — when
-/// either box exposes fewer than 2 cores, or when the baseline predates
-/// the speedup field.
-fn check_parallel_against(
-    path: &str,
-    probe: &BaselineProbe,
-    report: &BenchReport,
-    strict: bool,
-) -> bool {
+/// The parallel leg of [`check_against`]: this run's
+/// `speedup_vs_serial` must hold at least half the baseline's. Skipped
+/// — with a notice — when either box exposes fewer than 2 cores.
+fn check_parallel_against(baseline: &Baseline, report: &BenchReport, strict: bool) -> bool {
     let speedup = report.grid_parallel.speedup_vs_serial.unwrap_or(1.0);
     if report.cores_available < 2 {
         eprintln!(
-            "check-against: {} core(s) available; parallel comparison skipped (speedup {speedup:.2}x on one core measures batch-runner overhead, not engine speed)",
+            "baseline: {} core(s) available; parallel comparison skipped (speedup {speedup:.2}x on one core measures batch-runner overhead, not engine speed)",
             report.cores_available
         );
         return true;
     }
-    if probe.cores_available.is_some_and(|c| c < 2) {
-        eprintln!(
-            "check-against: baseline {path} was taken on a single core; parallel comparison skipped"
-        );
+    if baseline.cores_available < 2 {
+        eprintln!("baseline: {BASELINE} was taken on a single core; parallel comparison skipped");
         return true;
     }
-    let Some(base) = probe
-        .grid_parallel
-        .as_ref()
-        .and_then(|p| p.speedup_vs_serial)
-    else {
-        eprintln!("check-against: {path} records no parallel speedup; skipping that comparison");
-        return true;
-    };
-    eprintln!("check-against: parallel speedup {speedup:.2}x vs baseline {base:.2}x");
+    let base = baseline.grid_parallel.speedup_vs_serial;
+    eprintln!("baseline: parallel speedup {speedup:.2}x vs baseline {base:.2}x");
     Bound::Floor(0.5).gate(
-        "check-against: parallel speedup as a share of the baseline's (x)",
+        "baseline: parallel speedup as a share of the baseline's (x)",
         speedup / base,
         strict,
     )
 }
 
-/// Today's UTC date as `YYYY-MM-DD`, from the system clock alone
-/// (days-since-epoch to civil-date arithmetic; no calendar crate).
-fn utc_date() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Reads `name.field` out of the merged artifact tree, if the grid bin
-/// owning that section has merged it.
-fn section_field(merged: &serde_json::Value, name: &str, field: &str) -> Option<serde_json::Value> {
-    let serde_json::Value::Map(top) = merged else {
-        return None;
-    };
-    let serde_json::Value::Map(section) = serde::field(top, name)? else {
-        return None;
-    };
-    serde::field(section, field).cloned()
-}
-
-/// Appends one dated row to `BENCH_history.jsonl`: the canonical grid
-/// wall-clocks plus each merged section's headline number. Sections a
-/// grid bin has not merged into the artifact yet are skipped with a
-/// notice, so the trajectory row is exactly as wide as the baseline it
-/// describes.
-fn append_history(report: &BenchReport, merged: &serde_json::Value) {
-    const PATH: &str = "BENCH_history.jsonl";
-    let mut row: Vec<(String, serde_json::Value)> = vec![
-        ("date".into(), serde_json::Value::Str(utc_date())),
-        ("seed".into(), serde_json::Value::U64(report.seed)),
-        (
-            "grid_seconds".into(),
-            serde_json::Value::F64(report.grid.seconds),
-        ),
-        (
-            "grid_quick_seconds".into(),
-            serde_json::Value::F64(report.grid_quick.seconds),
-        ),
-        (
-            "grid_parallel_speedup".into(),
-            serde_json::Value::F64(report.grid_parallel.speedup_vs_serial.unwrap_or(1.0)),
-        ),
-    ];
-    fn take(
-        row: &mut Vec<(String, serde_json::Value)>,
-        merged: &serde_json::Value,
-        key: &str,
-        section: &str,
-        field: &str,
-    ) {
-        match section_field(merged, section, field) {
-            Some(v) => row.push((key.to_string(), v)),
-            None => eprintln!(
-                "append-history: no `{section}` section in the baseline; run its grid bin to record `{key}`"
-            ),
-        }
-    }
-    take(
-        &mut row,
-        merged,
-        "sharing_high_skew_ratio",
-        "sharing",
-        "high_skew_ratio",
-    );
-    // distributed headline: the widest split's single-node-outage
-    // retention (the number node_grid's CI gate holds a floor under).
-    match section_field(merged, "distributed", "cells") {
-        Some(serde_json::Value::Seq(cells)) => {
-            let widest = cells
-                .iter()
-                .filter_map(|c| match c {
-                    serde_json::Value::Map(m) => Some(m),
-                    _ => None,
-                })
-                .max_by_key(|m| match serde::field(m, "nodes") {
-                    Some(serde_json::Value::U64(n)) => *n,
-                    _ => 0,
-                });
-            match widest.and_then(|m| serde::field(m, "retention_pct")) {
-                Some(v) => row.push(("distributed_outage_retention_pct".into(), v.clone())),
-                None => eprintln!("append-history: `distributed.cells` has no retention headline"),
-            }
-        }
-        _ => eprintln!(
-            "append-history: no `distributed` section in the baseline; run node_grid to record `distributed_outage_retention_pct`"
-        ),
-    }
-    take(
-        &mut row,
-        merged,
-        "crash_recovery_success_pct",
-        "crash",
-        "recovery_success_pct",
-    );
-    take(
-        &mut row,
-        merged,
-        "crash_scrub_interference_pct",
-        "crash",
-        "scrub_interference_pct",
-    );
-    let line = serde_json::to_string(&serde_json::Value::Map(row)).expect("serialize history row");
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(PATH)
-        .expect("open history trajectory");
-    writeln!(f, "{line}").expect("append history row");
-    eprintln!("appended trajectory row to {PATH}");
-}
-
 fn main() {
-    let (mut check_path, mut gate_parallel, mut append) = (None, false, false);
-    let opts = HarnessOpts::from_args_with(|a, rest| {
-        match a {
-            "--check-against" => {
-                check_path = Some(rest.next().ok_or("--check-against takes a path")?);
-            }
-            "--gate-parallel" => gate_parallel = true,
-            "--append-history" => append = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    });
+    let opts = HarnessOpts::from_args();
     let mode = if opts.quick { "quick" } else { "full" };
     eprintln!("perf_baseline ({mode} mode, seed {})", opts.seed);
+    // Read the committed baseline first: a full run rewrites it below.
+    let baseline = std::fs::read_to_string(BASELINE)
+        .map_err(|e| format!("cannot read {BASELINE}: {e}"))
+        .and_then(|text| parse_baseline(&text));
 
     // In full mode, measure the quick grid BEFORE the 54-cell grids:
     // CI's quick runs measure it as the process's first grid (cold
@@ -435,45 +272,71 @@ fn main() {
         grid_quick,
         cores_available: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
             as u64,
-        peak_rss_kb: peak_rss_kb(),
     };
-    // Quick (smoke) runs write their own artifact fresh so they never
-    // clobber the committed full baseline; full runs refresh the grid
-    // sections in place, keeping whatever the grid bins merged.
-    use serde::Serialize as _;
-    let merged = if opts.quick {
-        let out = "BENCH_engine.quick.json";
-        let json = serde_json::to_string_pretty(&report).expect("serialize report");
-        std::fs::write(out, format!("{json}\n")).expect("write quick artifact");
-        eprintln!("wrote {out}");
-        report.to_value()
+    let out = if opts.quick {
+        "BENCH_engine.quick.json"
     } else {
-        merge_into_baseline(BASELINE, report.to_value(), true).expect("created if missing")
+        BASELINE
     };
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&merged).expect("serialize report")
-    );
+    let json = serde_json::to_string_pretty(&report).expect("serialize report");
+    std::fs::write(out, format!("{json}\n")).expect("write artifact");
+    eprintln!("wrote {out}");
+    println!("{json}");
 
-    if append {
-        if opts.quick {
-            eprintln!(
-                "append-history: quick mode; BENCH_history.jsonl records full baselines only"
-            );
-        } else {
-            append_history(&report, &merged);
+    let strict = perf_strict();
+    let checked = check_against(&baseline, &report, strict);
+    let scaled = gate_parallel_speedup(&report.grid, &report.grid_parallel, strict);
+    if !(checked && scaled) {
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../../BENCH_engine.json");
+
+    fn grid(seconds: f64, speedup_vs_serial: Option<f64>) -> GridMetrics {
+        GridMetrics {
+            configs: 6,
+            threads: 1,
+            seconds,
+            speedup_vs_serial,
         }
     }
 
-    let strict = perf_strict();
-    let mut ok = true;
-    if let Some(path) = check_path {
-        ok &= check_against(&path, &report, strict);
+    /// A quick run that matches `baseline` exactly, so every gate holds.
+    fn matching_run(baseline: &Baseline) -> BenchReport {
+        BenchReport {
+            mode: "quick".into(),
+            seed: 1994,
+            grid: grid(baseline.grid_quick.seconds, None),
+            grid_parallel: grid(1.0, Some(baseline.grid_parallel.speedup_vs_serial)),
+            grid_quick: grid(baseline.grid_quick.seconds, None),
+            cores_available: baseline.cores_available,
+        }
     }
-    if gate_parallel {
-        ok &= gate_parallel_speedup(&report.grid, &report.grid_parallel, strict);
-    }
-    if !ok {
-        std::process::exit(1);
+
+    #[test]
+    fn the_committed_baseline_parses_and_one_without_grid_quick_fails() {
+        let baseline = parse_baseline(COMMITTED).expect("the committed baseline parses");
+        let run = matching_run(&baseline);
+        assert!(check_against(&Ok(baseline), &run, true));
+
+        let serde_json::Value::Map(mut sections) =
+            serde_json::from_str(COMMITTED).expect("the committed baseline is JSON")
+        else {
+            panic!("the committed baseline is a JSON object");
+        };
+        sections.retain(|(key, _)| key != "grid_quick");
+        let stripped = serde_json::to_string(&serde_json::Value::Map(sections)).unwrap();
+        let missing = parse_baseline(&stripped);
+        assert!(
+            missing.as_ref().is_err_and(|e| e.contains("grid_quick")),
+            "{missing:?}"
+        );
+        // A baseline the gates cannot read fails even with CI_PERF_STRICT=0.
+        assert!(!check_against(&missing, &run, false));
     }
 }

@@ -16,15 +16,13 @@
 //! After writing its artifacts the bin gates the high-skew ratio at
 //! ≥ 2×, exiting non-zero on a miss (`CI_PERF_STRICT=0` downgrades it to
 //! a warning). `--quick` runs the high-skew column only, with a
-//! shortened window — the CI smoke mode `scripts/ci.sh` runs. In full
-//! mode the summary is also merged into `BENCH_engine.json` under a
-//! `sharing` key.
+//! shortened window — the CI smoke mode `scripts/ci.sh` runs.
 //!
 //! Run from the repo root:
 //! `cargo run --release -p ss-bench --bin sharing_capacity [-- --quick]`.
 
 use serde::Serialize;
-use ss_bench::grid::{merge_section, perf_strict, ratio_of, run_cells, write_json, Bound};
+use ss_bench::grid::{perf_strict, ratio_of, run_cells, write_json, Bound};
 use ss_bench::HarnessOpts;
 use ss_server::config::SharingConfig;
 use ss_server::{RunReport, ServerConfig};
@@ -54,8 +52,7 @@ struct CapacityCell {
     peak_catchup_fragments: u64,
 }
 
-/// The `sharing_capacity.json` artifact (and the `sharing` section of
-/// `BENCH_engine.json` in full mode).
+/// The `sharing_capacity.json` artifact.
 #[derive(Debug, Serialize)]
 struct SharingCapacityReport {
     mode: String,
@@ -220,7 +217,6 @@ fn main() {
         high_skew_ratio,
     };
     write_json(&opts, "sharing_capacity.json", &report);
-    merge_section(&opts, "sharing", &report);
     if !capacity_gate(high_skew_ratio, perf_strict()) {
         std::process::exit(1);
     }

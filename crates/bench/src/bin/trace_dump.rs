@@ -18,10 +18,6 @@
 //! baseline, and `--config PATH` replays any serialized
 //! [`ServerConfig`] (the JSON shape the test goldens use).
 //!
-//! `--overhead` skips the export entirely and instead times the chosen
-//! configuration recorder-off vs recorder-on (best of five each),
-//! printing the relative cost of leaving the journal armed.
-//!
 //! Whatever the format, the harness self-checks the journal before
 //! writing anything: the expanded per-(disk, interval) read timeline
 //! must carry exactly the `degree × subobjects` reads booked by every
@@ -36,10 +32,10 @@ use ss_obs::{Event, Registry, RegistrySpec, TraceMeta, VecRecorder};
 use ss_server::config::Scheme;
 use ss_server::{run, DistributedConfig, RunReport, ServerConfig};
 use ss_sim::FaultPlan;
-use ss_types::{SimDuration, SimTime};
+use ss_types::SimTime;
 
 const USAGE: &str = "usage: trace_dump [--format jsonl|perfetto|csv] [--config PATH] [--vdr] \
-                     [--overhead] [--seed N] [--out DIR] [--quick] [--threads N]";
+                     [--seed N] [--out DIR] [--quick] [--threads N]";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -157,7 +153,6 @@ fn main() {
     let mut format = Format::Jsonl;
     let mut config_path: Option<String> = None;
     let mut vdr = false;
-    let mut overhead = false;
     let opts = HarnessOpts::from_args_with(|a, rest| {
         if let Some(v) = flag_value(a, "--format", "a value", USAGE, rest)? {
             format = parse_format(&v)?;
@@ -165,8 +160,6 @@ fn main() {
             config_path = Some(v);
         } else if a == "--vdr" {
             vdr = true;
-        } else if a == "--overhead" {
-            overhead = true;
         } else {
             return Ok(false);
         }
@@ -175,96 +168,9 @@ fn main() {
 
     let cfg = match &config_path {
         Some(path) => load_config(path),
-        // The export demo finishes in tens of milliseconds — too short
-        // to resolve a few percent of overhead — so `--overhead` times
-        // a saturated paper-scale cell (D = 1000, the quick perf-grid
-        // geometry at its heaviest load, where ticks actually execute
-        // instead of being skipped as quiescent).
-        None if overhead => {
-            let stations = if opts.quick { 64 } else { 256 };
-            let mut cfg = if vdr {
-                ServerConfig::paper_vdr(stations, 20.0, opts.seed)
-            } else {
-                ServerConfig::paper_striping(stations, 20.0, opts.seed)
-            };
-            cfg.warmup = SimDuration::from_secs(1800);
-            cfg.measure = SimDuration::from_secs(3600);
-            cfg
-        }
         None => demo_config(opts.quick, vdr, opts.seed),
     };
     let meta = trace_meta(&cfg);
-
-    if overhead {
-        // Best-of-five wall time per arm; each armed iteration pays
-        // for a fresh journal buffer, exactly like a real capture.
-        type MkRec = fn() -> Box<dyn ss_obs::Recorder>;
-        let timed = |recorder: Option<MkRec>| -> f64 {
-            let mut best = f64::INFINITY;
-            for _ in 0..5 {
-                if let Some(mk) = recorder {
-                    ss_obs::install(
-                        mk(),
-                        Registry::new(RegistrySpec {
-                            disks: cfg.disks,
-                            interval_us: meta.interval_us,
-                            ..RegistrySpec::default()
-                        }),
-                    );
-                }
-                let t0 = std::time::Instant::now();
-                let outcome = run(&cfg);
-                let dt = t0.elapsed().as_secs_f64();
-                if recorder.is_some() {
-                    let _ = ss_obs::uninstall();
-                }
-                outcome.unwrap_or_else(|e| {
-                    eprintln!("invalid configuration: {e}");
-                    std::process::exit(2);
-                });
-                best = best.min(dt);
-            }
-            best
-        };
-        let off = timed(None);
-        let arms: [(&str, MkRec); 3] = [
-            ("registry + nop journal", || Box::new(ss_obs::NopRecorder)),
-            ("registry + vec journal", || Box::new(VecRecorder::new())),
-            ("registry + jsonl journal", || {
-                Box::new(ss_obs::JsonlRecorder::new())
-            }),
-        ];
-        println!("recorder off: {off:.3}s (best of 5, baseline)");
-        for (label, mk) in arms {
-            let on = timed(Some(mk));
-            println!(
-                "{label}: {on:.3}s, overhead {:+.1}%",
-                (on / off - 1.0) * 100.0
-            );
-        }
-        // One capture for scale context: how much data the armed run
-        // actually produced.
-        let recorder = VecRecorder::new();
-        let handle = recorder.handle();
-        ss_obs::install(
-            Box::new(recorder),
-            Registry::new(RegistrySpec {
-                disks: cfg.disks,
-                interval_us: meta.interval_us,
-                ..RegistrySpec::default()
-            }),
-        );
-        run(&cfg).expect("already ran above");
-        let (_, registry) = ss_obs::uninstall().expect("installed above");
-        let events = handle.lock().expect("run finished").len();
-        println!(
-            "captured: {events} journal events, {} heatmap rows x {} disks ({} runs after dedup)",
-            registry.heatmap_len(),
-            cfg.disks,
-            registry.heatmap_runs()
-        );
-        return;
-    }
 
     // Install the journal and registry, run inline (the recorder is
     // thread-local), and take both back.
@@ -303,21 +209,6 @@ fn main() {
             "heatmap holds {} rows, expected {expected_rows} (one per interval boundary)",
             registry.heatmap_len()
         );
-        if std::env::var("TRACE_DUMP_DEBUG").is_ok() {
-            let rows = registry.series("utilization");
-            eprintln!("series len {}", rows.len());
-            let mut prev = u64::MAX;
-            for (i, (t, _)) in rows.iter().enumerate() {
-                if *t == prev {
-                    eprintln!("dup t={t} at idx {i}");
-                }
-                if prev != u64::MAX && *t != prev && *t != prev + 1 {
-                    eprintln!("gap {prev}->{t} at idx {i}");
-                }
-                prev = *t;
-            }
-            eprintln!("first t={:?} last t={:?}", rows.first(), rows.last());
-        }
         std::process::exit(1);
     }
 

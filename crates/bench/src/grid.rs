@@ -12,21 +12,13 @@
 //!   ratios, and [`success_pct`] for pooled success counts;
 //! * [`write_json`] / [`write_csv`] — the artifact writers, the CSV
 //!   header taken from the same `Serialize` row as the values;
-//! * [`merge_into_baseline`] — the only read-modify-write of the
-//!   committed `BENCH_engine.json`, which [`merge_section`] drives for
-//!   the full-mode grid runs;
 //! * [`Bound::gate`] — the CI floor/ceiling check, with [`perf_strict`]
-//!   the one reader of `CI_PERF_STRICT`;
-//! * [`peak_rss_kb`].
+//!   the one reader of `CI_PERF_STRICT`.
 
 use crate::HarnessOpts;
 use serde::{Serialize, Value};
 use ss_server::experiment::run_batch;
 use ss_server::{RunReport, ServerConfig};
-
-/// The committed engine baseline the full-mode grid bins and
-/// `perf_baseline` merge their sections into.
-pub const BASELINE: &str = "BENCH_engine.json";
 
 /// Runs every arm of every cell through one [`run_batch`] call across
 /// `threads` strands and returns the reports in cells × arms order,
@@ -117,71 +109,6 @@ fn csv<T: Serialize>(rows: &[T]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// In full mode, merges `report` into [`BASELINE`] under `key`; quick
-/// (smoke) runs leave the committed baseline alone.
-pub fn merge_section(opts: &HarnessOpts, key: &str, report: &impl Serialize) {
-    if !opts.quick {
-        let section = Value::Map(vec![(key.to_string(), report.to_value())]);
-        merge_into_baseline(BASELINE, section, false);
-    }
-}
-
-/// Merges `sections` (a JSON object) into the JSON object at `path` and
-/// writes it back: each section replaces the key of the same name in
-/// place, or is appended, and every other key keeps its value and
-/// position. A missing or unparsable file is left untouched, returning
-/// `None`, unless `create`, when the sections alone become the file.
-/// Returns the merged tree.
-///
-/// # Panics
-///
-/// If `sections` is not an object, or the merged file cannot be written.
-pub fn merge_into_baseline(path: &str, sections: Value, create: bool) -> Option<Value> {
-    let Value::Map(sections) = sections else {
-        panic!("baseline sections serialize as a JSON object");
-    };
-    let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
-    let keys = keys.join(", ");
-    // A missing file reads as "", which fails to parse like a garbled one.
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    let mut entries = match serde_json::from_str(&text) {
-        Ok(Value::Map(entries)) => entries,
-        _ if create => Vec::new(),
-        _ => {
-            eprintln!(
-                "{path} is missing or not a JSON object; leaving it untouched \
-                 (run perf_baseline first to merge `{keys}`)"
-            );
-            return None;
-        }
-    };
-    for (key, value) in sections {
-        match entries.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => entries.push((key, value)),
-        }
-    }
-    let merged = Value::Map(entries);
-    let json = serde_json::to_string_pretty(&merged).expect("serialize merged baseline");
-    std::fs::write(path, format!("{json}\n")).expect("write merged baseline");
-    eprintln!("merged `{keys}` into {path}");
-    Some(merged)
-}
-
-/// Peak resident set size of this process (VmHWM), in kB; 0 where
-/// `/proc` does not report it.
-pub fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
 }
 
 /// The side of its threshold a gated headline must stay on.
@@ -288,38 +215,6 @@ mod tests {
              striping,false,488.000,98.39,5\n\
              vdr,true,0.333,NaN,\n"
         );
-    }
-
-    #[test]
-    fn merge_replaces_one_key_in_place_and_leaves_bad_files_alone() {
-        let dir = std::env::temp_dir().join(format!("ss-bench-grid-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-        let section = |key: &str| Value::Map(vec![(key.to_string(), Value::U64(9))]);
-        let (good, missing, garbled) = (path("good.json"), path("missing.json"), path("bad.json"));
-        std::fs::write(
-            &good,
-            r#"{"mode": "full", "crash": {"old": 1}, "sharing": 2}"#,
-        )
-        .unwrap();
-        merge_into_baseline(&good, section("crash"), false).expect("merged");
-        merge_into_baseline(&good, section("distributed"), false).expect("merged");
-        assert_eq!(
-            std::fs::read_to_string(&good).unwrap(),
-            "{\n  \"mode\": \"full\",\n  \"crash\": 9,\n  \"sharing\": 2,\n  \"distributed\": 9\n}\n"
-        );
-        std::fs::write(&garbled, "{not json").unwrap();
-        assert!(merge_into_baseline(&garbled, section("crash"), false).is_none());
-        assert_eq!(std::fs::read_to_string(&garbled).unwrap(), "{not json");
-        assert!(merge_into_baseline(&missing, section("crash"), false).is_none());
-        assert!(std::fs::metadata(&missing).is_err(), "nothing created");
-        // `create` (perf_baseline's run) starts the file instead.
-        merge_into_baseline(&missing, section("mode"), true).expect("created");
-        assert_eq!(
-            std::fs::read_to_string(&missing).unwrap(),
-            "{\n  \"mode\": 9\n}\n"
-        );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //! | `crash_grid` | power-loss/torn-write recovery and scrub interference, both schemes |
 //! | `node_grid` | node-outage retention with the farm split 1/2/4/8 ways |
 //! | `sharing_capacity` | concurrent-display capacity with multicast batching + prefix caching |
-//! | `perf_baseline` | `BENCH_engine.json`: Figure-8 grid wall-clocks and the perf regression gates |
-//! | `trace_dump` | the event journal as JSONL, Perfetto JSON, or metric CSVs |
+//! | `perf_baseline` | the CI perf gates against the committed `BENCH_engine.json` (a full run re-takes it) |
+//! | `trace_dump` | the event journal as JSONL, Perfetto JSON, or metric CSVs, after its reconciliation self-check |
 //! | `ops_report` | the SLO/QoS dashboard over a faulted replay |
 //!
 //! This library hosts the harness code the binaries share: CLI parsing
-//! and output handling here, and the grid runner, artifact writers,
-//! baseline merge and CI gates in [`grid`].
+//! and output handling here, and the grid runner, artifact writers and
+//! CI gates in [`grid`].
 
 pub mod grid;
 

@@ -59,9 +59,13 @@ impl ActiveFragmentedDisplay {
             .collect()
     }
 
-    /// The display's current total buffer bill (fragments).
+    /// The display's current total buffer bill (fragments): the sum of
+    /// [`Self::offsets`], without building them.
     pub fn buffer_total(&self) -> u64 {
-        self.offsets().iter().sum()
+        self.read_start
+            .iter()
+            .map(|&t| self.delivery_start - t)
+            .sum()
     }
 
     /// One past the last delivery interval.

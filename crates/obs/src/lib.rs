@@ -16,22 +16,27 @@
 //! session:
 //!
 //! ```
-//! use ss_obs::{Event, JsonlRecorder, Registry, RegistrySpec};
+//! use ss_obs::{Event, Registry, RegistrySpec, VecRecorder};
 //!
-//! let rec = JsonlRecorder::new();
+//! let rec = VecRecorder::new();
 //! let journal = rec.handle();
 //! ss_obs::install(Box::new(rec), Registry::new(RegistrySpec::default()));
 //! ss_obs::set_clock(42);
 //! ss_obs::obs!(Event::DiskFail { disk: 3 });
 //! let (_, registry) = ss_obs::uninstall().expect("installed above");
-//! assert_eq!(&*journal.lock().unwrap(), "{\"t\":42,\"k\":\"disk_fail\",\"disk\":3}\n");
+//! let mut jsonl = String::new();
+//! for (at, ev) in journal.lock().unwrap().iter() {
+//!     ev.write_jsonl(*at, &mut jsonl);
+//!     jsonl.push('\n');
+//! }
+//! assert_eq!(jsonl, "{\"t\":42,\"k\":\"disk_fail\",\"disk\":3}\n");
 //! assert_eq!(registry.counter("nonexistent"), 0);
 //! ```
 //!
 //! The three parts:
 //!
 //! * [`Event`] + [`Recorder`] — the typed journal (see `event.rs` for
-//!   the taxonomy) with no-op, in-memory and JSONL sinks.
+//!   the taxonomy), its in-memory sink and its JSONL rendering.
 //! * [`Registry`] — counters and the per-interval series/heatmap CSVs.
 //! * [`perfetto`] — expansion of the data-plane journal into
 //!   per-(disk, interval) reads and Chrome/Perfetto trace JSON.
@@ -60,7 +65,7 @@ pub use event::Event;
 pub use health::{Cause, DiskHealth, HealthBoard, HealthSpan, HealthState, Incident};
 pub use perfetto::{booked_reads, expand_reads, perfetto_trace, DiskRead, Expansion, TraceMeta};
 pub use qos::{DisplayRecord, QosLedger, QosTotals, StartKind};
-pub use recorder::{JsonlRecorder, NopRecorder, Recorder, Shared, VecRecorder};
+pub use recorder::{Recorder, Shared, VecRecorder};
 pub use registry::{Registry, RegistrySpec};
 pub use slo::{evaluate, Alert, SloKind, SloOutcome, SloReport, SloSpec};
 

@@ -19,13 +19,6 @@ pub struct JobSchedule {
     pub done: SimTime,
 }
 
-impl JobSchedule {
-    /// Total latency from submission to full residency.
-    pub fn latency_from(&self, submitted: SimTime) -> SimDuration {
-        self.done.duration_since(submitted)
-    }
-}
-
 /// The tertiary storage device: one server, FIFO queue, deterministic
 /// service times derived from [`TertiaryParams`].
 ///

@@ -309,11 +309,6 @@ impl Bytes {
         self.0 * 8
     }
 
-    /// This size in fractional decimal megabytes (for reporting).
-    pub fn as_megabytes_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// True iff zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

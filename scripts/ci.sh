@@ -207,23 +207,14 @@ echo "==> perf_baseline --quick (regression + parallel-speedup gates)"
 # and 100,000-disk numbers are the benchmark's, whose digests are gated
 # above.
 # Writes BENCH_engine.quick.json (never the committed full baseline) and
-# fails if the quick grid regressed more than 2x against the committed
-# artifact's grid_quick section. --gate-parallel additionally requires
-# grid_parallel to beat grid by 1.5x when the runner has >= 4 cores
-# (skipped below that — a 1-core container cannot scale). In both gates
-# CI_PERF_STRICT=0 downgrades the failure to a warning for noisy shared
-# runners.
-cargo run --release -p ss-bench --bin perf_baseline -- --quick \
-  --check-against BENCH_engine.json --gate-parallel
-
-# CI_FULL=1 additionally refreshes the committed full baseline and
-# appends a dated row to the BENCH_history.jsonl trajectory (grid and
-# quick-grid wall-clocks plus each merged section's headline). Quick
-# runs never append — the trajectory tracks full baselines only.
-if [ "${CI_FULL:-0}" = "1" ]; then
-  echo "==> perf_baseline (full: refresh baseline + append BENCH_history.jsonl row)"
-  cargo run --release -p ss-bench --bin perf_baseline -- \
-    --check-against BENCH_engine.json --gate-parallel --append-history
-fi
+# gates against the committed BENCH_engine.json: the quick grid may be at
+# most 2x slower than its grid_quick section, the parallel speedup must
+# hold half the baseline's when both boxes have >= 2 cores, and
+# grid_parallel must beat grid by 1.5x when the runner has >= 4 cores.
+# CI_PERF_STRICT=0 downgrades a miss to a warning for noisy shared
+# runners; a baseline the gates cannot read fails regardless. Re-taking
+# the baseline is a deliberate full run of perf_baseline, which rewrites
+# BENCH_engine.json.
+cargo run --release -p ss-bench --bin perf_baseline -- --quick
 
 echo "ci.sh: all checks passed"

@@ -3,7 +3,9 @@
 //! bit-identical to ticking every interval boundary unconditionally.
 //!
 //! The property sweeps both schemes and all three arrival models over
-//! randomized small configurations; the deterministic tests pin down
+//! randomized small configurations, with and without the storage plane
+//! (power losses, torn writes and the scrub) armed; the deterministic
+//! tests pin down
 //! that the sparse scheduler actually skips work on paper-scale
 //! Figure-8 cells (a vacuous equivalence would pass the property), and
 //! that each refusal the clock may or may not sleep through is handled
@@ -22,8 +24,11 @@ use staggered_striping::server::{StripingServer, VdrServer};
 /// every queue policy, warm and cold starts, short windows, zero and
 /// nonzero station think times, every fault-plan shape (none, scheduled
 /// windows, a stochastic storm), a farm too small for the catalog (where
-/// fetches are refused), stream sharing, and a 4-node split whose links
-/// refuse displays.
+/// fetches are refused), stream sharing, a 4-node split whose links
+/// refuse displays, and the storage plane: stochastic power losses and
+/// torn writes, a scrub at 1–4 fragments per interval, or both, over
+/// striping farms with and without parity (where the scrub repairs in
+/// place).
 fn config_strategy() -> impl Strategy<Value = ServerConfig> {
     (
         1u32..=12,       // stations
@@ -34,13 +39,22 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
         0u8..3,          // queue policy selector
         // warmup / measure seconds; zero think time, or 1–240 s
         (60u64..=240, 300u64..=900, prop::bool::ANY, 1u64..=240),
-        // fault plan, farm capacity, sharing and interconnect selectors
-        (0u8..4, 0u8..4, 0u8..3, 0u64..=10),
+        // fault plan, farm capacity, sharing and interconnect selectors;
+        // storage plane selector, scrub rate, parity (striping only)
+        (
+            0u8..4,
+            0u8..4,
+            0u8..3,
+            0u64..=10,
+            0u8..4,
+            1u64..=4,
+            prop::bool::ANY,
+        ),
     )
         .prop_map(
             |(stations, seed, arrival, vdr, preload, queue, timing, planes)| {
                 let (warmup, measure, thinks, think) = timing;
-                let (faults, capacity, sharing, link) = planes;
+                let (faults, capacity, sharing, link, storage, scrub, parity) = planes;
                 let mut c = ServerConfig::small_test(stations, seed);
                 c.warmup = SimDuration::from_secs(warmup);
                 c.measure = SimDuration::from_secs(measure);
@@ -48,6 +62,17 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
                     c.think_time = SimDuration::from_secs(think);
                 }
                 c.faults = fault_plan(faults, warmup, measure);
+                // Storage selector bit 0 arms crashes, bit 1 the scrub.
+                if storage & 1 != 0 {
+                    c.faults.crash = Some(CrashFaults {
+                        power_loss_mtbf: Some(SimDuration::from_secs(240)),
+                        torn_write_mtbf: Some(SimDuration::from_secs(180)),
+                        ..Default::default()
+                    });
+                }
+                if storage & 2 != 0 {
+                    c.scrub = Some(ScrubConfig::rate(scrub));
+                }
                 c.preload = preload;
                 c.verify_delivery = false;
                 c.queue = match queue {
@@ -85,6 +110,9 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
                     };
                     c.materialize = MaterializeMode::AfterFull;
                 } else {
+                    if parity {
+                        c.parity = Some(ParityConfig::group(4));
+                    }
                     match arrival {
                         1 => {
                             c.arrivals = ArrivalModel::Open {
