@@ -491,7 +491,7 @@ fn render_json(
 fn main() {
     let mut config_path: Option<String> = None;
     let mut vdr = false;
-    let opts = HarnessOpts::from_args_with(|a, rest| {
+    let opts = HarnessOpts::from_args_with(USAGE, |a, rest| {
         if let Some(v) = flag_value(a, "--config", "a path", USAGE, rest)? {
             config_path = Some(v);
         } else if a == "--vdr" {

@@ -153,7 +153,7 @@ fn main() {
     let mut format = Format::Jsonl;
     let mut config_path: Option<String> = None;
     let mut vdr = false;
-    let opts = HarnessOpts::from_args_with(|a, rest| {
+    let opts = HarnessOpts::from_args_with(USAGE, |a, rest| {
         if let Some(v) = flag_value(a, "--format", "a value", USAGE, rest)? {
             format = parse_format(&v)?;
         } else if let Some(v) = flag_value(a, "--config", "a path", USAGE, rest)? {

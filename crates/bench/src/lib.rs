@@ -79,15 +79,17 @@ impl HarnessOpts {
     /// than as a downstream assertion so the operator sees a usage
     /// error, not a panic backtrace.
     pub fn from_args() -> Self {
-        Self::from_args_with(|_, _| Ok(false))
+        Self::from_args_with(USAGE, |_, _| Ok(false))
     }
 
     /// [`Self::from_args`] with the binary's own flags layered on
-    /// through [`Self::parse_with`].
+    /// through [`Self::parse_with`]; every error ends in `usage`.
     pub fn from_args_with(
+        usage: &str,
         extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
     ) -> Self {
-        Self::parse_with(std::env::args().skip(1), extra).unwrap_or_else(|msg| usage_exit(msg))
+        Self::parse_with(std::env::args().skip(1), usage, extra)
+            .unwrap_or_else(|msg| usage_exit(msg))
     }
 
     /// Parses an argument iterator (excluding `argv[0]`); returns a usage
@@ -97,36 +99,7 @@ impl HarnessOpts {
         I: IntoIterator,
         I::Item: Into<String>,
     {
-        let mut opts = HarnessOpts::default();
-        let mut args = args.into_iter().map(Into::into);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("--seed takes an integer; {USAGE}"))?;
-                }
-                "--out" => {
-                    opts.out = PathBuf::from(
-                        args.next()
-                            .ok_or_else(|| format!("--out takes a path; {USAGE}"))?,
-                    );
-                }
-                "--quick" => opts.quick = true,
-                "--threads" => {
-                    opts.threads = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("--threads takes an integer; {USAGE}"))?;
-                    if opts.threads < 1 {
-                        return Err(format!("--threads must be at least 1; {USAGE}"));
-                    }
-                }
-                other => return Err(format!("unknown argument {other}; {USAGE}")),
-            }
-        }
-        Ok(opts)
+        Self::parse_with(args, USAGE, |_, _| Ok(false))
     }
 
     /// Parses an argument iterator like [`Self::parse_from`], but first
@@ -135,9 +108,11 @@ impl HarnessOpts {
     /// value off the iterator if it takes one ([`flag_value`]), and
     /// `false` to leave it to the common set. This is how binaries layer
     /// their own flags over the common set without re-implementing the
-    /// harness parsing.
+    /// harness parsing. Every error about a common flag ends in `usage`,
+    /// the binary's usage line naming its own flags too.
     pub fn parse_with<I>(
         args: I,
+        usage: &str,
         mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
     ) -> Result<Self, String>
     where
@@ -151,7 +126,36 @@ impl HarnessOpts {
                 rest.push(a);
             }
         }
-        Self::parse_from(rest)
+        let mut opts = HarnessOpts::default();
+        let mut args = rest.into_iter();
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--seed" => {
+                    opts.seed = args
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| format!("--seed takes an integer; {usage}"))?;
+                }
+                "--out" => {
+                    opts.out = PathBuf::from(
+                        args.next()
+                            .ok_or_else(|| format!("--out takes a path; {usage}"))?,
+                    );
+                }
+                "--quick" => opts.quick = true,
+                "--threads" => {
+                    opts.threads = args
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| format!("--threads takes an integer; {usage}"))?;
+                    if opts.threads < 1 {
+                        return Err(format!("--threads must be at least 1; {usage}"));
+                    }
+                }
+                other => return Err(format!("unknown argument {other}; {usage}")),
+            }
+        }
+        Ok(opts)
     }
 
     /// Writes `contents` to `<out>/<name>`, creating the directory, and
@@ -289,7 +293,7 @@ impl FaultGridOpts {
         let (mut parity, mut rebuild, mut sharing, mut nodes, mut scrub) =
             (None, None, None, None, None);
         let (mut sweep, mut crash) = (false, false);
-        let harness = HarnessOpts::parse_with(args, |a, _| {
+        let harness = HarnessOpts::parse_with(args, FAULT_GRID_USAGE, |a, _| {
             if let Some(v) = knob(a, "--parity=G", Some(5), "a group size")? {
                 parity = Some(v);
             } else if let Some(v) = knob(a, "--rebuild=R", Some(8), "a drain rate")? {
@@ -389,6 +393,18 @@ mod tests {
     fn parse_rejects_unknown_flag() {
         assert!(HarnessOpts::parse_from(["--bogus"]).is_err());
         assert!(HarnessOpts::parse_from(["--seed", "notanumber"]).is_err());
+    }
+
+    #[test]
+    fn a_binarys_usage_errors_name_its_own_flags() {
+        let err = FaultGridOpts::parse_from(["--bogus"]).unwrap_err();
+        assert!(err.contains("--parity"), "{err}");
+        let usage = "usage: demo [--vdr] [--seed N] [--out DIR] [--quick] [--threads N]";
+        for args in [&["--bogus"][..], &["--threads", "0"]] {
+            let err =
+                HarnessOpts::parse_with(args.iter().copied(), usage, |_, _| Ok(false)).unwrap_err();
+            assert!(err.ends_with(usage), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //!
 //! [`AvailabilityMask`] is the runtime state machine behind a compiled
 //! [`ss_sim::FaultTimeline`]: it applies fail/repair/slow transitions as
-//! the server processes them, answers "is node *n* wholly down?" for the
-//! distributed router, and keeps the downtime accounting the degraded-mode
-//! report section is built from.
+//! the server processes them, counts the down or slow disks of a disk
+//! range (is node *n* wholly down, for the distributed router; is a VDR
+//! cluster down or slow), and keeps the downtime accounting the
+//! degraded-mode report section is built from.
 //!
-//! Both server models own one mask; the striping scheduler additionally
-//! mirrors hard outages as planning windows (see `ss-core`). The
-//! transition counts live in the report's `DegradedStats`, which the
-//! server's fault processing keeps.
+//! The server kernel owns one mask for both schemes and applies every
+//! transition to it before a scheme reacts: VDR reads its clusters' state
+//! from it, and the striping scheduler additionally mirrors hard outages
+//! as planning windows (see `ss-core`). The transition counts live in the
+//! report's `DegradedStats`, which the server's fault processing keeps.
 
 use serde::{Deserialize, Serialize};
 use ss_sim::{FaultEvent, FaultKind};
 use ss_types::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// Live up/slow state plus downtime accounting for a farm of `D` disks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -92,13 +95,22 @@ impl AvailabilityMask {
         self.down_count
     }
 
+    /// The disks in `disks` (clipped to the farm) that are down, and
+    /// those in a slow episode.
+    pub fn count_in(&self, disks: Range<u32>) -> (u32, u32) {
+        let end = (disks.end as usize).min(self.down.len());
+        let start = (disks.start as usize).min(end);
+        let count = |flags: &[bool]| flags[start..end].iter().filter(|&&f| f).count() as u32;
+        (count(&self.down), count(&self.slow))
+    }
+
     /// True when every disk of node `node` (owning `disks_per_node`
     /// contiguous disks) is down — the distributed router's liveness
     /// test: a node outage compiles into exactly this pattern.
     pub fn node_fully_down(&self, node: u32, disks_per_node: u32) -> bool {
-        let first = (node * disks_per_node) as usize;
-        let last = (first + disks_per_node as usize).min(self.down.len());
-        first < last && self.down[first..last].iter().all(|&d| d)
+        let first = node * disks_per_node;
+        let last = first.saturating_add(disks_per_node).min(self.disks());
+        first < last && self.count_in(first..last).0 == last - first
     }
 
     /// Closes any still-open outage/slow windows for final accounting.
@@ -174,6 +186,9 @@ mod tests {
         m.apply(&ev(5, 10, FaultKind::Fail), SimTime::from_secs(10));
         assert!(m.node_fully_down(1, 3));
         assert!(!m.node_fully_down(0, 3));
+        m.apply(&ev(4, 20, FaultKind::SlowStart), SimTime::from_secs(20));
+        assert_eq!(m.count_in(2..5), (2, 1));
+        assert_eq!(m.count_in(4..9), (2, 1), "clipped to the farm");
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl Registry {
         self.heatmap_rows
     }
 
-    /// Distinct runs the accepted rows collapsed into.
-    pub fn heatmap_runs(&self) -> usize {
-        self.heatmap.len()
-    }
-
     /// Heatmap rows dropped by the retention cap.
     pub fn heatmap_dropped(&self) -> u64 {
         self.heatmap_dropped
@@ -297,7 +292,7 @@ mod tests {
         // Physical disk p reads frame cell (p - offset) mod D.
         assert!(r.heatmap_repeat(1, 1));
         assert!(r.heatmap_repeat(2, 3));
-        assert_eq!(r.heatmap_runs(), 1);
+        assert_eq!(r.heatmap.len(), 1);
         assert_eq!(
             r.heatmap_csv(),
             "interval,d0,d1,d2,d3\n\
@@ -314,7 +309,7 @@ mod tests {
         r.heatmap_row_with(0, frame(&[1.0, 0.0], 0));
         assert!(!r.heatmap_repeat(2, 1), "interval 1 was never recorded");
         assert_eq!(
-            (r.heatmap_len(), r.heatmap_runs(), r.heatmap_dropped()),
+            (r.heatmap_len(), r.heatmap.len(), r.heatmap_dropped()),
             (1, 1, 0)
         );
         assert_eq!(r.heatmap_csv(), "interval,d0,d1\n0,1,0\n");
@@ -345,7 +340,7 @@ mod tests {
         // A gap breaks the run even when the row matches.
         r.heatmap_row_with(5, frame(&[0.0, 1.0], 0));
         assert_eq!(r.heatmap_len(), 5);
-        assert_eq!(r.heatmap_runs(), 3);
+        assert_eq!(r.heatmap.len(), 3);
         assert_eq!(
             r.heatmap_csv(),
             "interval,d0,d1\n0,1,1\n1,1,1\n2,1,0\n3,0,1\n5,0,1\n"

@@ -13,7 +13,7 @@ use ss_core::buffers::BufferTracker;
 use ss_core::cache::PrefixCache;
 use ss_core::interconnect::InterconnectLedger;
 use ss_disk::{AvailabilityMask, RebuildJob, RebuildScheduler};
-use ss_sim::{DeterministicRng, FaultEvent, FaultKind, FaultPlan, FaultTimeline};
+use ss_sim::{CrashEvent, DeterministicRng, FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 use ss_tertiary::TertiaryDevice;
 use ss_types::{NodeId, NodeTopology, ObjectId, Result, SimDuration, SimTime, StationId};
 use ss_workload::{OpenArrivals, StationPool, StationState, TraceArrivals};
@@ -43,8 +43,9 @@ pub trait PlacementPolicy: Sized {
     /// included), returning it with the catalog size.
     fn build(config: &ServerConfig) -> Result<(Self, usize)>;
 
-    /// Builds the storage plane over the preloaded placement.
-    fn storage_plane(&mut self, config: &ServerConfig) -> StoragePlane;
+    /// Builds the storage plane over the preloaded placement, handing it
+    /// the run's compiled crash events (physical disks, in firing order).
+    fn storage_plane(&mut self, config: &ServerConfig, crashes: Vec<CrashEvent>) -> StoragePlane;
 
     /// Called right after display completions, before any fault is
     /// applied.
@@ -257,6 +258,13 @@ impl DistState {
         crate::router::obs_link_book(home, &self.scratch);
         true
     }
+
+    /// Routes a display whose stream starts on physical disk `disk` to a
+    /// home node that is not wholly dark in `mask`.
+    pub(crate) fn route(&mut self, disk: u32, mask: &AvailabilityMask) -> NodeId {
+        let dpn = self.topology.disks_per_node;
+        self.router.route(disk, |n| !mask.node_fully_down(n.0, dpn))
+    }
 }
 
 /// The shared simulation model: everything but the placement scheme.
@@ -269,13 +277,9 @@ pub struct ServerCore<X> {
     /// the metric samples of the boundaries skipped since then).
     pub(crate) last_tick: SimTime,
     pub(crate) metrics: MetricsCollector,
+    /// The closed-loop stations, each ready at its staggered activation
+    /// until its first completion, then at its think expiry.
     pub(crate) stations: StationPool,
-    /// Per-station activation times: initial requests are staggered over
-    /// one display time so the closed loop does not start in lockstep
-    /// (identical display lengths would otherwise keep every station
-    /// synchronised forever — a measurement artifact, not a property of
-    /// the schemes).
-    pub(crate) activate_at: Vec<SimTime>,
     /// Open-system arrival stream (None in the closed/trace models).
     pub(crate) open: Option<OpenArrivals>,
     /// Trace-replay arrival stream (None in the closed/Poisson models).
@@ -290,8 +294,9 @@ pub struct ServerCore<X> {
     pub(crate) fetch_queue: VecDeque<ObjectId>,
     /// Dense membership mirror of `fetch_queue` (O(1) duplicate check).
     pub(crate) in_fetch_queue: Vec<bool>,
-    /// Per-object access counts (LFU eviction and the cache's popularity
-    /// table), dense by object id.
+    /// Per-object access counts, dense by object id, bumped once per
+    /// issued request: both schemes' LFU eviction and the cache's
+    /// popularity table read them.
     pub(crate) freq: Vec<u64>,
     /// Requests waiting for disk admission, in arrival order.
     pub(crate) queue: Vec<Waiter>,
@@ -338,7 +343,7 @@ impl<X> ServerCore<X> {
         let rng = DeterministicRng::seed_from_u64(config.seed);
         let sampler = config.popularity.sampler(objects);
         let stations = StationPool::new(
-            config.stations,
+            stagger(&config),
             sampler.clone(),
             config.think_time,
             rng.derive("stations"),
@@ -414,7 +419,6 @@ impl<X> ServerCore<X> {
             last_tick: SimTime::ZERO,
             metrics: MetricsCollector::new(),
             stations,
-            activate_at: stagger(&config),
             open,
             trace,
             next_arrival: None,
@@ -812,8 +816,9 @@ impl<X> ServerCore<X> {
         for s in 0..self.stations.len() {
             let station = StationId(s as u32);
             // A station issues once it has activated and its think time
-            // since its last completion has run out.
-            if now < self.activate_at[s] || now < self.stations.ready_from(station) {
+            // since its last completion has run out: its first completion
+            // comes after its activation, so `ready_from` holds both.
+            if now < self.stations.ready_from(station) {
                 continue;
             }
             if matches!(self.stations.state(station), StationState::Thinking) {
@@ -839,9 +844,15 @@ impl<P: PlacementPolicy> Kernel<P> {
         // The storage plane arms only when the crash machinery can act:
         // compiled crash events or the scrub daemon. Zero-armed runs
         // never construct it, keeping them byte-identical to the
-        // pre-plane engine.
-        core.plane = (!core.timeline.crash_events().is_empty() || core.config.scrub.is_some())
-            .then(|| scheme.storage_plane(&core.config));
+        // pre-plane engine. `derive` is a pure function of (seed, label),
+        // so where the crash stream compiles does not move its salts.
+        let config = &core.config;
+        let rng = DeterministicRng::seed_from_u64(config.seed);
+        let crashes = config
+            .faults
+            .compile_crash(config.disks, core.deadline, &rng);
+        core.plane = (!crashes.is_empty() || config.scrub.is_some())
+            .then(|| scheme.storage_plane(config, crashes));
         Ok(Kernel { core, scheme })
     }
 
@@ -1034,7 +1045,7 @@ impl<P: PlacementPolicy> Kernel<P> {
         // Crash events and scrub chunk completions are wakeup sources of
         // the storage plane.
         if let Some(p) = &core.plane {
-            if let Some(at) = p.next_crash_at(&core.timeline) {
+            if let Some(at) = p.next_crash_at() {
                 horizon = horizon.min(at);
             }
             if let Some(end) = p.next_scrub_end() {
@@ -1080,7 +1091,7 @@ impl<P: PlacementPolicy> Kernel<P> {
                 .filter_map(|s| {
                     let station = StationId(s as u32);
                     matches!(core.stations.state(station), StationState::Thinking)
-                        .then(|| core.activate_at[s].max(core.stations.ready_from(station)))
+                        .then(|| core.stations.ready_from(station))
                 })
                 .min();
             if let Some(ready) = station_min {
@@ -1392,7 +1403,10 @@ fn next_boundary(now: SimTime, interval: SimDuration, horizon: SimTime) -> SimTi
 }
 
 /// Staggered activation times: station `s` of `N` wakes at
-/// `s/N × display_time`.
+/// `s/N × display_time`, so the closed loop does not start in lockstep
+/// (identical display lengths would otherwise keep every station
+/// synchronised forever — a measurement artifact, not a property of the
+/// schemes).
 fn stagger(config: &ServerConfig) -> Vec<SimTime> {
     // In u128: the product overflows before the quotient can.
     let display = u128::from(config.display_time().as_micros());

@@ -27,15 +27,16 @@
 //!   metadata-only (its farm model has no interval scheduler to
 //!   charge), mirroring the same asymmetry the rebuild path has.
 //!
-//! Everything here is deterministic: crash events arrive pre-compiled
-//! with their salts from the `rng.derive("crash")` stream, and the scrub
-//! walk advances purely on interval arithmetic. A run with no crash
-//! events and no scrub config never constructs a plane at all, keeping
-//! zero-armed runs byte-identical to the pre-plane engine.
+//! Everything here is deterministic: the plane is built with its crash
+//! schedule, compiled with salts from the `rng.derive("crash")` stream,
+//! and owns the cursor into it; the scrub walk advances purely on
+//! interval arithmetic. A run with no crash events and no scrub config
+//! never constructs a plane at all, keeping zero-armed runs
+//! byte-identical to the pre-plane engine.
 
 use crate::metrics::CrashStats;
 use ss_disk::{DiskMetadata, LatentError};
-use ss_sim::{CrashEvent, CrashKind, FaultTimeline};
+use ss_sim::{CrashEvent, CrashKind};
 use ss_types::SimTime;
 use std::collections::BTreeSet;
 
@@ -75,17 +76,19 @@ pub struct ScrubChunk {
     pub end: u64,
 }
 
-/// The per-drive metadata ledgers plus crash-event cursor and scrub walk.
+/// The per-drive metadata ledgers plus the crash schedule, its cursor and
+/// the scrub walk.
 #[derive(Debug, Clone)]
 pub struct StoragePlane {
     disks: Vec<DiskMetadata>,
-    /// Next un-fired compiled crash event.
+    /// The compiled crash events, in firing order, their disks already
+    /// mapped to ledgers.
+    crashes: Vec<CrashEvent>,
+    /// Next un-fired crash event.
     cursor: usize,
     scrub: Option<ScrubWalk>,
     /// Crash/scrub accounting, attached to the run report at the end.
     pub stats: CrashStats,
-    /// True once any crash event has fired.
-    fired: bool,
     /// Per-ledger mode (VDR): each ledger is an independent replica
     /// store, so a discarded allocation is one replica rolling back and
     /// recovery must NOT free the object's extents on other ledgers.
@@ -94,14 +97,21 @@ pub struct StoragePlane {
 
 impl StoragePlane {
     /// A plane of `disks` ledgers with `slots` fragment slots each, with
-    /// the scrub daemon armed at `scrub_rate` fragments per interval.
-    pub fn new(disks: usize, slots: u32, scrub_rate: Option<u64>) -> Self {
+    /// the scrub daemon armed at `scrub_rate` fragments per interval and
+    /// `crashes` (sorted, each event's disk a ledger index) to fire.
+    pub fn new(
+        disks: usize,
+        slots: u32,
+        scrub_rate: Option<u64>,
+        crashes: Vec<CrashEvent>,
+    ) -> Self {
         let stats = CrashStats {
             scrub_rate: scrub_rate.unwrap_or(0),
             ..CrashStats::default()
         };
         StoragePlane {
             disks: (0..disks).map(|_| DiskMetadata::new(slots)).collect(),
+            crashes,
             cursor: 0,
             scrub: scrub_rate.map(|rate| ScrubWalk {
                 rate,
@@ -112,7 +122,6 @@ impl StoragePlane {
                 chunk_end: 0,
             }),
             stats,
-            fired: false,
             per_ledger: false,
         }
     }
@@ -135,7 +144,7 @@ impl StoragePlane {
 
     /// True once any crash event has fired (gates report attachment).
     pub fn fired(&self) -> bool {
-        self.fired
+        self.stats.power_loss_events + self.stats.torn_write_events > 0
     }
 
     /// True when the scrub daemon is armed.
@@ -229,15 +238,12 @@ impl StoragePlane {
 
     // --- crash plane ----------------------------------------------------
 
-    /// When the next compiled crash event fires, if any remain.
-    pub fn next_crash_at(&self, timeline: &FaultTimeline) -> Option<SimTime> {
-        timeline.next_crash_at(self.cursor)
+    /// When the next crash event fires, if any remain (a wakeup source).
+    pub fn next_crash_at(&self) -> Option<SimTime> {
+        self.crashes.get(self.cursor).map(|ev| ev.at)
     }
 
-    /// Fires every compiled crash event due at or before `now`. The
-    /// events are passed as a slice (copied out of the timeline by the
-    /// caller) so the model can hand a `&mut self` eviction closure in
-    /// without a borrow conflict.
+    /// Fires every crash event due at or before `now`.
     ///
     /// Power loss runs journal recovery on the struck drive; each
     /// discarded allocation is handed to `on_discarded_alloc`, which
@@ -251,21 +257,21 @@ impl StoragePlane {
     /// to find.
     pub fn process_crashes(
         &mut self,
-        events: &[CrashEvent],
         now: SimTime,
         mut on_discarded_alloc: impl FnMut(u64) -> bool,
     ) {
-        while let Some(ev) = events.get(self.cursor) {
+        while let Some(&ev) = self.crashes.get(self.cursor) {
             if ev.at > now {
                 break;
             }
             self.cursor += 1;
             let Some(ledger) = self.disks.get_mut(ev.disk as usize) else {
-                // Config validation rejects out-of-range disks; stochastic
-                // draws are compiled modulo the farm, so this is a guard.
+                // Only a VDR disk past the last whole cluster maps past the
+                // last ledger (validation and the stochastic draw keep
+                // every disk in the farm): it holds no replica, so the
+                // event is spent.
                 continue;
             };
-            self.fired = true;
             match ev.kind {
                 CrashKind::PowerLoss => {
                     ss_obs::obs!(ss_obs::Event::PowerLoss { disk: ev.disk });
@@ -447,9 +453,30 @@ impl StoragePlane {
 mod tests {
     use super::*;
 
+    /// Compiles crash events of `(disk, kind)` at time zero on a farm of
+    /// `disks` drives, salted from `seed`.
+    fn compile(events: &[(u32, CrashKind)], disks: u32, seed: u64) -> Vec<CrashEvent> {
+        let plan = ss_sim::FaultPlan {
+            crash: Some(ss_sim::CrashFaults {
+                events: events
+                    .iter()
+                    .map(|&(disk, kind)| ss_sim::CrashPlanEvent {
+                        disk,
+                        at: SimTime::ZERO,
+                        kind,
+                    })
+                    .collect(),
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let rng = ss_sim::DeterministicRng::seed_from_u64(seed);
+        plan.compile_crash(disks, SimTime::from_secs(3600), &rng)
+    }
+
     #[test]
     fn seed_checkpoint_and_reconcile() {
-        let mut p = StoragePlane::new(4, 100, None);
+        let mut p = StoragePlane::new(4, 100, None, Vec::new());
         p.seed(1, [(0, 10), (1, 10)]);
         p.seed(2, [(2, 5)]);
         p.checkpoint();
@@ -465,7 +492,7 @@ mod tests {
 
     #[test]
     fn scrub_walk_books_chunks_and_wraps() {
-        let mut p = StoragePlane::new(2, 100, Some(5));
+        let mut p = StoragePlane::new(2, 100, Some(5), Vec::new());
         p.seed(1, [(0, 10)]);
         p.checkpoint();
         let first = p.begin_scrub(0).expect("scrub armed");
@@ -502,35 +529,17 @@ mod tests {
 
     #[test]
     fn scrub_finds_and_repairs_latents_within_one_pass() {
-        let mut p = StoragePlane::new(2, 100, Some(100));
+        // Tear a slot on each drive by hand via the crash path.
+        let crashes = compile(
+            &[(0, CrashKind::TornWrite), (1, CrashKind::TornWrite)],
+            2,
+            7,
+        );
+        let mut p = StoragePlane::new(2, 100, Some(100), crashes);
         p.seed(1, [(0, 10), (1, 10)]);
         p.checkpoint();
         p.begin_scrub(0);
-        // Tear a slot on each drive by hand via the crash path.
-        let plan = ss_sim::FaultPlan {
-            crash: Some(ss_sim::CrashFaults {
-                events: vec![
-                    ss_sim::CrashPlanEvent {
-                        disk: 0,
-                        at: SimTime::ZERO,
-                        kind: ss_sim::CrashKind::TornWrite,
-                    },
-                    ss_sim::CrashPlanEvent {
-                        disk: 1,
-                        at: SimTime::ZERO,
-                        kind: ss_sim::CrashKind::TornWrite,
-                    },
-                ],
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let timeline = plan.compile(
-            2,
-            SimTime::from_secs(3600),
-            &ss_sim::DeterministicRng::seed_from_u64(7),
-        );
-        p.process_crashes(timeline.crash_events(), SimTime::ZERO, |_| false);
+        p.process_crashes(SimTime::ZERO, |_| false);
         assert_eq!(p.stats.torn_write_events, 2);
         assert_eq!(p.latent_len(), 2);
         let mut repaired = Vec::new();
@@ -549,28 +558,13 @@ mod tests {
 
     #[test]
     fn power_loss_rollback_completes_the_eviction() {
-        let mut p = StoragePlane::new(3, 100, None);
+        let crashes = compile(&[(0, CrashKind::PowerLoss)], 3, 3);
+        let mut p = StoragePlane::new(3, 100, None, crashes);
         p.seed(1, [(0, 10), (1, 10), (2, 10)]);
         p.checkpoint();
         p.record_alloc(2, [(0, 5), (1, 5)]);
-        let plan = ss_sim::FaultPlan {
-            crash: Some(ss_sim::CrashFaults {
-                events: vec![ss_sim::CrashPlanEvent {
-                    disk: 0,
-                    at: SimTime::ZERO,
-                    kind: ss_sim::CrashKind::PowerLoss,
-                }],
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let timeline = plan.compile(
-            3,
-            SimTime::from_secs(3600),
-            &ss_sim::DeterministicRng::seed_from_u64(3),
-        );
         let mut evicted = Vec::new();
-        p.process_crashes(timeline.crash_events(), SimTime::ZERO, |o| {
+        p.process_crashes(SimTime::ZERO, |o| {
             evicted.push(o);
             true
         });
@@ -597,28 +591,13 @@ mod tests {
 
     #[test]
     fn per_ledger_rollback_spares_other_replicas() {
-        let mut p = StoragePlane::new(2, 50, None).per_ledger();
+        let crashes = compile(&[(0, CrashKind::PowerLoss)], 2, 3);
+        let mut p = StoragePlane::new(2, 50, None, crashes).per_ledger();
         p.seed(7, [(1, 1)]);
         p.checkpoint();
         assert!(p.record_alloc_on(0, 7, 1), "second replica on ledger 0");
-        let plan = ss_sim::FaultPlan {
-            crash: Some(ss_sim::CrashFaults {
-                events: vec![ss_sim::CrashPlanEvent {
-                    disk: 0,
-                    at: SimTime::ZERO,
-                    kind: ss_sim::CrashKind::PowerLoss,
-                }],
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let timeline = plan.compile(
-            2,
-            SimTime::from_secs(3600),
-            &ss_sim::DeterministicRng::seed_from_u64(3),
-        );
         let mut resynced = Vec::new();
-        p.process_crashes(timeline.crash_events(), SimTime::ZERO, |o| {
+        p.process_crashes(SimTime::ZERO, |o| {
             resynced.push(o);
             true
         });

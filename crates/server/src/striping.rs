@@ -31,7 +31,7 @@ use ss_core::frame::VirtualFrame;
 use ss_core::media::ObjectCatalog;
 use ss_core::placement::{PlacementMap, StripingConfig, StripingLayout};
 use ss_disk::RebuildJob;
-use ss_sim::{DeterministicRng, FaultEvent, FaultKind};
+use ss_sim::{CrashEvent, DeterministicRng, FaultEvent, FaultKind};
 use ss_types::{DiskId, Error, NodeId, NodeTopology, ObjectId, Result, SimTime};
 
 /// The striping server model (driven by [`Server`]).
@@ -297,12 +297,15 @@ impl PlacementPolicy for StripingPolicy {
         Ok((scheme, n_objects))
     }
 
-    fn storage_plane(&mut self, config: &ServerConfig) -> StoragePlane {
+    /// One ledger per physical disk, so the crash events keep their
+    /// disks.
+    fn storage_plane(&mut self, config: &ServerConfig, crashes: Vec<CrashEvent>) -> StoragePlane {
         let slots = config.disk.cylinders / config.cylinders_per_fragment;
         let mut plane = StoragePlane::new(
             config.disks as usize,
             slots,
             config.scrub.map(|s| s.fragments_per_interval),
+            crashes,
         );
         // Seed in id order: `resident_ids` iterates a hash map, and the
         // seeding sequence decides the ledgers' extent layout — which
@@ -601,15 +604,9 @@ impl PlacementPolicy for StripingPolicy {
         let Some(mut plane) = core.plane.take() else {
             return;
         };
-        if plane
-            .next_crash_at(&core.timeline)
-            .is_some_and(|at| at <= now)
-        {
-            let events = core.timeline.crash_events().to_vec();
-            plane.process_crashes(&events, now, |object| {
-                self.rollback_alloc(core, ObjectId(object as u32))
-            });
-        }
+        plane.process_crashes(now, |object| {
+            self.rollback_alloc(core, ObjectId(object as u32))
+        });
         let t = core.interval_index(now);
         let parity = core.config.parity.is_some();
         let mut scrub_evicted: Vec<u64> = Vec::new();
@@ -958,11 +955,7 @@ impl StripingPolicy {
         let frame = self.scheduler.frame();
         // Affinity: the disk serving the stripe head at delivery start.
         let affinity = frame.physical(grant.virtual_disks[0], grant.delivery_start);
-        let mask = &core.mask;
-        let dpn = dist.topology.disks_per_node;
-        let home = dist
-            .router
-            .route(affinity, |n| !mask.node_fully_down(n.0, dpn));
+        let home = dist.route(affinity, &core.mask);
         let remote_frags = dist.remote_spans(
             frame,
             home,
@@ -1130,7 +1123,7 @@ impl StripingPolicy {
     /// logged and stays filtered.
     fn rescue_pass(&mut self, core: &mut Core, now: SimTime, t: u64, outage: &Outage) {
         let interval_s = core.interval.as_secs_f64();
-        let limit = core.timeline.drop_after_hiccup_intervals;
+        let limit = core.config.faults.drop_after_hiccup_intervals;
         let mut i = 0;
         while i < core.active.len() {
             let d = &mut core.active[i];

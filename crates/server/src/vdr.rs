@@ -45,10 +45,6 @@ pub struct VdrPolicy {
     /// Per-object queued-request counts, reused across admission passes
     /// (entries are zeroed at the end of each pass).
     queue_len: Vec<u32>,
-    /// Failed disks per cluster: the cluster is down while nonzero.
-    cluster_down: Vec<u32>,
-    /// Slow disks per cluster: the cluster is slow while nonzero.
-    cluster_slow: Vec<u32>,
     /// The farm's contents change count when the storage plane last
     /// mirrored it.
     synced_changes: u64,
@@ -114,11 +110,7 @@ impl VdrPolicy {
             return Some(NodeId(0));
         };
         let cluster_disk = cluster.0 * self.degree;
-        let mask = &core.mask;
-        let dpn = dist.topology.disks_per_node;
-        let home = dist
-            .router
-            .route(cluster_disk, |n| !mask.node_fully_down(n.0, dpn));
+        let home = dist.route(cluster_disk, &core.mask);
         if !dist.remote(cluster_disk, home) {
             return Some(home);
         }
@@ -138,7 +130,7 @@ impl VdrPolicy {
         if qlen == 0 || self.copy_done[object.index()].is_some() {
             return true;
         }
-        let Some(plan) = self.farm.plan_replica(object, qlen, now, true) else {
+        let Some(plan) = self.farm.plan_replica(object, qlen, now, true, &core.freq) else {
             return false; // no victim available; retry next interval
         };
         let until = match plan {
@@ -380,7 +372,6 @@ impl PlacementPolicy for VdrPolicy {
             }
         }
         let objects = config.objects as usize;
-        let clusters = vdr.clusters as usize;
         let scheme = VdrPolicy {
             vdr,
             farm,
@@ -390,8 +381,6 @@ impl PlacementPolicy for VdrPolicy {
             copy_done: vec![None; objects],
             copy_ids: Vec::new(),
             queue_len: vec![0; objects],
-            cluster_down: vec![0; clusters],
-            cluster_slow: vec![0; clusters],
             synced_changes: 0,
             gate_refused: false,
         };
@@ -402,12 +391,23 @@ impl PlacementPolicy for VdrPolicy {
     /// slot per resident object. VDR replicas are whole-cluster objects
     /// with no fragment scheduler behind them, so the scrub walk here is
     /// a pure metadata pass — no bandwidth is booked, and repairs are
-    /// in-place replica resyncs.
-    fn storage_plane(&mut self, config: &ServerConfig) -> StoragePlane {
+    /// in-place replica resyncs. Crash events strike physical disks, so
+    /// each maps to its disk's cluster (`disk / M`) like the fault pass;
+    /// one past the last whole cluster lands past the last ledger, where
+    /// the plane spends it.
+    fn storage_plane(&mut self, config: &ServerConfig, crashes: Vec<CrashEvent>) -> StoragePlane {
+        let crashes = crashes
+            .into_iter()
+            .map(|ev| CrashEvent {
+                disk: ev.disk / self.degree,
+                ..ev
+            })
+            .collect();
         let mut plane = StoragePlane::new(
             self.vdr.clusters as usize,
             self.vdr.objects_per_cluster,
             config.scrub.map(|s| s.fragments_per_interval),
+            crashes,
         )
         .per_ledger();
         for c in 0..self.vdr.clusters {
@@ -510,7 +510,9 @@ impl PlacementPolicy for VdrPolicy {
                 // idle, so plain disk-to-disk copies cannot run).
                 let blocked = self.queue_len[o].saturating_sub(1);
                 if blocked >= 1 && self.copy_done[o].is_none() {
-                    if let Some(target) = self.farm.plan_piggyback(w.object, blocked, now) {
+                    if let Some(target) =
+                        self.farm.plan_piggyback(w.object, blocked, now, &core.freq)
+                    {
                         self.farm
                             .begin_stream_copy(target, w.object, now, ends)
                             .expect("planned piggyback commits");
@@ -526,7 +528,10 @@ impl PlacementPolicy for VdrPolicy {
             // the fetch queue and are planned when the device frees.
             if self.copy_done[o].is_none() {
                 let qlen = self.queue_len[o].max(1);
-                if let Some(plan) = self.farm.plan_replica(w.object, qlen, now, false) {
+                if let Some(plan) = self
+                    .farm
+                    .plan_replica(w.object, qlen, now, false, &core.freq)
+                {
                     // A cluster-to-cluster copy takes one display time.
                     self.begin_copy(plan, w.object, now, now + display_time);
                 } else if !core.in_fetch_queue[o] {
@@ -544,7 +549,6 @@ impl PlacementPolicy for VdrPolicy {
     }
 
     fn route(&mut self, core: &mut Core, w: Waiter, _now: SimTime) {
-        self.farm.record_access(w.object);
         core.queue.push(w);
     }
 
@@ -562,24 +566,9 @@ impl PlacementPolicy for VdrPolicy {
             return;
         };
         self.sync_plane(&mut plane, false);
-        let crashed = plane
-            .next_crash_at(&core.timeline)
-            .is_some_and(|at| at <= now);
+        let crashed = plane.next_crash_at().is_some_and(|at| at <= now);
         if crashed {
-            // Crash events strike physical disks; the plane's ledgers
-            // are clusters, so map disk → cluster exactly like the fault
-            // pass (events landing beyond the last whole cluster are
-            // spent by the plane's range guard).
-            let events: Vec<CrashEvent> = core
-                .timeline
-                .crash_events()
-                .iter()
-                .map(|ev| CrashEvent {
-                    disk: ev.disk / self.degree,
-                    ..*ev
-                })
-                .collect();
-            plane.process_crashes(&events, now, |_| true);
+            plane.process_crashes(now, |_| true);
         }
         // Every scrub finding is repaired by resyncing the replica in
         // place from a surviving copy (`false` = not a parity rebuild);
@@ -605,9 +594,10 @@ impl PlacementPolicy for VdrPolicy {
     }
 
     /// A disk fault maps onto the aligned cluster holding it (`disk / M`);
-    /// the cluster is down or slow while *any* of its disks is. A repair
-    /// (scheduled, or an early rebuild onto a spare) is a fail-stop with
-    /// intact media: the cluster serves its old replicas again.
+    /// the cluster is down or slow while *any* of its disks is, read off
+    /// the mask, which already holds the transition. A repair (scheduled,
+    /// or an early rebuild onto a spare) is a fail-stop with intact media:
+    /// the cluster serves its old replicas again.
     fn transition(
         &mut self,
         core: &mut Core,
@@ -620,33 +610,12 @@ impl PlacementPolicy for VdrPolicy {
         let Some(c) = self.cluster_of(ev.disk) else {
             return;
         };
-        let ci = c as usize;
-        match ev.kind {
-            FaultKind::Fail => {
-                self.cluster_down[ci] += 1;
-                if self.cluster_down[ci] == 1 {
-                    self.cluster_failed(core, ClusterId(c), now);
-                }
-            }
-            FaultKind::Repair => {
-                self.cluster_down[ci] -= 1;
-                if self.cluster_down[ci] == 0 {
-                    self.farm.set_down(ClusterId(c), false);
-                }
-            }
-            FaultKind::SlowStart => {
-                self.cluster_slow[ci] += 1;
-                if self.cluster_slow[ci] == 1 {
-                    self.farm.set_slow(ClusterId(c), true);
-                }
-            }
-            FaultKind::SlowEnd => {
-                self.cluster_slow[ci] -= 1;
-                if self.cluster_slow[ci] == 0 {
-                    self.farm.set_slow(ClusterId(c), false);
-                }
-            }
+        let (down, slow) = core.mask.count_in(c * self.degree..(c + 1) * self.degree);
+        if ev.kind == FaultKind::Fail && down == 1 {
+            self.cluster_failed(core, ClusterId(c), now);
         }
+        self.farm.set_down(ClusterId(c), down > 0);
+        self.farm.set_slow(ClusterId(c), slow > 0);
     }
 
     fn utilization(&mut self, _t: u64, at: SimTime) -> f64 {
@@ -890,6 +859,113 @@ mod tests {
             VdrModel::new(cfg),
             Err(Error::InvalidConfig { .. })
         ));
+    }
+
+    /// Two disks of cluster 0 fail over overlapping windows and two disks
+    /// of cluster 1 have overlapping slow episodes: a cluster stays down
+    /// (slow) until its last down (slow) disk returns. After every step
+    /// each cluster's farm flags match the plan's windows, an event
+    /// taking effect at the first boundary at or after it.
+    #[test]
+    fn a_cluster_stays_down_until_its_last_disk_repairs() {
+        use ss_sim::FaultPlan;
+        let s = SimTime::from_secs;
+        // (disk, opens, closes, down?); degree 5, so cluster 0 is disks
+        // 0..5 and cluster 1 disks 5..10.
+        let windows = [
+            (1, 400, 800, true),
+            (3, 600, 1000, true),
+            (6, 500, 900, false),
+            (8, 700, 1100, false),
+        ];
+        let mut cfg = small(8);
+        cfg.faults = FaultPlan {
+            events: windows
+                .iter()
+                .flat_map(|&(disk, open, close, down)| {
+                    let (start, end) = if down {
+                        (FaultKind::Fail, FaultKind::Repair)
+                    } else {
+                        (FaultKind::SlowStart, FaultKind::SlowEnd)
+                    };
+                    [(open, start), (close, end)].map(|(at, kind)| FaultEvent {
+                        disk,
+                        at: s(at),
+                        kind,
+                    })
+                })
+                .collect(),
+            ..FaultPlan::none()
+        };
+        // Whether a window of the given kind covers a disk of cluster `c`
+        // at boundary `now`.
+        let covered = |c: u32, kind: bool, now: SimTime| {
+            windows.iter().any(|&(disk, open, close, down)| {
+                disk / 5 == c && down == kind && s(open) <= now && now < s(close)
+            })
+        };
+        let mut server = VdrServer::new(cfg).unwrap();
+        // Boundaries checked while one window of a pair had closed and
+        // the other was still open.
+        let mut between = [0; 2];
+        while server.step() {
+            let now = server.now();
+            let farm = &server.model().scheme.farm;
+            for c in 0..4 {
+                let id = ClusterId(c);
+                assert_eq!(
+                    farm.is_down(id),
+                    covered(c, true, now),
+                    "{id} down at {now:?}"
+                );
+                assert_eq!(
+                    farm.is_slow(id),
+                    covered(c, false, now),
+                    "{id} slow at {now:?}"
+                );
+            }
+            between[0] += u32::from(s(800) <= now && now < s(1000));
+            between[1] += u32::from(s(900) <= now && now < s(1100));
+        }
+        assert!(between.iter().all(|&n| n > 0), "{between:?}");
+    }
+
+    /// A 22-disk farm holds 4 clusters of 5, so disks 20 and 21 lie in no
+    /// cluster: a crash there maps past the last ledger and is spent
+    /// without firing.
+    #[test]
+    fn a_crash_past_the_last_whole_cluster_is_spent() {
+        let run_with = |disks: &[u32]| {
+            let mut cfg = ServerConfig::small_vdr_test(8, 3);
+            cfg.disks = 22;
+            if !disks.is_empty() {
+                cfg.faults.crash = Some(ss_sim::CrashFaults {
+                    events: disks
+                        .iter()
+                        .zip([600, 900])
+                        .map(|(&disk, at)| ss_sim::CrashPlanEvent {
+                            disk,
+                            at: SimTime::from_secs(at),
+                            kind: ss_sim::CrashKind::PowerLoss,
+                        })
+                        .collect(),
+                    ..Default::default()
+                });
+            }
+            VdrServer::new(cfg).unwrap()
+        };
+        let mut server = run_with(&[21, 0]);
+        while server.step() {
+            assert!(
+                server.model().storage_reconciles(),
+                "plane/farm reconciliation broke at {:?}",
+                server.now()
+            );
+        }
+        let report = server.run();
+        let c = report.crash.as_ref().expect("the disk-0 power loss fired");
+        assert_eq!(c.power_loss_events, 1);
+        assert_eq!(run_with(&[21]).run(), run_with(&[]).run());
     }
 
     #[test]

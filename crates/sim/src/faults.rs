@@ -170,7 +170,7 @@ impl FaultPlan {
     /// True when this plan can never produce a *service* fault event
     /// (fail/slow transitions). The crash plane is deliberately excluded:
     /// it is a separate metadata-level event stream with its own gate
-    /// ([`FaultTimeline::crash_events`]), so arming it does not flip the
+    /// ([`FaultPlan::compile_crash`]), so arming it does not flip the
     /// servers' zero-fault fast path.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.stochastic.is_none()
@@ -372,14 +372,7 @@ impl FaultPlan {
     /// at `horizon` so per-disk downtime accounting always balances.
     pub fn compile(&self, disks: u32, horizon: SimTime, rng: &DeterministicRng) -> FaultTimeline {
         if self.is_empty() {
-            // No service faults — but the crash plane (if armed) still
-            // compiles: it is gated separately and must fire even on an
-            // otherwise fault-free run.
-            return FaultTimeline {
-                events: Vec::new(),
-                drop_after_hiccup_intervals: self.drop_after_hiccup_intervals,
-                crash_events: self.compile_crash(disks, horizon, rng),
-            };
+            return FaultTimeline::default();
         }
         let mut raw: Vec<FaultEvent> = self.events.clone();
         if let Some(st) = &self.stochastic {
@@ -468,20 +461,19 @@ impl FaultPlan {
         ss_obs::obs!(ss_obs::Event::FaultTimeline {
             events: events.len() as u64,
         });
-        FaultTimeline {
-            events,
-            drop_after_hiccup_intervals: self.drop_after_hiccup_intervals,
-            crash_events: self.compile_crash(disks, horizon, rng),
-        }
+        FaultTimeline { events }
     }
 
-    /// Compiles the crash plane (if any) into a sorted, salted event list.
+    /// Compiles the crash plane (if any) into a sorted, salted event list,
+    /// separately from the service-fault [`FaultTimeline`]: it fires even
+    /// on an otherwise fault-free run, and its consumer (the storage
+    /// plane) keeps its own cursor into it.
     ///
     /// Salts and stochastic draws come from `rng.derive("crash")` (with
     /// per-kind sub-streams `crash/power` and `crash/torn`), so arming the
     /// crash plane moves no existing stream, and the two stochastic
     /// generators never perturb each other.
-    fn compile_crash(
+    pub fn compile_crash(
         &self,
         disks: u32,
         horizon: SimTime,
@@ -532,16 +524,11 @@ impl FaultPlan {
     }
 }
 
-/// A compiled fault schedule: sorted, normalized, ready for replay.
+/// A compiled service-fault schedule: sorted, normalized, ready for
+/// replay. The crash plane compiles apart ([`FaultPlan::compile_crash`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultTimeline {
     events: Vec<FaultEvent>,
-    /// Copied from the plan for the server's drop policy.
-    pub drop_after_hiccup_intervals: Option<u64>,
-    /// The compiled crash plane: sorted power-loss/torn-write events with
-    /// their deterministic salts. A separate plane from `events` so the
-    /// zero-*service*-fault gate ([`Self::is_empty`]) stays untouched.
-    crash_events: Vec<CrashEvent>,
 }
 
 impl FaultTimeline {
@@ -561,17 +548,6 @@ impl FaultTimeline {
     /// fault.
     pub fn next_at(&self, cursor: usize) -> Option<SimTime> {
         self.events.get(cursor).map(|ev| ev.at)
-    }
-
-    /// All compiled crash-plane events, in firing order.
-    pub fn crash_events(&self) -> &[CrashEvent] {
-        &self.crash_events
-    }
-
-    /// The firing time of crash event `cursor`, if any — the crash plane's
-    /// wakeup-horizon hook, mirroring [`Self::next_at`].
-    pub fn next_crash_at(&self, cursor: usize) -> Option<SimTime> {
-        self.crash_events.get(cursor).map(|ev| ev.at)
     }
 }
 
@@ -777,29 +753,22 @@ mod tests {
         plan.validate(10).unwrap();
         // The plan is service-fault empty: crash events still compile.
         assert!(plan.is_empty());
-        let a = plan.compile(10, hour(12), &DeterministicRng::seed_from_u64(7));
-        let b = plan.compile(10, hour(12), &DeterministicRng::seed_from_u64(7));
-        let c = plan.compile(10, hour(12), &DeterministicRng::seed_from_u64(8));
-        assert!(a.is_empty(), "crash events never open the service gate");
-        assert_eq!(a, b);
-        assert_ne!(a.crash_events(), c.crash_events());
-        assert!(a.crash_events().len() >= 4, "explicit + stochastic events");
-        assert!(a.crash_events().windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(a.next_crash_at(0), Some(a.crash_events()[0].at));
-        assert_eq!(a.next_crash_at(a.crash_events().len()), None);
+        let compile =
+            |seed| plan.compile_crash(10, hour(12), &DeterministicRng::seed_from_u64(seed));
+        let rng = DeterministicRng::seed_from_u64(7);
+        assert!(
+            plan.compile(10, hour(12), &rng).is_empty(),
+            "crash events never open the service gate"
+        );
+        let a = compile(7);
+        assert_eq!(a, compile(7));
+        assert_ne!(a, compile(8));
+        assert!(a.len() >= 4, "explicit + stochastic events");
+        assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
         // Both kinds present, and the explicit events kept their kinds.
-        assert!(a
-            .crash_events()
-            .iter()
-            .any(|ev| ev.kind == CrashKind::PowerLoss));
-        assert!(a
-            .crash_events()
-            .iter()
-            .any(|ev| ev.kind == CrashKind::TornWrite));
-        assert!(a
-            .crash_events()
-            .iter()
-            .any(|ev| ev.disk == 5 && ev.at == hour(1)));
+        assert!(a.iter().any(|ev| ev.kind == CrashKind::PowerLoss));
+        assert!(a.iter().any(|ev| ev.kind == CrashKind::TornWrite));
+        assert!(a.iter().any(|ev| ev.disk == 5 && ev.at == hour(1)));
     }
 
     #[test]
@@ -825,8 +794,8 @@ mod tests {
         let plain = base.compile(20, hour(12), &rng);
         let armed = crashed.compile(20, hour(12), &rng);
         assert_eq!(plain.events(), armed.events());
-        assert!(plain.crash_events().is_empty());
-        assert!(!armed.crash_events().is_empty());
+        assert!(base.compile_crash(20, hour(12), &rng).is_empty());
+        assert!(!crashed.compile_crash(20, hour(12), &rng).is_empty());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   histograms used to build the experiment reports.
 //! * [`faults`] — deterministic disk fault injection: a seed-driven
 //!   [`faults::FaultPlan`] compiled to a concrete, sorted
-//!   [`faults::FaultTimeline`] before the run starts.
+//!   [`faults::FaultTimeline`] before the run starts, and its crash plane
+//!   to a salted [`faults::CrashEvent`] list.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -30,9 +30,7 @@ pub struct JobSchedule {
 pub struct TertiaryDevice {
     params: TertiaryParams,
     busy_until: SimTime,
-    jobs_completed: u64,
     busy_time: SimDuration,
-    queue_len: u32,
 }
 
 impl TertiaryDevice {
@@ -42,9 +40,7 @@ impl TertiaryDevice {
         TertiaryDevice {
             params,
             busy_until: SimTime::ZERO,
-            jobs_completed: 0,
             busy_time: SimDuration::ZERO,
-            queue_len: 0,
         }
     }
 
@@ -76,7 +72,6 @@ impl TertiaryDevice {
                 .params
                 .pipelined_start_offset(size, subobjects, display);
         self.busy_until = done;
-        self.jobs_completed += 1;
         self.busy_time += duration + self.params.initial_access;
         JobSchedule {
             object,
@@ -86,20 +81,10 @@ impl TertiaryDevice {
         }
     }
 
-    /// The instant the device next becomes idle.
+    /// The instant the device next becomes idle: a job submitted at
+    /// `now` waits `busy_until − now` (if positive) before its access.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// The queueing delay a job submitted at `now` would experience before
-    /// the device starts it.
-    pub fn queue_delay(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_duration_since(now)
-    }
-
-    /// Jobs completed (scheduled) so far.
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed
     }
 
     /// The device's utilisation over `[0, now]` (may exceed 1.0 only in the
@@ -113,18 +98,6 @@ impl TertiaryDevice {
             .busy_time
             .min(now.saturating_duration_since(SimTime::ZERO));
         effective_busy.as_secs_f64() / now.as_secs_f64()
-    }
-
-    /// Bookkeeping hook for the number of requests currently waiting on the
-    /// device (maintained by the tertiary manager; stored here so reports
-    /// can read one place).
-    pub fn set_queue_len(&mut self, n: u32) {
-        self.queue_len = n;
-    }
-
-    /// Currently recorded queue length.
-    pub fn queue_len(&self) -> u32 {
-        self.queue_len
     }
 }
 
@@ -168,15 +141,16 @@ mod tests {
         );
         assert_eq!(b.start, a.done);
         assert_eq!(b.done, a.done + SimDuration::from_secs_f64(4536.0));
-        assert_eq!(d.jobs_completed(), 2);
     }
 
     #[test]
-    fn queue_delay_reflects_backlog() {
+    fn busy_until_reflects_backlog() {
         let mut d = device();
-        assert_eq!(d.queue_delay(SimTime::ZERO), SimDuration::ZERO);
+        assert_eq!(d.busy_until(), SimTime::ZERO);
         d.submit(SimTime::ZERO, ObjectId(1), SIZE, SUBOBJECTS, DISPLAY);
-        let delay = d.queue_delay(SimTime::from_secs(100));
+        let delay = d
+            .busy_until()
+            .saturating_duration_since(SimTime::from_secs(100));
         assert!((delay.as_secs_f64() - 4436.0).abs() < 0.1);
     }
 
@@ -219,13 +193,5 @@ mod tests {
         // Long after, utilisation decays.
         let later = d.busy_until() + SimDuration::from_secs(13608);
         assert!((d.utilization(later) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn queue_len_bookkeeping() {
-        let mut d = device();
-        assert_eq!(d.queue_len(), 0);
-        d.set_queue_len(7);
-        assert_eq!(d.queue_len(), 7);
     }
 }

@@ -1,5 +1,5 @@
-//! The cluster farm: occupancy, replica map, access statistics, and the
-//! replication/eviction policy.
+//! The cluster farm: occupancy, replica map, and the replication/eviction
+//! policy. The access counts its LFU rule reads are the caller's.
 
 use serde::{Deserialize, Serialize};
 use ss_types::{ClusterId, Error, ObjectId, Result, SimTime};
@@ -112,8 +112,6 @@ pub struct ClusterFarm {
     /// Replica locations, dense by object id (grown on demand). An empty
     /// inner vec means "not resident".
     replicas: Vec<Vec<ClusterId>>,
-    /// LFU access counts, dense by object id (grown on demand).
-    access_count: Vec<u64>,
     /// Number of objects with at least one replica (non-empty `replicas`
     /// entries), maintained incrementally.
     resident_objects: usize,
@@ -145,7 +143,6 @@ impl ClusterFarm {
             slow: vec![false; config.clusters as usize],
             config,
             replicas: Vec::new(),
-            access_count: Vec::new(),
             resident_objects: 0,
             changes: 0,
         }
@@ -204,20 +201,6 @@ impl ClusterFarm {
     /// The configuration.
     pub fn config(&self) -> &VdrConfig {
         &self.config
-    }
-
-    /// Records one access to `object` (for the LFU statistics).
-    pub fn record_access(&mut self, object: ObjectId) {
-        let i = object.index();
-        if i >= self.access_count.len() {
-            self.access_count.resize(i + 1, 0);
-        }
-        self.access_count[i] += 1;
-    }
-
-    /// Access count of `object`.
-    pub fn frequency(&self, object: ObjectId) -> u64 {
-        self.access_count.get(object.index()).copied().unwrap_or(0)
     }
 
     /// Clusters currently holding a replica of `object`.
@@ -320,12 +303,15 @@ impl ClusterFarm {
     /// disk copies and — crucially — evicts nothing when no idle source
     /// exists, so callers can gate tertiary-sourced copies on the device
     /// actually being available without suffering premature evictions.
+    /// `freq` is the caller's per-object access-count table (indexed by
+    /// dense id), which ranks eviction victims.
     pub fn plan_replica(
         &mut self,
         object: ObjectId,
         queue_len: u32,
         now: SimTime,
         allow_tertiary: bool,
+        freq: &[u64],
     ) -> Option<CopyPlan> {
         // The threshold gates *additional replicas* only; the first copy
         // of a missing object must always be materializable.
@@ -339,7 +325,7 @@ impl ClusterFarm {
         if source.is_none() && !allow_tertiary {
             return None;
         }
-        let target = self.eviction_target(object, now, true)?;
+        let target = self.eviction_target(object, now, true, freq)?;
         Some(match source {
             Some(source) => {
                 debug_assert_ne!(source, target, "source holds the object, target cannot");
@@ -353,13 +339,16 @@ impl ClusterFarm {
     /// cluster with spare content slots, or an idle cluster holding an
     /// evictable victim — surplus replicas first, and sole copies only
     /// when `allow_sole` is set *and* the victim is strictly colder than
-    /// `object`. Victims are evicted immediately.
+    /// `object` by the access counts `freq`. Victims are evicted
+    /// immediately.
     fn eviction_target(
         &mut self,
         object: ObjectId,
         now: SimTime,
         allow_sole: bool,
+        freq: &[u64],
     ) -> Option<ClusterId> {
+        let frequency = |o: ObjectId| freq.get(o.index()).copied().unwrap_or(0);
         let n = self.clusters.len();
         // Pass 1: idle cluster with a free slot.
         for i in 0..n {
@@ -390,7 +379,7 @@ impl ClusterFarm {
                 .iter()
                 .map(|&o| {
                     let sole = self.replicas_of(o).len() <= 1;
-                    ((sole, self.frequency(o)), o)
+                    ((sole, frequency(o)), o)
                 })
                 .min_by_key(|&(key, _)| key);
             if let Some((key, victim)) = candidate {
@@ -400,7 +389,7 @@ impl ClusterFarm {
             }
         }
         let ((sole, victim_freq), target, victim) = best?;
-        if sole && (!allow_sole || victim_freq >= self.frequency(object)) {
+        if sole && (!allow_sole || victim_freq >= frequency(object)) {
             // Sole copies may only make way for a strictly hotter object
             // (and only when the caller permits residency loss at all).
             return None;
@@ -421,11 +410,12 @@ impl ClusterFarm {
         object: ObjectId,
         queue_len: u32,
         now: SimTime,
+        freq: &[u64],
     ) -> Option<ClusterId> {
         if queue_len < self.config.replication_threshold {
             return None;
         }
-        self.eviction_target(object, now, true)
+        self.eviction_target(object, now, true, freq)
     }
 
     /// Commits a piggyback (stream-tee) copy: only `target` is occupied;
@@ -609,12 +599,9 @@ mod tests {
         let mut f = farm(3);
         install(&mut f, ClusterId(0), ObjectId(1)); // hot object
         install(&mut f, ClusterId(1), ObjectId(2)); // cold object
-        for _ in 0..10 {
-            f.record_access(ObjectId(1));
-        }
-        f.record_access(ObjectId(2));
+        let freq = [0, 10, 1];
         // Cluster 2 is empty: first choice. Source: idle replica on c0.
-        let plan = f.plan_replica(ObjectId(1), 1, t(0), true).unwrap();
+        let plan = f.plan_replica(ObjectId(1), 1, t(0), true, &freq).unwrap();
         assert_eq!(
             plan,
             CopyPlan::FromDisk {
@@ -625,7 +612,7 @@ mod tests {
         // Commit it; now replicate again — no empty cluster, so the cold
         // object 2 on cluster 1 is evicted.
         f.begin_copy(plan, ObjectId(1), t(0), t(100)).unwrap();
-        let plan2 = f.plan_replica(ObjectId(1), 1, t(0), true).unwrap();
+        let plan2 = f.plan_replica(ObjectId(1), 1, t(0), true, &freq).unwrap();
         assert_eq!(
             plan2,
             CopyPlan::FromTertiary {
@@ -640,12 +627,11 @@ mod tests {
         let mut f = farm(2);
         install(&mut f, ClusterId(0), ObjectId(1));
         install(&mut f, ClusterId(1), ObjectId(2));
-        for _ in 0..10 {
-            f.record_access(ObjectId(2));
-        }
-        f.record_access(ObjectId(1));
         // Object 1 (freq 1) cannot evict object 2 (freq 10).
-        assert_eq!(f.plan_replica(ObjectId(1), 5, t(0), true), None);
+        assert_eq!(
+            f.plan_replica(ObjectId(1), 5, t(0), true, &[0, 1, 10]),
+            None
+        );
     }
 
     #[test]
@@ -657,17 +643,17 @@ mod tests {
             replication_threshold: 3,
         });
         install(&mut f, ClusterId(0), ObjectId(1));
-        f.record_access(ObjectId(1));
-        assert_eq!(f.plan_replica(ObjectId(1), 2, t(0), true), None);
+        let freq = [0, 1];
+        assert_eq!(f.plan_replica(ObjectId(1), 2, t(0), true, &freq), None);
         assert_eq!(
-            f.plan_replica(ObjectId(1), 3, t(0), true),
+            f.plan_replica(ObjectId(1), 3, t(0), true, &freq),
             Some(CopyPlan::FromTertiary {
                 target: ClusterId(1)
             })
         );
         // Gated: without tertiary permission (and no disk source under
         // TertiaryOnly) the planner must do nothing — and evict nothing.
-        assert_eq!(f.plan_replica(ObjectId(1), 3, t(0), false), None);
+        assert_eq!(f.plan_replica(ObjectId(1), 3, t(0), false, &freq), None);
     }
 
     #[test]
@@ -679,7 +665,7 @@ mod tests {
             replication_threshold: 1,
         });
         install(&mut f, ClusterId(0), ObjectId(1));
-        let plan = f.plan_replica(ObjectId(1), 1, t(0), true).unwrap();
+        let plan = f.plan_replica(ObjectId(1), 1, t(0), true, &[]).unwrap();
         assert!(matches!(plan, CopyPlan::FromTertiary { .. }));
     }
 
@@ -725,7 +711,7 @@ mod tests {
             Err(Error::InvalidState { .. })
         ));
         assert_eq!(
-            f.plan_replica(ObjectId(1), 5, t(0), true),
+            f.plan_replica(ObjectId(1), 5, t(0), true, &[]),
             Some(CopyPlan::FromTertiary {
                 target: ClusterId(1)
             })

@@ -42,29 +42,31 @@ pub struct StationPool {
     think_time: SimDuration,
     rng: DeterministicRng,
     next_request: u64,
-    /// Per-station think expiry: the earliest time the station is willing
-    /// to issue its next request (last completion + think time;
-    /// `SimTime::ZERO` until the first completion). The server issues no
-    /// request for a station before it, and wakes at it.
+    /// Per-station readiness: the earliest time the station is willing to
+    /// issue its next request (its activation time until its first
+    /// completion, then last completion + think time). The server issues
+    /// no request for a station before it, and wakes at it.
     ready_from: Vec<SimTime>,
 }
 
 impl StationPool {
-    /// Creates `n` stations drawing from `sampler`, with the given think
-    /// time (zero in the paper's experiments) and a dedicated RNG stream.
+    /// Creates one station per entry of `activation`, each issuing its
+    /// first request no earlier than its entry, drawing from `sampler`,
+    /// with the given think time (zero in the paper's experiments) and a
+    /// dedicated RNG stream.
     pub fn new(
-        n: u32,
+        activation: Vec<SimTime>,
         sampler: PopularitySampler,
         think_time: SimDuration,
         rng: DeterministicRng,
     ) -> Self {
         StationPool {
-            states: vec![StationState::Thinking; n as usize],
+            states: vec![StationState::Thinking; activation.len()],
             sampler,
             think_time,
             rng,
             next_request: 0,
-            ready_from: vec![SimTime::ZERO; n as usize],
+            ready_from: activation,
         }
     }
 
@@ -136,9 +138,10 @@ impl StationPool {
         request
     }
 
-    /// The station's think expiry: earliest time it will issue its next
-    /// request after its last [`Self::complete_at`]. Meaningful only while
-    /// the station is [`StationState::Thinking`].
+    /// The earliest time the station will issue its next request: its
+    /// activation time, or its think expiry after its last
+    /// [`Self::complete_at`]. Meaningful only while the station is
+    /// [`StationState::Thinking`].
     pub fn ready_from(&self, station: StationId) -> SimTime {
         self.ready_from[station.index()]
     }
@@ -258,9 +261,9 @@ mod tests {
     use super::*;
     use crate::popularity::Popularity;
 
-    fn pool(n: u32) -> StationPool {
+    fn pool(n: usize) -> StationPool {
         StationPool::new(
-            n,
+            vec![SimTime::ZERO; n],
             Popularity::Uniform.sampler(10),
             SimDuration::ZERO,
             DeterministicRng::seed_from_u64(5),
@@ -294,13 +297,17 @@ mod tests {
     #[test]
     fn complete_at_tracks_think_expiry() {
         let mut p = StationPool::new(
-            1,
+            vec![SimTime::from_secs(1)],
             Popularity::Uniform.sampler(10),
             SimDuration::from_secs(30),
             DeterministicRng::seed_from_u64(5),
         );
-        assert_eq!(p.ready_from(StationId(0)), SimTime::ZERO);
-        p.issue(StationId(0), SimTime::ZERO);
+        assert_eq!(
+            p.ready_from(StationId(0)),
+            SimTime::from_secs(1),
+            "activation"
+        );
+        p.issue(StationId(0), SimTime::from_secs(1));
         p.start_display(StationId(0), SimTime::from_secs(2));
         p.complete_at(StationId(0), SimTime::from_secs(100));
         assert_eq!(p.ready_from(StationId(0)), SimTime::from_secs(130));

@@ -176,15 +176,20 @@ echo "==> ops_report --quick (SLO/QoS reconciliation + alert-determinism gates)"
 cargo run --release -p ss-bench --bin ops_report -- --quick --out target/ci-ops
 cargo run --release -p ss-bench --bin ops_report -- --quick --vdr --out target/ci-ops-vdr
 # Alert determinism: the same seed must render byte-identical dashboard
-# artifacts, alerts and incident attribution included.
+# artifacts, alerts and incident attribution included, on both schemes.
+# The VDR demo is the only run here whose storage plane compiles crash
+# events, whose farm loses a cluster and whose router sees a dark node.
 cargo run --release -p ss-bench --bin ops_report -- --quick --out target/ci-ops-rerun
-for f in ops_report.txt ops_slo.csv ops_health.csv ops_incidents.csv ops_report.json ops_trace.jsonl; do
-  if ! cmp -s "target/ci-ops/$f" "target/ci-ops-rerun/$f"; then
-    echo "ci.sh: same-seed ops_report artifacts differ ($f)" >&2
-    exit 1
-  fi
+cargo run --release -p ss-bench --bin ops_report -- --quick --vdr --out target/ci-ops-vdr-rerun
+for dir in target/ci-ops target/ci-ops-vdr; do
+  for f in ops_report.txt ops_slo.csv ops_health.csv ops_incidents.csv ops_report.json ops_trace.jsonl; do
+    if ! cmp -s "$dir/$f" "$dir-rerun/$f"; then
+      echo "ci.sh: same-seed ops_report artifacts differ ($dir/$f)" >&2
+      exit 1
+    fi
+  done
+  echo "    $dir: $(wc -l < "$dir/ops_trace.jsonl") journal events; 6 artifacts byte-identical across reruns"
 done
-echo "    $(wc -l < target/ci-ops/ops_trace.jsonl) journal events; 6 artifacts byte-identical across reruns"
 
 echo "==> sharing_capacity --quick (stream-sharing capacity floor)"
 # The bin gates capacity: at high skew, batching + the prefix cache must
