@@ -214,10 +214,11 @@ pub struct Waiter {
     pub(crate) next_attempt: u64,
     /// First interval at which the waiter's plan may pass
     /// (`IntervalScheduler::no_pass_before`, set by striping on a
-    /// rejection while backoff is unarmed): before it the waiter sleeps
-    /// and admission does not plan it. Apart from `next_attempt`, so
-    /// backoff runs unchanged; 0 is awake, and every event that can let a
-    /// plan pass sooner sets it back to 0.
+    /// rejection while backoff is unarmed, and raised after the pump for
+    /// the queue's earliest sleepers against the tick's final state):
+    /// before it the waiter sleeps and admission does not plan it. Apart
+    /// from `next_attempt`, so backoff runs unchanged; 0 is awake, and
+    /// every event that can let a plan pass sooner sets it back to 0.
     pub(crate) wake: u64,
 }
 

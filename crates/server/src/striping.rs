@@ -193,6 +193,10 @@ pub struct StripingPolicy {
     /// the round-robin start, not at the last victim's, so it may pass at
     /// the next boundary.
     fetch_retry: bool,
+    /// The queue buffer the last admission pass drained, kept empty for
+    /// its allocation: the next pass refills it instead of growing a
+    /// fresh one.
+    spare_queue: Vec<Waiter>,
 }
 
 /// The storage plane's view of a placement layout: `(disk, fragments)`
@@ -293,6 +297,7 @@ impl PlacementPolicy for StripingPolicy {
             cylinders_per_fragment: config.cylinders_per_fragment,
             backoff_rng: DeterministicRng::seed_from_u64(config.seed).derive("backoff"),
             fetch_retry: false,
+            spare_queue: Vec::new(),
         };
         Ok((scheme, n_objects))
     }
@@ -348,9 +353,9 @@ impl PlacementPolicy for StripingPolicy {
     fn admit(&mut self, core: &mut Core, now: SimTime) {
         self.promote_materializations(core, now);
         let t = core.interval_index(now);
-        // The queue is drained and still-waiting entries are pushed back
-        // into the (now empty) queue in order — no scratch allocation.
-        let mut waiters = std::mem::take(&mut core.queue);
+        // The queue is drained and still-waiting entries are pushed back,
+        // in order, into the buffer the last pass drained.
+        let mut waiters = std::mem::replace(&mut core.queue, std::mem::take(&mut self.spare_queue));
         match core.config.queue {
             QueuePolicy::Fcfs => {}
             QueuePolicy::SmallestFirst => {
@@ -366,7 +371,7 @@ impl PlacementPolicy for StripingPolicy {
         // `max_retries` failures they park until the next fault
         // transition. With parity off every waiter keeps
         // `next_attempt == 0` and this is the plain FIFO-with-skips loop.
-        let backoff = core.config.parity.is_some() && self.scheduler.has_outages();
+        let backoff = self.backoff_armed(core);
         let (max_retries, max_backoff) = core
             .config
             .parity
@@ -374,14 +379,15 @@ impl PlacementPolicy for StripingPolicy {
             .map_or((0, 1), |p| (p.max_retries, p.max_backoff_intervals.max(1)));
         let (fragment, interval) = (core.config.fragment_size(), core.interval);
         for mut w in waiters.drain(..) {
+            // `route` queues only displayable objects, `reserve_space`
+            // never evicts one with a queued waiter, and `rollback_alloc`
+            // moves an evicted object's waiters to the tertiary.
+            debug_assert!(
+                self.displayable(w.object, now),
+                "{} is queued but not displayable",
+                w.object
+            );
             if backoff && w.next_attempt > t {
-                core.queue.push(w);
-                continue;
-            }
-            if !self.displayable(w.object, now) {
-                // Evicted while queued: re-fetch. Its layout may move, so
-                // its wake no longer holds.
-                w.wake = 0;
                 core.queue.push(w);
                 continue;
             }
@@ -572,6 +578,7 @@ impl PlacementPolicy for StripingPolicy {
                 }
             }
         }
+        self.spare_queue = waiters;
     }
 
     fn route(&mut self, core: &mut Core, w: Waiter, now: SimTime) {
@@ -589,10 +596,14 @@ impl PlacementPolicy for StripingPolicy {
         }
     }
 
+    /// Coalesces, feeds the tertiary device, then re-bounds the queue's
+    /// earliest sleepers: nothing later in the tick changes the
+    /// scheduler.
     fn pump(&mut self, core: &mut Core, now: SimTime) {
         self.coalesce_pass(core, now);
         self.fetch_retry = false;
         core.pump_fetches(now, |core, object| self.fetch(core, object, now));
+        self.rebound_sleepers(core, core.interval_index(now));
     }
 
     /// Fires due crash events against the storage plane and advances the
@@ -766,7 +777,7 @@ impl PlacementPolicy for StripingPolicy {
             // earliest free disk. Parked waiters (`u64::MAX`) wake at the
             // next fault transition or rebuild completion, both wakeup
             // sources of their own.
-            let min_next = if core.config.parity.is_some() && self.scheduler.has_outages() {
+            let min_next = if self.backoff_armed(core) {
                 core.queue.iter().map(|w| w.next_attempt).min().unwrap_or(0)
             } else {
                 0
@@ -852,24 +863,67 @@ impl StripingPolicy {
         }
     }
 
+    /// True while the retry/backoff queue paces admission: parity is on
+    /// and an outage is open. Waiters then sleep by `next_attempt`, not
+    /// by `wake`.
+    fn backoff_armed(&self, core: &Core) -> bool {
+        core.config.parity.is_some() && self.scheduler.has_outages()
+    }
+
+    /// The `(start disk, degree, subobjects)` admission plans a queued
+    /// waiter for `object` with.
+    fn plan_args(&self, object: ObjectId) -> (u32, u32, u32) {
+        let layout = self
+            .placement
+            .layout(object)
+            .expect("displayable object is placed");
+        let (start_disk, degree) = self.reservation(&layout);
+        (start_disk, degree, layout.subobjects)
+    }
+
     /// True when planning `w` at interval `t` fails: the debug check
     /// that a sleeping waiter's bound holds.
     fn plan_fails(&self, w: &Waiter, t: u64) -> bool {
-        let layout = self
-            .placement
-            .layout(w.object)
-            .expect("displayable object is placed");
-        let (start_disk, degree) = self.reservation(&layout);
+        let (start_disk, degree, subobjects) = self.plan_args(w.object);
         self.scheduler
-            .plan(
-                t,
-                w.object,
-                start_disk,
-                degree,
-                layout.subobjects,
-                self.policy,
-            )
+            .plan(t, w.object, start_disk, degree, subobjects, self.policy)
             .is_err()
+    }
+
+    /// `no_pass_before` for `w` at interval `t`, against the scheduler's
+    /// state now.
+    fn no_pass_before(&self, w: &Waiter, t: u64) -> u64 {
+        let (start_disk, degree, subobjects) = self.plan_args(w.object);
+        self.scheduler
+            .no_pass_before(t, start_disk, degree, subobjects, self.policy)
+    }
+
+    /// Re-bounds the queue after the tick's last commit, while backoff is
+    /// unarmed. A waiter rejected early in a pass took its `wake` before
+    /// the pass's later commits, and the paper's rotation (§3.2) moves
+    /// its aligned virtual disks back by `k` each interval, so a display
+    /// booked after it can cover the window the wake counted on. The
+    /// waiter holding the minimum `wake` — the one `wakeup` reads — gets
+    /// the later of its wake and `no_pass_before` against the final
+    /// state, until the minimum holds.
+    ///
+    /// Exact for the same reason as the wake itself: a bound computed
+    /// against more commits is still a lower bound, and every event that
+    /// lowers a horizon or removes an outage window sets every `wake` to
+    /// 0. A waiter this puts to sleep would have failed its plan, which
+    /// leaves no trace but the journal's `admit_reject` and never reaches
+    /// the interconnect gate, so the router's draws do not move.
+    fn rebound_sleepers(&self, core: &mut Core, t: u64) {
+        if self.backoff_armed(core) {
+            return;
+        }
+        while let Some(w) = core.queue.iter_mut().min_by_key(|w| w.wake) {
+            let bound = self.no_pass_before(w, t);
+            if bound <= w.wake {
+                return;
+            }
+            w.wake = bound;
+        }
     }
 
     /// `object`'s degree of declustering, or `unknown` for an id outside
@@ -1264,11 +1318,13 @@ impl StripingPolicy {
 
     /// The boundary of the first interval at which some queued admission
     /// could pass: the later of the planners' leading free-disk count
-    /// test and the earliest wake in the queue. `None` when no queued
-    /// degree fits the farm at all. Under the fragmented policy the count
-    /// test looks `max_delay_intervals` ahead, so the bound backs off by
-    /// the same amount. A sleeping waiter still tries to join a shared
-    /// stream, but the kernel ticks every boundary at which one may.
+    /// test and the earliest wake in the queue. The pump has re-bounded
+    /// that wake against the tick's last commit, so it is no older than
+    /// the scheduler state this reads. `None` when no queued degree fits
+    /// the farm at all. Under the fragmented policy the count test looks
+    /// `max_delay_intervals` ahead, so the bound backs off by the same
+    /// amount. A sleeping waiter still tries to join a shared stream, but
+    /// the kernel ticks every boundary at which one may.
     fn earliest_admission_attempt(&self, core: &Core) -> Option<SimTime> {
         let (m_min, wake) = core
             .queue
@@ -1643,6 +1699,36 @@ mod tests {
         assert_eq!(f.read_start, vec![5, 5], "the read base moved to 5");
         assert_eq!(d.buffer_fragments, 0, "both buffers released");
         assert_eq!(m.core.buffers.in_use(), 0);
+    }
+
+    /// After every tick the queue's earliest wake is a fixed point of
+    /// `no_pass_before` against the tick's final scheduler state: no
+    /// commit later in the tick left it stale, so `wakeup` never
+    /// schedules a boundary at which that waiter's plan must still fail.
+    #[test]
+    fn earliest_wake_is_bounded_against_the_ticks_last_commit() {
+        // 16 stations on a farm that serves 4 displays at once.
+        let mut server = StripingServer::new(small(16)).unwrap();
+        let mut steps_with_sleepers = 0;
+        while server.step() {
+            let m = server.model();
+            if m.scheme.backoff_armed(&m.core) {
+                continue;
+            }
+            let t = m.core.interval_index(server.now());
+            let Some(w) = m.core.queue.iter().min_by_key(|w| w.wake) else {
+                continue;
+            };
+            let bound = m.scheme.no_pass_before(w, t);
+            assert!(
+                bound <= w.wake,
+                "{} wakes at {} but cannot pass before {bound} (tick {t})",
+                w.object,
+                w.wake
+            );
+            steps_with_sleepers += usize::from(m.core.queue.iter().any(|w| w.wake > t));
+        }
+        assert!(steps_with_sleepers > 0, "no step left a waiter asleep");
     }
 
     #[test]

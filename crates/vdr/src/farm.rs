@@ -198,11 +198,6 @@ impl ClusterFarm {
         st
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &VdrConfig {
-        &self.config
-    }
-
     /// Clusters currently holding a replica of `object`.
     pub fn replicas_of(&self, object: ObjectId) -> &[ClusterId] {
         self.replicas
@@ -325,7 +320,7 @@ impl ClusterFarm {
         if source.is_none() && !allow_tertiary {
             return None;
         }
-        let target = self.eviction_target(object, now, true, freq)?;
+        let target = self.eviction_target(object, now, freq)?;
         Some(match source {
             Some(source) => {
                 debug_assert_ne!(source, target, "source holds the object, target cannot");
@@ -337,15 +332,13 @@ impl ClusterFarm {
 
     /// Chooses a cluster to receive a new replica of `object`: an idle
     /// cluster with spare content slots, or an idle cluster holding an
-    /// evictable victim — surplus replicas first, and sole copies only
-    /// when `allow_sole` is set *and* the victim is strictly colder than
-    /// `object` by the access counts `freq`. Victims are evicted
-    /// immediately.
+    /// evictable victim — surplus replicas first, and a sole copy only
+    /// when it is strictly colder than `object` by the access counts
+    /// `freq`. Victims are evicted immediately.
     fn eviction_target(
         &mut self,
         object: ObjectId,
         now: SimTime,
-        allow_sole: bool,
         freq: &[u64],
     ) -> Option<ClusterId> {
         let frequency = |o: ObjectId| freq.get(o.index()).copied().unwrap_or(0);
@@ -389,9 +382,8 @@ impl ClusterFarm {
             }
         }
         let ((sole, victim_freq), target, victim) = best?;
-        if sole && (!allow_sole || victim_freq >= frequency(object)) {
-            // Sole copies may only make way for a strictly hotter object
-            // (and only when the caller permits residency loss at all).
+        if sole && victim_freq >= frequency(object) {
+            // Sole copies may only make way for a strictly hotter object.
             return None;
         }
         self.evict(target, victim)
@@ -415,7 +407,7 @@ impl ClusterFarm {
         if queue_len < self.config.replication_threshold {
             return None;
         }
-        self.eviction_target(object, now, true, freq)
+        self.eviction_target(object, now, freq)
     }
 
     /// Commits a piggyback (stream-tee) copy: only `target` is occupied;
@@ -512,11 +504,6 @@ impl ClusterFarm {
     /// Number of distinct disk-resident objects.
     pub fn unique_residents(&self) -> usize {
         self.resident_objects
-    }
-
-    /// Total replicas across all clusters.
-    pub fn total_replicas(&self) -> usize {
-        self.replicas.iter().map(Vec::len).sum()
     }
 }
 
@@ -690,8 +677,7 @@ mod tests {
         assert_eq!(f.idle_count(t(50)), 0);
         f.refresh(t(100));
         assert_eq!(f.idle_count(t(100)), 2);
-        assert_eq!(f.replicas_of(ObjectId(1)).len(), 2);
-        assert_eq!(f.total_replicas(), 2);
+        assert_eq!(f.replicas_of(ObjectId(1)), &[ClusterId(0), ClusterId(1)]);
         assert_eq!(f.unique_residents(), 1);
     }
 

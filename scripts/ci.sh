@@ -64,19 +64,24 @@ echo "==> benchmark --workload degraded (pinned full-size digest)"
 cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
   --workload degraded --seed 1994 --seconds 1 --trace 0
 
-echo "==> benchmark --workload degraded --seed 7 (unpinned-seed digest)"
-# The same cell pair at seed 7, which no pinned file covers: parity
+echo "==> benchmark --seed 7 (unpinned-seed digests of all four workloads)"
+# Every workload at seed 7, which no pinned file covers: the wake bounds
+# that let striping waiters sleep, VDR's sleeping fetches, parity
 # reconstruction planned under a node outage, the rescue passes and the
-# scrub must reproduce this digest byte for byte. The benchmark prints
-# the digest on stderr. A hard gate, like the pinned runs.
-if ! degraded_seed7=$(cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
-  --workload degraded --seed 7 --seconds 1 --trace 0 2>&1 >/dev/null) \
-  || ! grep -q "seed 7, digest 1797f1d58f74fa69" <<<"$degraded_seed7"; then
-  echo "$degraded_seed7" >&2
-  echo "ci.sh: degraded at seed 7 failed or no longer reads digest 1797f1d58f74fa69" >&2
-  exit 1
-fi
-echo "    degraded seed 7: digest 1797f1d58f74fa69"
+# scrub must reproduce these digests byte for byte. The benchmark prints
+# each digest on stderr. A hard gate, like the pinned runs.
+for pair in fig8:9f1304d588920c09 degraded:1797f1d58f74fa69 farm_100k:5d4f09201479413c obs:57f94ad927da9035; do
+  workload=${pair%%:*}
+  digest=${pair#*:}
+  if ! seed7=$(cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds 1 --trace 0 2>&1 >/dev/null) \
+    || ! grep -q "seed 7, digest $digest" <<<"$seed7"; then
+    echo "$seed7" >&2
+    echo "ci.sh: $workload at seed 7 failed or no longer reads digest $digest" >&2
+    exit 1
+  fi
+  echo "    $workload seed 7: digest $digest"
+done
 
 echo "==> benchmark --workload farm_100k (pinned full-size digest)"
 # The full-size 100,000-disk striping cell at the pinned seed, checked
