@@ -25,17 +25,17 @@
 //!
 //! * this run's `grid_quick` wall-clock may be at most 2× the
 //!   baseline's;
-//! * this run's parallel `speedup_vs_serial` must hold at least half
-//!   the baseline's, unless either box had fewer than 2 cores (on one
-//!   core a 0.92× "speedup" is batch-runner overhead, not an engine
-//!   regression);
 //! * on a box with at least 4 cores, `grid_parallel` must beat `grid`
 //!   by 1.5× (a 1-core container cannot demonstrate parallel scaling).
 //!
+//! There is no gate on the quick grid's parallel speedup: six cells on
+//! two threads show no parallelism to compare with the 54-cell
+//! baseline's.
+//!
 //! A miss exits non-zero; `CI_PERF_STRICT=0` downgrades it to a warning
 //! (shared CI runners are noisy). A baseline that is missing, does not
-//! parse, or lacks one of the fields the gates read fails the run
-//! whatever `CI_PERF_STRICT` says, so no gate passes vacuously.
+//! parse, or lacks `grid_quick` fails the run whatever
+//! `CI_PERF_STRICT` says, so no gate passes vacuously.
 
 use serde::{Deserialize, Serialize};
 use ss_bench::grid::{perf_strict, Bound};
@@ -83,26 +83,18 @@ struct BenchReport {
     cores_available: u64,
 }
 
-/// The fields of the baseline artifact the gates read. Each is
-/// required: a baseline missing one fails to parse, like a garbled file.
-/// Extra fields in the JSON are ignored.
+/// The field of the baseline artifact the gates read. It is required:
+/// a baseline missing it fails to parse, like a garbled file. Extra
+/// fields in the JSON are ignored.
 #[derive(Debug, Deserialize)]
 struct Baseline {
     grid_quick: BaselineGrid,
-    grid_parallel: BaselineParallel,
-    cores_available: u64,
 }
 
 /// Seconds field of a baseline grid section.
 #[derive(Debug, Deserialize)]
 struct BaselineGrid {
     seconds: f64,
-}
-
-/// Speedup field of a baseline parallel-grid section.
-#[derive(Debug, Deserialize)]
-struct BaselineParallel {
-    speedup_vs_serial: f64,
 }
 
 /// Parses baseline artifact text, naming [`BASELINE`] in the error.
@@ -173,11 +165,7 @@ fn gate_parallel_speedup(grid: &GridMetrics, grid_parallel: &GridMetrics, strict
 /// Compares this run against the baseline: false on a >2x quick-grid
 /// regression (unless `strict` is off, which downgrades it to a
 /// warning), and false whatever `strict` says when the baseline could
-/// not be read. Also compares the parallel-grid speedup, but only when
-/// both this box and the baseline's had 2 or more cores — on a single
-/// core `speedup_vs_serial` measures scheduling overhead (0.92x is
-/// normal), not engine speed, and judging it would flag every 1-core CI
-/// box as a regression.
+/// not be read.
 fn check_against(baseline: &Result<Baseline, String>, report: &BenchReport, strict: bool) -> bool {
     let baseline = match baseline {
         Ok(b) => b,
@@ -190,35 +178,9 @@ fn check_against(baseline: &Result<Baseline, String>, report: &BenchReport, stri
         "baseline: quick grid {:.3} s vs baseline {:.3} s",
         report.grid_quick.seconds, baseline.grid_quick.seconds
     );
-    let quick_ok = Bound::Ceiling(2.0).gate(
+    Bound::Ceiling(2.0).gate(
         "baseline: quick-grid slowdown vs baseline (x)",
         report.grid_quick.seconds / baseline.grid_quick.seconds,
-        strict,
-    );
-    quick_ok && check_parallel_against(baseline, report, strict)
-}
-
-/// The parallel leg of [`check_against`]: this run's
-/// `speedup_vs_serial` must hold at least half the baseline's. Skipped
-/// — with a notice — when either box exposes fewer than 2 cores.
-fn check_parallel_against(baseline: &Baseline, report: &BenchReport, strict: bool) -> bool {
-    let speedup = report.grid_parallel.speedup_vs_serial.unwrap_or(1.0);
-    if report.cores_available < 2 {
-        eprintln!(
-            "baseline: {} core(s) available; parallel comparison skipped (speedup {speedup:.2}x on one core measures batch-runner overhead, not engine speed)",
-            report.cores_available
-        );
-        return true;
-    }
-    if baseline.cores_available < 2 {
-        eprintln!("baseline: {BASELINE} was taken on a single core; parallel comparison skipped");
-        return true;
-    }
-    let base = baseline.grid_parallel.speedup_vs_serial;
-    eprintln!("baseline: parallel speedup {speedup:.2}x vs baseline {base:.2}x");
-    Bound::Floor(0.5).gate(
-        "baseline: parallel speedup as a share of the baseline's (x)",
-        speedup / base,
         strict,
     )
 }
@@ -312,9 +274,9 @@ mod tests {
             mode: "quick".into(),
             seed: 1994,
             grid: grid(baseline.grid_quick.seconds, None),
-            grid_parallel: grid(1.0, Some(baseline.grid_parallel.speedup_vs_serial)),
+            grid_parallel: grid(1.0, Some(1.0)),
             grid_quick: grid(baseline.grid_quick.seconds, None),
-            cores_available: baseline.cores_available,
+            cores_available: 1,
         }
     }
 

@@ -17,7 +17,8 @@ use ss_sim::{CrashEvent, DeterministicRng, FaultEvent, FaultKind, FaultPlan, Fau
 use ss_tertiary::TertiaryDevice;
 use ss_types::{NodeId, NodeTopology, ObjectId, Result, SimDuration, SimTime, StationId};
 use ss_workload::{OpenArrivals, StationPool, StationState, TraceArrivals};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A placement and admission scheme running on the shared kernel.
 ///
@@ -268,6 +269,91 @@ impl DistState {
     }
 }
 
+/// The active set's end times in time order (DESIGN.md §3.2): one
+/// `(ends, slot)` entry per unfinished primary and per shared viewer,
+/// earliest on top. A display holds one slot from `open_display` until
+/// it leaves `active`; `slots` runs parallel to `active` and `pos` maps
+/// a slot back to its position. Only `open_display`, `add_viewer`,
+/// `complete_displays` and `drop_display` change either side.
+struct DisplayEnds {
+    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// The slot of each display, in `active` order.
+    slots: Vec<u32>,
+    /// The position in `active` of each slot in use.
+    pos: Vec<u32>,
+    /// Slots of displays that left `active`, reused first.
+    free: Vec<u32>,
+    /// The completion walk's due positions (kept for its allocation).
+    due: Vec<usize>,
+}
+
+impl DisplayEnds {
+    /// Room for `viewers` concurrent viewers without growing: in the
+    /// closed loop each station is at most one viewer.
+    fn with_capacity(viewers: usize) -> Self {
+        DisplayEnds {
+            heap: BinaryHeap::with_capacity(viewers),
+            slots: Vec::with_capacity(viewers),
+            pos: Vec::with_capacity(viewers),
+            free: Vec::with_capacity(viewers),
+            due: Vec::with_capacity(viewers),
+        }
+    }
+
+    /// Gives the display just pushed onto the end of `active` a slot and
+    /// queues its primary's end.
+    fn open(&mut self, ends: SimTime) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.pos.push(0);
+            self.pos.len() as u32 - 1
+        });
+        self.pos[slot as usize] = self.slots.len() as u32;
+        self.slots.push(slot);
+        self.heap.push(Reverse((ends, slot)));
+    }
+
+    /// Queues the end of a viewer joining the display at position `i`.
+    fn join(&mut self, i: usize, ends: SimTime) {
+        self.heap.push(Reverse((ends, self.slots[i])));
+    }
+
+    /// Mirrors `active.swap_remove(i)` for a display none of whose
+    /// entries is queued, and frees its slot.
+    fn swap_remove(&mut self, i: usize) {
+        self.free.push(self.slots.swap_remove(i));
+        if let Some(&moved) = self.slots.get(i) {
+            self.pos[moved as usize] = i as u32;
+        }
+    }
+
+    /// Mirrors dropping the display at position `i`: its queued entries
+    /// go too, so a reused slot inherits none and every top is live.
+    fn drop_at(&mut self, i: usize) {
+        let slot = self.slots[i];
+        self.heap.retain(|&Reverse((_, s))| s != slot);
+        self.swap_remove(i);
+    }
+
+    /// Pops every entry due by `now` into `due` as the position of its
+    /// display, ascending and without repeats.
+    fn pop_due(&mut self, now: SimTime, due: &mut Vec<usize>) {
+        while let Some(&Reverse((ends, slot))) = self.heap.peek() {
+            if ends > now {
+                break;
+            }
+            self.heap.pop();
+            due.push(self.pos[slot as usize] as usize);
+        }
+        due.sort_unstable();
+        due.dedup();
+    }
+
+    /// The earliest queued end.
+    fn earliest(&self) -> Option<SimTime> {
+        self.heap.peek().map(|&Reverse((ends, _))| ends)
+    }
+}
+
 /// The shared simulation model: everything but the placement scheme.
 pub struct ServerCore<X> {
     pub(crate) config: ServerConfig,
@@ -302,6 +388,11 @@ pub struct ServerCore<X> {
     /// Requests waiting for disk admission, in arrival order.
     pub(crate) queue: Vec<Waiter>,
     pub(crate) active: Vec<ActiveDisplay<X>>,
+    /// The end times of `active`'s viewers, earliest first.
+    ends: DisplayEnds,
+    /// The stations the last `issue_requests` issued (kept for its
+    /// allocation).
+    issued: Vec<(StationId, ObjectId)>,
     /// Running viewer count per object, dense by object id.
     pub(crate) active_per_object: Vec<u32>,
     /// Viewers currently watching: every non-completed primary plus every
@@ -366,6 +457,10 @@ impl<X> ServerCore<X> {
             _ => None,
         };
         let deadline = SimTime::ZERO + config.warmup + config.measure;
+        let viewers = match config.arrivals {
+            ArrivalModel::Closed => config.stations as usize,
+            _ => 0,
+        };
         // A node outage compiles into correlated per-disk fail/repair
         // windows on the ordinary fault timeline, so every fault reaction
         // composes with node failures unchanged. `compile` re-sorts and
@@ -429,6 +524,8 @@ impl<X> ServerCore<X> {
             freq: vec![0; objects],
             queue: Vec::new(),
             active: Vec::new(),
+            ends: DisplayEnds::with_capacity(viewers),
+            issued: Vec::new(),
             active_per_object: vec![0; objects],
             active_viewers: 0,
             catchup_in_use: 0,
@@ -495,6 +592,8 @@ impl<X> ServerCore<X> {
         degree: u32,
     ) {
         let (object, home) = (d.object, d.home_node);
+        debug_assert!(!d.primary_done, "a display opens with its primary");
+        self.ends.open(d.ends);
         self.active.push(d);
         self.active_per_object[object.index()] += 1;
         self.active_viewers += 1;
@@ -575,14 +674,15 @@ impl<X> ServerCore<X> {
             s.patched_joins += 1;
         }
         s.peak_catchup_fragments = s.peak_catchup_fragments.max(self.catchup_in_use);
-        self.active[idx].viewers.push(SharedViewer {
-            station: w.station,
-            ends,
-            catchup_fragments: catchup,
-            hiccuped: false,
-        });
-        self.active_per_object[w.object.index()] += 1;
-        self.active_viewers += 1;
+        self.add_viewer(
+            idx,
+            SharedViewer {
+                station: w.station,
+                ends,
+                catchup_fragments: catchup,
+                hiccuped: false,
+            },
+        );
         if ss_obs::enabled() {
             ss_obs::record(ss_obs::Event::SharedJoin {
                 object: w.object.0,
@@ -594,6 +694,14 @@ impl<X> ServerCore<X> {
             ss_obs::with_registry(|r| r.count("shared_joins", 1));
         }
         true
+    }
+
+    /// Rides viewer `v` on the display at position `i`.
+    fn add_viewer(&mut self, i: usize, v: SharedViewer) {
+        self.ends.join(i, v.ends);
+        self.active[i].viewers.push(v);
+        self.active_per_object[self.active[i].object.index()] += 1;
+        self.active_viewers += 1;
     }
 
     /// Whether a queued waiter may try a join at the boundary after
@@ -655,10 +763,20 @@ impl<X> ServerCore<X> {
     /// viewers finish on their own clocks, independent of the primary (a
     /// late joiner's ride extends past the stream); `finish` drops the
     /// scheme state of a completed primary.
+    ///
+    /// Visits only the displays with a due end, in the order of a walk
+    /// over every position: ascending, `swap_remove`ing a display once
+    /// its primary and viewers are all done and visiting the display
+    /// moved into its place next. A display without a due end is a
+    /// no-op in that walk, since every display in `active` has an
+    /// unfinished primary or a viewer.
     fn complete_displays(&mut self, now: SimTime, finish: impl Fn(&mut X)) {
         let t = self.interval_index(now);
-        let mut i = 0;
-        while i < self.active.len() {
+        let mut due = std::mem::take(&mut self.ends.due);
+        self.ends.pop_due(now, &mut due);
+        let mut k = 0;
+        while k < due.len() {
+            let i = due[k];
             let object = self.active[i].object;
             let mut viewers = std::mem::take(&mut self.active[i].viewers);
             let mut v = 0;
@@ -686,10 +804,24 @@ impl<X> ServerCore<X> {
             }
             if self.active[i].primary_done && self.active[i].viewers.is_empty() {
                 self.active.swap_remove(i);
-            } else {
-                i += 1;
+                self.ends.swap_remove(i);
+                // The last display moved into `i`. If it is due, it held
+                // the largest due position: visit it here.
+                if i < self.active.len() && due.last() == Some(&self.active.len()) {
+                    due.pop();
+                    continue;
+                }
             }
+            k += 1;
         }
+        due.clear();
+        self.ends.due = due;
+        debug_assert!(
+            self.active.iter().all(|d| (d.primary_done || d.ends > now)
+                && d.viewers.iter().all(|v| v.ends > now)),
+            "a viewer due by {now} is still active"
+        );
+        debug_assert_eq!(self.ends.heap.len() as u64, self.active_viewers);
     }
 
     /// Cuts off live display `i` and every viewer riding it: their reads
@@ -706,6 +838,7 @@ impl<X> ServerCore<X> {
         mut charge: impl FnMut(&mut DegradedStats, SimTime, bool) -> u64,
     ) {
         let mut d = self.active.swap_remove(i);
+        self.ends.drop_at(i);
         if let Some(dist) = self.dist.as_mut() {
             // A dropped display is still live, so its home slot frees.
             dist.router.note_end(d.home_node);
@@ -814,20 +947,16 @@ impl<X> ServerCore<X> {
                 route(self, waiter(None, object, at));
             }
         }
-        for s in 0..self.stations.len() {
-            let station = StationId(s as u32);
-            // A station issues once it has activated and its think time
-            // since its last completion has run out: its first completion
-            // comes after its activation, so `ready_from` holds both.
-            if now < self.stations.ready_from(station) {
-                continue;
-            }
-            if matches!(self.stations.state(station), StationState::Thinking) {
-                let (_req, object) = self.stations.issue(station, now);
-                self.freq[object.index()] += 1;
-                route(self, waiter(Some(station), object, now));
-            }
+        // A station issues once it has activated and its think time
+        // since its last completion has run out: its first completion
+        // comes after its activation, so `ready_from` holds both.
+        let mut issued = std::mem::take(&mut self.issued);
+        self.stations.issue_ready(now, &mut issued);
+        for &(station, object) in &issued {
+            self.freq[object.index()] += 1;
+            route(self, waiter(Some(station), object, now));
         }
+        self.issued = issued;
     }
 }
 
@@ -1059,14 +1188,20 @@ impl<P: PlacementPolicy> Kernel<P> {
         // (a) Display completions — primary and shared-viewer ends alike.
         // A primary-done entry's own `ends` is in the past and spent;
         // only its surviving viewers impose wakeups.
-        for d in &core.active {
-            if !d.primary_done {
-                horizon = horizon.min(d.ends);
-            }
-            for v in &d.viewers {
-                horizon = horizon.min(v.ends);
-            }
+        if let Some(ends) = core.ends.earliest() {
+            horizon = horizon.min(ends);
         }
+        debug_assert_eq!(
+            core.ends.earliest(),
+            core.active
+                .iter()
+                .flat_map(|d| (!d.primary_done)
+                    .then_some(d.ends)
+                    .into_iter()
+                    .chain(d.viewers.iter().map(|v| v.ends)))
+                .min(),
+            "the end heap's top is the earliest viewer end"
+        );
         // (d) A busy tertiary device frees up for the next queued fetch.
         // Past the pump, a queued fetch facing a free device was refused
         // (no admissible eviction target, or every resident pinned), and
@@ -1088,16 +1223,18 @@ impl<P: PlacementPolicy> Kernel<P> {
         // thinking: every ready one issued this tick (completions precede
         // request issue, so a zero think time re-issues the same tick).
         if core.trace.is_none() && core.open.is_none() {
-            let station_min = (0..core.stations.len())
-                .filter_map(|s| {
-                    let station = StationId(s as u32);
-                    matches!(core.stations.state(station), StationState::Thinking)
-                        .then(|| core.stations.ready_from(station))
-                })
-                .min();
-            if let Some(ready) = station_min {
+            if let Some(ready) = core.stations.next_ready() {
                 horizon = horizon.min(ready);
             }
+            debug_assert_eq!(
+                core.stations.next_ready(),
+                (0..core.stations.len() as u32)
+                    .map(StationId)
+                    .filter(|&s| matches!(core.stations.state(s), StationState::Thinking))
+                    .map(|s| core.stations.ready_from(s))
+                    .min(),
+                "the ready heap's top is the earliest thinking station"
+            );
         }
         horizon
     }
@@ -1551,6 +1688,117 @@ mod tests {
         let next = next_boundary(SimTime::ZERO, iv, s(20));
         assert_eq!(next, s(20));
         assert_eq!(skipped(SimTime::ZERO, next, iv), 1);
+    }
+
+    /// The completion walk before the end heap, kept as the reference:
+    /// it visits every position of `active`.
+    fn reference_walk<X>(core: &mut ServerCore<X>, now: SimTime) {
+        let t = core.interval_index(now);
+        let mut i = 0;
+        while i < core.active.len() {
+            let object = core.active[i].object;
+            let mut viewers = std::mem::take(&mut core.active[i].viewers);
+            let mut v = 0;
+            while v < viewers.len() {
+                if viewers[v].ends <= now {
+                    core.release_viewer(viewers.swap_remove(v), object, now);
+                    core.record_end(object, t);
+                } else {
+                    v += 1;
+                }
+            }
+            core.active[i].viewers = viewers;
+            if core.active[i].ends <= now && !core.active[i].primary_done {
+                let d = &mut core.active[i];
+                d.primary_done = true;
+                let primary = d.primary();
+                core.release_viewer(primary, object, now);
+                core.record_end(object, t);
+            }
+            if core.active[i].primary_done && core.active[i].viewers.is_empty() {
+                core.active.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Runs `walk` over a fresh core holding `plan`'s displays — display
+    /// `k` is object `k`, with a primary and shared viewers ending at the
+    /// given seconds — and returns the objects left in `active` in order
+    /// and the objects of the journal's `DisplayEnd`s in order.
+    fn walked(
+        plan: &[(u64, &[u64])],
+        walk: impl FnOnce(&mut ServerCore<()>),
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut core = ServerCore::<()>::new(small(false, 4), 10);
+        for (k, &(ends, viewers)) in plan.iter().enumerate() {
+            let display = ActiveDisplay {
+                station: None,
+                object: ObjectId(k as u32),
+                home_node: NodeId(0),
+                ends: SimTime::from_secs(ends),
+                delivery_start: 0,
+                viewers: Vec::new(),
+                primary_done: false,
+                buffer_fragments: 0,
+                rescued: false,
+                hiccuped: false,
+                ext: (),
+            };
+            core.open_display(display, 0, 1, 1);
+            for &v in viewers {
+                let viewer = SharedViewer {
+                    station: None,
+                    ends: SimTime::from_secs(v),
+                    catchup_fragments: 0,
+                    hiccuped: false,
+                };
+                core.add_viewer(k, viewer);
+            }
+        }
+        let journal = ss_obs::VecRecorder::new();
+        let events = journal.handle();
+        ss_obs::install(Box::new(journal), ss_obs::Registry::new(Default::default()));
+        walk(&mut core);
+        ss_obs::uninstall();
+        let events = events.lock().unwrap();
+        let ends = events.iter().filter_map(|(_, ev)| match ev {
+            ss_obs::Event::DisplayEnd { object, .. } => Some(*object),
+            _ => None,
+        });
+        (
+            core.active.iter().map(|d| d.object.0).collect(),
+            ends.collect(),
+        )
+    }
+
+    /// The walk over due positions only leaves `active` in the order,
+    /// and completes viewers in the order, of the walk over every
+    /// position. The hard case: the last display is due when a removal
+    /// swaps it into the removed position, twice in a row, and shared
+    /// viewers end at different times.
+    #[test]
+    fn completion_walk_replays_the_walk_over_every_position() {
+        let plan: [(u64, &[u64]); 6] = [
+            (10, &[]),       // done at 10 s: display 5 moves in
+            (50, &[10, 30]), // one viewer ends, the display stays
+            (8, &[9, 12]),   // the primary and one viewer end, it stays
+            (100, &[]),      // nothing due
+            (7, &[6]),       // done: display 3 moves in
+            (5, &[4]),       // done after moving into position 0
+        ];
+        let now = SimTime::from_secs(10);
+        let reference = walked(&plan, |core| reference_walk(core, now));
+        assert_eq!(reference.0, [3, 1, 2]);
+        assert_eq!(reference.1, [0, 5, 5, 4, 4, 1, 2, 2]);
+        let mut next = None;
+        let heap = walked(&plan, |core| {
+            core.complete_displays(now, |_| {});
+            next = core.ends.earliest();
+        });
+        assert_eq!(heap, reference);
+        assert_eq!(next, Some(SimTime::from_secs(12)), "the earliest live end");
     }
 
     #[test]

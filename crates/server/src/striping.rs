@@ -197,6 +197,9 @@ pub struct StripingPolicy {
     /// its allocation: the next pass refills it instead of growing a
     /// fresh one.
     spare_queue: Vec<Waiter>,
+    /// `(object, bound)` pairs the last re-bound computed, kept empty for
+    /// its allocation like `spare_queue`.
+    bounds: Vec<(ObjectId, u64)>,
 }
 
 /// The storage plane's view of a placement layout: `(disk, fragments)`
@@ -298,6 +301,7 @@ impl PlacementPolicy for StripingPolicy {
             backoff_rng: DeterministicRng::seed_from_u64(config.seed).derive("backoff"),
             fetch_retry: false,
             spare_queue: Vec::new(),
+            bounds: Vec::new(),
         };
         Ok((scheme, n_objects))
     }
@@ -753,12 +757,16 @@ impl PlacementPolicy for StripingPolicy {
         if self.fetch_retry {
             return now;
         }
-        if core.active.iter().any(|d| {
-            d.ext
-                .fragmented
-                .as_ref()
-                .is_some_and(|f| f.buffer_total() > 0)
-        }) {
+        // Every display's buffer bill is held in the tracker, so an
+        // empty tracker means no display buffers.
+        if core.buffers.in_use() > 0
+            && core.active.iter().any(|d| {
+                d.ext
+                    .fragmented
+                    .as_ref()
+                    .is_some_and(|f| f.buffer_total() > 0)
+            })
+        {
             return now;
         }
         let mut horizon = core.deadline;
@@ -913,17 +921,31 @@ impl StripingPolicy {
     /// 0. A waiter this puts to sleep would have failed its plan, which
     /// leaves no trace but the journal's `admit_reject` and never reaches
     /// the interconnect gate, so the router's draws do not move.
-    fn rebound_sleepers(&self, core: &mut Core, t: u64) {
+    ///
+    /// Neither the scheduler nor a layout changes inside the loop, so a
+    /// bound is a function of the waiter's object: each object's is
+    /// computed once and reused.
+    fn rebound_sleepers(&mut self, core: &mut Core, t: u64) {
         if self.backoff_armed(core) {
             return;
         }
+        let mut bounds = std::mem::take(&mut self.bounds);
         while let Some(w) = core.queue.iter_mut().min_by_key(|w| w.wake) {
-            let bound = self.no_pass_before(w, t);
+            let bound = match bounds.iter().find(|&&(o, _)| o == w.object) {
+                Some(&(_, bound)) => bound,
+                None => {
+                    let bound = self.no_pass_before(w, t);
+                    bounds.push((w.object, bound));
+                    bound
+                }
+            };
             if bound <= w.wake {
-                return;
+                break;
             }
             w.wake = bound;
         }
+        bounds.clear();
+        self.bounds = bounds;
     }
 
     /// `object`'s degree of declustering, or `unknown` for an id outside
@@ -1099,7 +1121,23 @@ impl StripingPolicy {
     /// Dynamic coalescing (§3.2.1, Algorithm 2 at system level): migrate
     /// one lagging fragment per buffering display per interval onto freed
     /// disks, releasing buffer memory.
+    ///
+    /// Every display's buffer bill is held in `core.buffers`, and a
+    /// handover only moves a read base later and releases exactly its
+    /// saving, so with the tracker empty no display has anything to
+    /// coalesce.
     fn coalesce_pass(&mut self, core: &mut Core, now: SimTime) {
+        if core.buffers.in_use() == 0 {
+            debug_assert!(
+                core.active.iter().all(|d| d
+                    .ext
+                    .fragmented
+                    .as_ref()
+                    .is_none_or(|f| f.buffer_total() == 0)),
+                "a display buffers outside the tracker"
+            );
+            return;
+        }
         let t = core.interval_index(now);
         let keep_state = keeps_read_state(core);
         for d in &mut core.active {
@@ -1643,34 +1681,37 @@ mod tests {
         m.scheme.scheduler.set_free_from(18, 13);
         m.scheme.scheduler.set_free_from(17, 1000);
         m.core.buffers.acquire(2).unwrap();
-        m.core.active_per_object[0] += 1;
-        m.core.active_viewers += 1;
-        m.core.active.push(ActiveDisplay {
-            station: None,
-            object: ObjectId(0),
-            home_node: NodeId(0),
-            ends: at(100),
-            delivery_start: 5,
-            viewers: Vec::new(),
-            primary_done: false,
-            buffer_fragments: 2,
-            rescued: false,
-            hiccuped: false,
-            ext: StripingDisplay {
-                fragmented: Some(ActiveFragmentedDisplay {
-                    object: ObjectId(0),
-                    start_disk: 0,
-                    degree: 2,
-                    subobjects: 10,
-                    virtual_disks: vec![15, 18],
-                    read_start: vec![5, 3],
-                    delivery_start: 5,
-                }),
-                hiccups: 0,
-                hiccup_log: Vec::new(),
-                reconstructed_log: Vec::new(),
+        m.core.open_display(
+            ActiveDisplay {
+                station: None,
+                object: ObjectId(0),
+                home_node: NodeId(0),
+                ends: at(100),
+                delivery_start: 5,
+                viewers: Vec::new(),
+                primary_done: false,
+                buffer_fragments: 2,
+                rescued: false,
+                hiccuped: false,
+                ext: StripingDisplay {
+                    fragmented: Some(ActiveFragmentedDisplay {
+                        object: ObjectId(0),
+                        start_disk: 0,
+                        degree: 2,
+                        subobjects: 10,
+                        virtual_disks: vec![15, 18],
+                        read_start: vec![5, 3],
+                        delivery_start: 5,
+                    }),
+                    hiccups: 0,
+                    hiccup_log: Vec::new(),
+                    reconstructed_log: Vec::new(),
+                },
             },
-        });
+            0,
+            10,
+            2,
+        );
 
         // Run through the failure (interval 6) up to the repair tick
         // (interval 9, the last scheduled wakeup before the quiescent

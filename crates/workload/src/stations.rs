@@ -5,6 +5,8 @@ use crate::popularity::PopularitySampler;
 use serde::{Deserialize, Serialize};
 use ss_sim::{DeterministicRng, Exponential};
 use ss_types::{ObjectId, RequestId, SimDuration, SimTime, StationId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// What a station is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,6 +49,9 @@ pub struct StationPool {
     /// completion, then last completion + think time). The server issues
     /// no request for a station before it, and wakes at it.
     ready_from: Vec<SimTime>,
+    /// Every thinking station as `(ready_from, station)`, earliest on
+    /// top: each station at most once, so it never outgrows the pool.
+    ready: BinaryHeap<Reverse<(SimTime, u32)>>,
 }
 
 impl StationPool {
@@ -60,6 +65,9 @@ impl StationPool {
         think_time: SimDuration,
         rng: DeterministicRng,
     ) -> Self {
+        let ready = (0..activation.len() as u32)
+            .map(|s| Reverse((activation[s as usize], s)))
+            .collect();
         StationPool {
             states: vec![StationState::Thinking; activation.len()],
             sampler,
@@ -67,6 +75,7 @@ impl StationPool {
             rng,
             next_request: 0,
             ready_from: activation,
+            ready,
         }
     }
 
@@ -87,11 +96,46 @@ impl StationPool {
 
     /// Issues the next request for `station` at time `now` (the station
     /// must be thinking). Returns the request id and referenced object.
+    /// Takes the station off the ready heap in O(stations); the server
+    /// issues through [`Self::issue_ready`] instead.
     pub fn issue(&mut self, station: StationId, now: SimTime) -> (RequestId, ObjectId) {
         assert!(
             matches!(self.states[station.index()], StationState::Thinking),
             "{station} is not ready to issue"
         );
+        self.ready.retain(|&Reverse((_, s))| s != station.0);
+        self.draw(station, now)
+    }
+
+    /// Issues a request for every thinking station ready by `now`, in
+    /// ascending station index, filling `issued` with `(station, object)`
+    /// pairs. The due stations come off the top of the ready heap, so a
+    /// call costs O(log stations) per request it issues.
+    pub fn issue_ready(&mut self, now: SimTime, issued: &mut Vec<(StationId, ObjectId)>) {
+        issued.clear();
+        while let Some(&Reverse((ready, s))) = self.ready.peek() {
+            if ready > now {
+                break;
+            }
+            self.ready.pop();
+            issued.push((StationId(s), ObjectId(0))); // drawn below
+        }
+        // Draws in station order, as a scan over the stations would.
+        issued.sort_unstable_by_key(|&(station, _)| station);
+        for (station, object) in issued.iter_mut() {
+            *object = self.draw(*station, now).1;
+        }
+    }
+
+    /// The earliest [`Self::ready_from`] of a thinking station: the next
+    /// instant [`Self::issue_ready`] can issue.
+    pub fn next_ready(&self) -> Option<SimTime> {
+        self.ready.peek().map(|&Reverse((ready, _))| ready)
+    }
+
+    /// Draws `station`'s next object and marks the station waiting. The
+    /// caller has taken it off the ready heap.
+    fn draw(&mut self, station: StationId, now: SimTime) -> (RequestId, ObjectId) {
         let request = RequestId(self.next_request);
         self.next_request += 1;
         let object = self.sampler.sample(&mut self.rng);
@@ -119,11 +163,14 @@ impl StationPool {
         }
     }
 
-    /// Marks the display complete; the station re-enters thinking.
+    /// Marks the display complete; the station re-enters thinking, ready
+    /// from its current [`Self::ready_from`].
     pub fn complete(&mut self, station: StationId) -> RequestId {
         match self.states[station.index()] {
             StationState::Displaying { request, .. } => {
                 self.states[station.index()] = StationState::Thinking;
+                let ready = self.ready_from[station.index()];
+                self.ready.push(Reverse((ready, station.0)));
                 request
             }
             other => panic!("{station} cannot complete from {other:?}"),
@@ -133,9 +180,8 @@ impl StationPool {
     /// Marks the display complete at time `now`, recording the station's
     /// think expiry (`now` + think time) for [`Self::ready_from`].
     pub fn complete_at(&mut self, station: StationId, now: SimTime) -> RequestId {
-        let request = self.complete(station);
         self.ready_from[station.index()] = now + self.think_time;
-        request
+        self.complete(station)
     }
 
     /// The earliest time the station will issue its next request: its
@@ -313,6 +359,36 @@ mod tests {
         assert_eq!(p.ready_from(StationId(0)), SimTime::from_secs(130));
         // `complete_at` delegates to `complete`: the station thinks again.
         assert_eq!(p.state(StationId(0)), StationState::Thinking);
+    }
+
+    #[test]
+    fn issue_ready_issues_due_stations_in_index_order() {
+        let s = SimTime::from_secs;
+        let pool = || {
+            StationPool::new(
+                vec![s(3), s(1), s(2), s(9)],
+                Popularity::Uniform.sampler(10),
+                SimDuration::from_secs(5),
+                DeterministicRng::seed_from_u64(5),
+            )
+        };
+        let mut p = pool();
+        assert_eq!(p.next_ready(), Some(s(1)));
+        let mut issued = Vec::new();
+        p.issue_ready(s(3), &mut issued);
+        // Station by station, as `issue` in index order would draw.
+        let mut q = pool();
+        let expect: Vec<_> = (0..3)
+            .map(|k| (StationId(k), q.issue(StationId(k), s(3)).1))
+            .collect();
+        assert_eq!(issued, expect);
+        assert_eq!(p.next_ready(), Some(s(9)), "only station 3 still thinks");
+        // A completion puts the station back at its think expiry.
+        p.start_display(StationId(1), s(3));
+        p.complete_at(StationId(1), s(2));
+        assert_eq!(p.next_ready(), Some(s(7)));
+        p.issue_ready(s(6), &mut issued);
+        assert!(issued.is_empty(), "nothing is due at 6 s");
     }
 
     #[test]
