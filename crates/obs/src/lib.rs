@@ -66,7 +66,7 @@ pub use health::{Cause, DiskHealth, HealthBoard, HealthSpan, HealthState, Incide
 pub use perfetto::{booked_reads, expand_reads, perfetto_trace, DiskRead, Expansion, TraceMeta};
 pub use qos::{DisplayRecord, QosLedger, QosTotals, StartKind};
 pub use recorder::{Recorder, Shared, VecRecorder};
-pub use registry::{Registry, RegistrySpec};
+pub use registry::{Registry, RegistrySpec, SeriesRow};
 pub use slo::{evaluate, Alert, SloKind, SloOutcome, SloReport, SloSpec};
 
 use std::cell::{Cell, RefCell};

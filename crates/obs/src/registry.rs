@@ -10,7 +10,7 @@
 //! rather than fill it), and the CSV renderers emit byte-deterministic
 //! artifacts for the bench harness.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Farm geometry the registry needs to shape its heatmap rows.
 #[derive(Debug, Clone, Copy)]
@@ -54,12 +54,28 @@ impl HeatRun {
     }
 }
 
+/// One interval boundary's scalar series samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeriesRow {
+    /// The boundary's interval index.
+    pub interval: u64,
+    /// Viewers watching.
+    pub active_displays: f64,
+    /// Requests waiting for admission.
+    pub queue_depth: f64,
+    /// Fraction of farm capacity committed.
+    pub utilization: f64,
+    /// Fraction of farm capacity committed but not delivering display
+    /// data.
+    pub wasted_fraction: f64,
+}
+
 /// The registry proper. See the module docs.
 #[derive(Debug, Default)]
 pub struct Registry {
     spec: RegistrySpec,
     counters: BTreeMap<&'static str, u64>,
-    series: BTreeMap<&'static str, Vec<(u64, f64)>>,
+    series: Vec<SeriesRow>,
     heatmap: Vec<HeatRun>,
     heatmap_rows: usize,
     heatmap_dropped: u64,
@@ -91,15 +107,22 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Append one `(interval, value)` sample to time series `name`.
-    /// Samples are expected in nondecreasing interval order.
-    pub fn series_point(&mut self, name: &'static str, interval: u64, v: f64) {
-        self.series.entry(name).or_default().push((interval, v));
+    /// Appends one boundary's series row. Boundaries arrive once each, in
+    /// increasing interval order.
+    pub fn series_row(&mut self, row: SeriesRow) {
+        debug_assert!(
+            self.series
+                .last()
+                .is_none_or(|last| last.interval < row.interval),
+            "series row for interval {} out of order",
+            row.interval
+        );
+        self.series.push(row);
     }
 
-    /// The samples of series `name`, in feed order.
-    pub fn series(&self, name: &str) -> &[(u64, f64)] {
-        self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
+    /// The series rows, one per boundary, in interval order.
+    pub fn series(&self) -> &[SeriesRow] {
+        &self.series
     }
 
     /// Appends boundary `interval`'s per-disk utilization row (cells in
@@ -179,39 +202,16 @@ impl Registry {
         self.heatmap_dropped
     }
 
-    /// Renders the scalar time series as CSV: one row per interval,
-    /// one column per series (alphabetical), empty cells where a series
-    /// has no sample for that interval.
+    /// Renders the scalar time series as CSV: one line per boundary,
+    /// one column per series (alphabetical).
     pub fn series_csv(&self) -> String {
-        let mut out = String::from("interval");
-        for name in self.series.keys() {
-            out.push(',');
-            out.push_str(name);
-        }
-        out.push('\n');
-        let intervals: BTreeSet<u64> = self
-            .series
-            .values()
-            .flat_map(|s| s.iter().map(|&(t, _)| t))
-            .collect();
-        // Per-series cursors: samples arrive in nondecreasing interval
-        // order, so one forward pass covers the union.
-        let mut cursors: Vec<(usize, &Vec<(u64, f64)>)> =
-            self.series.values().map(|s| (0usize, s)).collect();
         use std::fmt::Write;
-        for t in intervals {
-            write!(out, "{t}").expect("write to String");
-            for (pos, samples) in cursors.iter_mut() {
-                out.push(',');
-                while *pos < samples.len() && samples[*pos].0 < t {
-                    *pos += 1;
-                }
-                if *pos < samples.len() && samples[*pos].0 == t {
-                    write!(out, "{}", samples[*pos].1).expect("write to String");
-                    *pos += 1;
-                }
-            }
-            out.push('\n');
+        let mut out =
+            String::from("interval,active_displays,queue_depth,utilization,wasted_fraction\n");
+        for r in &self.series {
+            let (t, a, q) = (r.interval, r.active_displays, r.queue_depth);
+            let (u, w) = (r.utilization, r.wasted_fraction);
+            writeln!(out, "{t},{a},{q},{u},{w}").expect("write to String");
         }
         out
     }
@@ -256,16 +256,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn series_csv_aligns_on_interval() {
-        let mut r = Registry::new(RegistrySpec {
-            disks: 2,
-            interval_us: 1_000,
-            max_heatmap_rows: 2,
-        });
-        r.series_point("active", 0, 1.0);
-        r.series_point("active", 1, 2.0);
-        r.series_point("util", 1, 0.5);
-        assert_eq!(r.series_csv(), "interval,active,util\n0,1,\n1,2,0.5\n");
+    fn series_csv_renders_one_line_per_boundary() {
+        let mut r = registry(2, 2);
+        let row = |interval, active_displays| SeriesRow {
+            interval,
+            active_displays,
+            queue_depth: 3.0,
+            utilization: 0.5,
+            wasted_fraction: 0.125,
+        };
+        r.series_row(row(0, 1.0));
+        r.series_row(row(2, 2.0));
+        assert_eq!(r.series().len(), 2);
+        assert_eq!(
+            r.series_csv(),
+            "interval,active_displays,queue_depth,utilization,wasted_fraction\n\
+             0,1,3,0.5,0.125\n\
+             2,2,3,0.5,0.125\n"
+        );
     }
 
     fn registry(disks: u32, max_heatmap_rows: usize) -> Registry {

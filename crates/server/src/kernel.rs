@@ -197,12 +197,12 @@ impl<X> ActiveDisplay<X> {
 }
 
 /// A request waiting for disk admission. Closed-loop requests carry their
-/// station (whose pool records the issue time); open-system requests
-/// carry the issue time directly.
+/// station; open-system and trace requests have none.
 #[derive(Debug, Clone, Copy)]
 pub struct Waiter {
     pub(crate) station: Option<StationId>,
     pub(crate) object: ObjectId,
+    /// When the request was issued: the start of its wait clock.
     pub(crate) issued: SimTime,
     /// Failed admission attempts since the last fault transition (the
     /// backoff queue is armed only while parity is on and an outage is
@@ -352,6 +352,12 @@ impl DisplayEnds {
     fn earliest(&self) -> Option<SimTime> {
         self.heap.peek().map(|&Reverse((ends, _))| ends)
     }
+
+    /// Viewers currently watching: one queued end per unfinished primary
+    /// and per shared viewer.
+    fn viewers(&self) -> f64 {
+        self.heap.len() as f64
+    }
 }
 
 /// The shared simulation model: everything but the placement scheme.
@@ -359,7 +365,6 @@ pub struct ServerCore<X> {
     pub(crate) config: ServerConfig,
     pub(crate) interval: SimDuration,
     pub(crate) deadline: SimTime,
-    pub(crate) measurement_started: bool,
     /// The boundary of the last executed tick (event-driven mode replays
     /// the metric samples of the boundaries skipped since then).
     pub(crate) last_tick: SimTime,
@@ -388,17 +393,14 @@ pub struct ServerCore<X> {
     /// Requests waiting for disk admission, in arrival order.
     pub(crate) queue: Vec<Waiter>,
     pub(crate) active: Vec<ActiveDisplay<X>>,
-    /// The end times of `active`'s viewers, earliest first.
+    /// The end times of `active`'s viewers, earliest first: its length
+    /// is the viewer count.
     ends: DisplayEnds,
     /// The stations the last `issue_requests` issued (kept for its
     /// allocation).
     issued: Vec<(StationId, ObjectId)>,
     /// Running viewer count per object, dense by object id.
     pub(crate) active_per_object: Vec<u32>,
-    /// Viewers currently watching: every non-completed primary plus every
-    /// shared viewer. Equals `active.len()` whenever sharing is off, so
-    /// the active-displays series is untouched on unshared runs.
-    pub(crate) active_viewers: u64,
     /// Catch-up buffers currently held by shared viewers (feeds the
     /// `peak_catchup_fragments` statistic).
     pub(crate) catchup_in_use: u64,
@@ -417,9 +419,6 @@ pub struct ServerCore<X> {
     /// interval indices. Only rebuilds finishing *before* the scheduled
     /// repair are queued here.
     pub(crate) pending_rebuilds: Vec<(u32, u64, u64)>,
-    /// Disks returned to service by an early rebuild; the next scheduled
-    /// `Repair` timeline event for each is spent as a no-op.
-    pub(crate) rebuilt_early: Vec<u32>,
     /// Stream-sharing prefix cache, armed by `config.sharing`.
     pub(crate) cache: Option<PrefixCache>,
     /// Distributed tier (router + interconnect ledger), armed by
@@ -511,7 +510,6 @@ impl<X> ServerCore<X> {
         ServerCore {
             interval: config.interval(),
             deadline,
-            measurement_started: false,
             last_tick: SimTime::ZERO,
             metrics: MetricsCollector::new(),
             stations,
@@ -527,7 +525,6 @@ impl<X> ServerCore<X> {
             ends: DisplayEnds::with_capacity(viewers),
             issued: Vec::new(),
             active_per_object: vec![0; objects],
-            active_viewers: 0,
             catchup_in_use: 0,
             buffers: BufferTracker::new(config.fragment_size(), None),
             timeline,
@@ -538,7 +535,6 @@ impl<X> ServerCore<X> {
                 .as_ref()
                 .map(|r| RebuildScheduler::new(r.fragments_per_interval, r.spares)),
             pending_rebuilds: Vec::new(),
-            rebuilt_early: Vec::new(),
             cache,
             dist,
             plane: None,
@@ -564,15 +560,14 @@ impl<X> ServerCore<X> {
     }
 
     /// Stops `w`'s wait clock for a delivery starting at `begin` (>=
-    /// `now`): the station's recorded wait, or the time since an
-    /// open-system request was issued, plus the startup delay. Records it
-    /// as a latency sample while measuring.
+    /// `now`): the time since the request was issued plus the startup
+    /// delay. Marks its station displaying and records the wait as a
+    /// latency sample while measuring.
     pub(crate) fn start_wait(&mut self, w: &Waiter, now: SimTime, begin: SimTime) -> SimDuration {
-        let waited = match w.station {
-            Some(station) => self.stations.start_display(station, now),
-            None => now.duration_since(w.issued),
-        };
-        let wait = waited + begin.saturating_duration_since(now);
+        if let Some(station) = w.station {
+            self.stations.start_display(station);
+        }
+        let wait = now.duration_since(w.issued) + begin.saturating_duration_since(now);
         if self.metrics.measuring() {
             self.metrics.record_latency(wait);
         }
@@ -596,7 +591,6 @@ impl<X> ServerCore<X> {
         self.ends.open(d.ends);
         self.active.push(d);
         self.active_per_object[object.index()] += 1;
-        self.active_viewers += 1;
         if let Some(dist) = self.dist.as_mut() {
             dist.router.note_start(home);
             ss_obs::obs!(ss_obs::Event::RouteAssign {
@@ -701,7 +695,6 @@ impl<X> ServerCore<X> {
         self.ends.join(i, v.ends);
         self.active[i].viewers.push(v);
         self.active_per_object[self.active[i].object.index()] += 1;
-        self.active_viewers += 1;
     }
 
     /// Whether a queued waiter may try a join at the boundary after
@@ -743,7 +736,6 @@ impl<X> ServerCore<X> {
         self.buffers.release(v.catchup_fragments);
         self.catchup_in_use -= v.catchup_fragments;
         self.active_per_object[object.index()] -= 1;
-        self.active_viewers -= 1;
     }
 
     /// Counts one viewer of `object` as served at interval `t`.
@@ -821,7 +813,6 @@ impl<X> ServerCore<X> {
                 && d.viewers.iter().all(|v| v.ends > now)),
             "a viewer due by {now} is still active"
         );
-        debug_assert_eq!(self.ends.heap.len() as u64, self.active_viewers);
     }
 
     /// Cuts off live display `i` and every viewer riding it: their reads
@@ -902,13 +893,10 @@ impl<X> ServerCore<X> {
     /// queue starts over (parked waiters get a fresh attempt budget) and
     /// every sleeping waiter wakes.
     fn reset_queue(&mut self) {
-        let parity = self.config.parity.is_some();
         for w in &mut self.queue {
             w.wake = 0;
-            if parity {
-                w.attempts = 0;
-                w.next_attempt = 0;
-            }
+            w.attempts = 0;
+            w.next_attempt = 0;
         }
     }
 
@@ -988,9 +976,8 @@ impl<P: PlacementPolicy> Kernel<P> {
 
     fn tick(&mut self, now: SimTime) {
         let Kernel { core, scheme } = self;
-        if !core.measurement_started && now.duration_since(SimTime::ZERO) >= core.config.warmup {
+        if !core.metrics.measuring() && now.duration_since(SimTime::ZERO) >= core.config.warmup {
             core.metrics.start_measurement(now);
-            core.measurement_started = true;
         }
         core.complete_displays(now, P::finish_primary);
         scheme.release(core, now);
@@ -1013,11 +1000,11 @@ impl<P: PlacementPolicy> Kernel<P> {
             scheme.storage(core, now);
         }
         debug_assert_eq!(
-            core.active_viewers,
+            core.ends.heap.len(),
             core.active
                 .iter()
-                .map(|d| u64::from(!d.primary_done) + d.viewers.len() as u64)
-                .sum::<u64>(),
+                .map(|d| usize::from(!d.primary_done) + d.viewers.len())
+                .sum::<usize>(),
             "viewer count must mirror the active set"
         );
         let t = core.interval_index(now);
@@ -1030,11 +1017,11 @@ impl<P: PlacementPolicy> Kernel<P> {
         // One sample per series per tick: a same-instant set adds exactly
         // +0.0 to the time-weighted sum, so only the tick's final value
         // counts.
-        core.metrics.active.set(now, core.active_viewers as f64);
+        let viewers = core.ends.viewers();
+        core.metrics.active.set(now, viewers);
         let util = scheme.utilization(t, now);
         core.metrics.utilization.set(now, util);
         if ss_obs::enabled() {
-            let viewers = core.active_viewers as f64;
             let wasted = scheme.wasted(&core.active, viewers, t, now);
             crate::metrics::obs_boundary_row(
                 t,
@@ -1060,13 +1047,11 @@ impl<P: PlacementPolicy> Kernel<P> {
             }
             core.fault_cursor += 1;
             transitioned = true;
-            if ev.kind == FaultKind::Repair {
-                if let Some(p) = core.rebuilt_early.iter().position(|&d| d == ev.disk) {
-                    // The rebuild pipeline already returned this disk to
-                    // service; the scheduled repair is spent as a no-op.
-                    core.rebuilt_early.swap_remove(p);
-                    continue;
-                }
+            // Each disk's failures and repairs alternate on the compiled
+            // timeline, so a repair of a disk the mask holds up is one an
+            // early rebuild already applied: it is spent as a no-op.
+            if ev.kind == FaultKind::Repair && core.mask.count_in(ev.disk..ev.disk + 1).0 == 0 {
+                continue;
             }
             core.mask.apply(&ev, now);
             let t = core.interval_index(now);
@@ -1124,7 +1109,6 @@ impl<P: PlacementPolicy> Kernel<P> {
                     kind: FaultKind::Repair,
                 };
                 core.mask.apply(&ev, now);
-                core.rebuilt_early.push(disk);
                 scheme.transition(core, &ev, t, now, t, None);
                 if let (Some(p), Some(ledger)) = (core.plane.as_mut(), scheme.ledger_of(disk)) {
                     p.record_rewrite(ledger);
@@ -1182,7 +1166,7 @@ impl<P: PlacementPolicy> Kernel<P> {
                 horizon = horizon.min(SimTime::from_micros(end * us));
             }
         }
-        if !core.measurement_started {
+        if !core.metrics.measuring() {
             horizon = horizon.min(SimTime::ZERO + core.config.warmup);
         }
         // (a) Display completions — primary and shared-viewer ends alike.
@@ -1255,7 +1239,7 @@ impl<P: PlacementPolicy> Kernel<P> {
         let Kernel { core, scheme } = self;
         let interval = core.interval;
         let us = interval.as_micros();
-        let active = core.active_viewers as f64;
+        let active = core.ends.viewers();
         let queue_depth = core.queue.len() as f64;
         if P::FROZEN_BETWEEN_TICKS {
             let b = core.last_tick + interval;

@@ -481,10 +481,13 @@ pub(crate) fn obs_boundary_row(
     heat: impl FnOnce(&mut Vec<f32>) -> u32,
 ) {
     ss_obs::with_registry(|r| {
-        r.series_point("active_displays", t, active);
-        r.series_point("queue_depth", t, queue_depth);
-        r.series_point("utilization", t, utilization);
-        r.series_point("wasted_fraction", t, wasted);
+        r.series_row(ss_obs::SeriesRow {
+            interval: t,
+            active_displays: active,
+            queue_depth,
+            utilization,
+            wasted_fraction: wasted,
+        });
         if !repeat.is_some_and(|offset| r.heatmap_repeat(t, offset)) {
             r.heatmap_row_with(t, heat);
         }

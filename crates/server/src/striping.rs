@@ -770,40 +770,22 @@ impl PlacementPolicy for StripingPolicy {
             return now;
         }
         let mut horizon = core.deadline;
-        // Queued admissions probe the rotated virtual frame each interval,
-        // but both planners reject outright while fewer virtual disks than
-        // the attempt's degree are free, and a sleeping waiter is not
-        // planned before its wake — so with the scheduler untouched
-        // (commits and completions are wakeup sources themselves), every
-        // attempt before the later of `earliest_free(min degree)` and the
-        // earliest wake is a side-effect-free rejection and those
-        // intervals can be skipped wholesale.
-        if !core.queue.is_empty() {
-            // With the backoff queue armed, a waiter before its
-            // `next_attempt` interval is skipped without side effects, so
-            // the queue's wakeup is the earliest retry instead of the
-            // earliest free disk. Parked waiters (`u64::MAX`) wake at the
-            // next fault transition or rebuild completion, both wakeup
-            // sources of their own.
-            let min_next = if self.backoff_armed(core) {
-                core.queue.iter().map(|w| w.next_attempt).min().unwrap_or(0)
-            } else {
-                0
-            };
-            if min_next > core.interval_index(now) {
-                if min_next != u64::MAX {
-                    horizon =
-                        horizon.min(SimTime::from_micros(min_next * core.interval.as_micros()));
-                }
-            } else {
-                match self.earliest_admission_attempt(core) {
-                    Some(at) if at > now => horizon = horizon.min(at),
-                    Some(_) => return now, // an attempt may pass next interval
-                    // No queued degree fits the farm: attempts reject
-                    // forever, the queue imposes no wakeup of its own.
-                    None => {}
-                }
-            }
+        // The queue wakes at its earliest pacing interval: no waiter is
+        // planned before its own, and with the scheduler untouched
+        // (commits and completions are wakeup sources themselves) nothing
+        // else about a waiter changes. Under backoff that is the earliest
+        // `next_attempt`, past the tick for every waiter the passes
+        // refused or skipped. Otherwise it is the earliest `wake`, which
+        // the pump re-bounded against the tick's final state from the
+        // count test of its own degree (`earliest_free`), so it is never
+        // before the count test of the smallest queued degree. Parked
+        // waiters (`u64::MAX`) wake at the next fault transition or
+        // rebuild completion, both wakeup sources of their own.
+        let armed = self.backoff_armed(core);
+        let pace = |w: &Waiter| if armed { w.next_attempt } else { w.wake };
+        let earliest = core.queue.iter().map(pace).filter(|&at| at != u64::MAX);
+        if let Some(at) = earliest.min() {
+            horizon = horizon.min(SimTime::from_micros(at * core.interval.as_micros()));
         }
         // Pending materializations become displayable.
         for &o in &self.materializing_ids {
@@ -984,11 +966,13 @@ impl StripingPolicy {
     /// device: reserves space for it (evicting as needed) and submits the
     /// transfer. Returns false when all residents are pinned.
     fn fetch(&mut self, core: &mut Core, object: ObjectId, now: SimTime) -> bool {
-        if self.wait_tertiary[object.index()].is_empty() {
-            // Everyone who wanted it gave up (cannot happen in the
-            // closed-loop model, but keep the queue self-cleaning).
-            return true;
-        }
+        // An object enters the fetch queue only with parked waiters, and
+        // they leave `wait_tertiary` only when its materialization is
+        // promoted.
+        debug_assert!(
+            !self.wait_tertiary[object.index()].is_empty(),
+            "{object} is queued for a fetch nobody waits for"
+        );
         if !self.reserve_space(core, object) {
             return false; // all residents pinned; retry next interval
         }
@@ -1353,40 +1337,6 @@ impl StripingPolicy {
         }
         resident
     }
-
-    /// The boundary of the first interval at which some queued admission
-    /// could pass: the later of the planners' leading free-disk count
-    /// test and the earliest wake in the queue. The pump has re-bounded
-    /// that wake against the tick's last commit, so it is no older than
-    /// the scheduler state this reads. `None` when no queued degree fits
-    /// the farm at all. Under the fragmented policy the count test looks
-    /// `max_delay_intervals` ahead, so the bound backs off by the same
-    /// amount. A sleeping waiter still tries to join a shared stream, but
-    /// the kernel ticks every boundary at which one may.
-    fn earliest_admission_attempt(&self, core: &Core) -> Option<SimTime> {
-        let (m_min, wake) = core
-            .queue
-            .iter()
-            .map(|w| {
-                let m = self
-                    .cluster_round
-                    .unwrap_or_else(|| self.degree_of(w.object, 1));
-                (m, w.wake)
-            })
-            .reduce(|(m, a), (n, b)| (m.min(n), a.min(b)))
-            .expect("caller checked the queue is non-empty");
-        let delay = match self.policy {
-            AdmissionPolicy::Contiguous => 0,
-            AdmissionPolicy::Fragmented {
-                max_delay_intervals,
-                ..
-            } => max_delay_intervals,
-        };
-        let t = self.scheduler.earliest_free(m_min)?.saturating_sub(delay);
-        Some(SimTime::from_micros(
-            t.max(wake) * core.interval.as_micros(),
-        ))
-    }
 }
 
 impl StripingModel {
@@ -1746,30 +1696,100 @@ mod tests {
     /// `no_pass_before` against the tick's final scheduler state: no
     /// commit later in the tick left it stale, so `wakeup` never
     /// schedules a boundary at which that waiter's plan must still fail.
+    ///
+    /// The queue's wakeup term is its earliest pacing interval, which
+    /// rests on two more facts, checked here against the count scan it
+    /// replaced. With backoff unarmed, the minimum wake is no earlier than
+    /// the count test of the smallest queued degree, `earliest_free` less
+    /// the fragmented policy's delay window. With backoff armed, every
+    /// queued `next_attempt` lies past the tick. Four farms: contiguous,
+    /// fragmented, a mix of degrees 6 and 3 (so the minimum-wake waiter
+    /// can be wider than the narrowest queued one), and parity through a
+    /// failure window (so backoff is armed).
     #[test]
     fn earliest_wake_is_bounded_against_the_ticks_last_commit() {
+        use crate::config::{MediaMix, ParityConfig};
+        use ss_sim::FaultPlan;
         // 16 stations on a farm that serves 4 displays at once.
-        let mut server = StripingServer::new(small(16)).unwrap();
-        let mut steps_with_sleepers = 0;
-        while server.step() {
-            let m = server.model();
-            if m.scheme.backoff_armed(&m.core) {
-                continue;
+        let contiguous = small(16);
+        let mut fragmented = small(16);
+        fragmented.scheme = Scheme::Striping {
+            stride: 1,
+            policy: AdmissionPolicy::Fragmented {
+                max_buffer_fragments: 64,
+                max_delay_intervals: 16,
+            },
+            cluster_round: None,
+        };
+        let mut mixed = small(16);
+        mixed.mix = Some(MediaMix::section31_example(5, 40));
+        let mut backoff = small(16);
+        backoff.parity = Some(ParityConfig::group(5));
+        let (warmup, measure) = (backoff.warmup.as_micros(), backoff.measure.as_micros());
+        backoff.faults = FaultPlan::fail_window(
+            0,
+            SimTime::from_micros(warmup + measure / 4),
+            SimTime::from_micros(warmup + 3 * measure / 4),
+        );
+        let (mut armed, mut wider) = (0, 0);
+        for cfg in [contiguous, fragmented, mixed, backoff] {
+            let mut server = StripingServer::new(cfg).unwrap();
+            let (mut unarmed, mut steps_with_sleepers) = (0, 0);
+            while server.step() {
+                let m = server.model();
+                let t = m.core.interval_index(server.now());
+                let (queue, scheme) = (&m.core.queue, &m.scheme);
+                if queue.is_empty() {
+                    continue;
+                }
+                if scheme.backoff_armed(&m.core) {
+                    armed += 1;
+                    let w = queue.iter().min_by_key(|w| w.next_attempt).unwrap();
+                    assert!(
+                        w.next_attempt > t,
+                        "{} may retry at {} (tick {t})",
+                        w.object,
+                        w.next_attempt
+                    );
+                    continue;
+                }
+                unarmed += 1;
+                let w = queue.iter().min_by_key(|w| w.wake).unwrap();
+                let bound = scheme.no_pass_before(w, t);
+                assert!(
+                    bound <= w.wake,
+                    "{} wakes at {} but cannot pass before {bound} (tick {t})",
+                    w.object,
+                    w.wake
+                );
+                let degree = |o| {
+                    scheme
+                        .cluster_round
+                        .unwrap_or_else(|| scheme.degree_of(o, 1))
+                };
+                let m_min = queue.iter().map(|w| degree(w.object)).min().unwrap();
+                let delay = match scheme.policy {
+                    AdmissionPolicy::Contiguous => 0,
+                    AdmissionPolicy::Fragmented {
+                        max_delay_intervals,
+                        ..
+                    } => max_delay_intervals,
+                };
+                let count = scheme.scheduler.earliest_free(m_min).unwrap();
+                assert!(
+                    w.wake >= count.saturating_sub(delay),
+                    "{} wakes at {} before the count test's {count} less {delay} (tick {t})",
+                    w.object,
+                    w.wake
+                );
+                wider += usize::from(degree(w.object) > m_min);
+                steps_with_sleepers += usize::from(queue.iter().any(|w| w.wake > t));
             }
-            let t = m.core.interval_index(server.now());
-            let Some(w) = m.core.queue.iter().min_by_key(|w| w.wake) else {
-                continue;
-            };
-            let bound = m.scheme.no_pass_before(w, t);
-            assert!(
-                bound <= w.wake,
-                "{} wakes at {} but cannot pass before {bound} (tick {t})",
-                w.object,
-                w.wake
-            );
-            steps_with_sleepers += usize::from(m.core.queue.iter().any(|w| w.wake > t));
+            assert!(unarmed > 0, "no unarmed step had a queue");
+            assert!(steps_with_sleepers > 0, "no step left a waiter asleep");
         }
-        assert!(steps_with_sleepers > 0, "no step left a waiter asleep");
+        assert!(armed > 0, "no armed step had a queue");
+        assert!(wider > 0, "the minimum wake was never the wider degree's");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct VdrConfig {
 
 impl VdrConfig {
     /// The §4 baseline: 200 single-object clusters, disk-sourced copies
-    /// preferred, replicate as soon as one request is blocked.
+    /// preferred, a second replica once two requests are blocked.
     pub fn table3() -> Self {
         VdrConfig {
             clusters: 200,

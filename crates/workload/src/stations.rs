@@ -19,8 +19,6 @@ pub enum StationState {
         request: RequestId,
         /// The referenced object.
         object: ObjectId,
-        /// When the request was issued.
-        issued: SimTime,
     },
     /// Watching a display.
     Displaying {
@@ -35,8 +33,8 @@ pub enum StationState {
 ///
 /// Protocol per station: issue a request (drawn from the popularity
 /// sampler) → wait until the server completes the display → think (zero in
-/// the paper) → repeat. The pool hands the server fully-formed requests
-/// and records per-request latency observations.
+/// the paper) → repeat. The pool hands the server fully-formed requests;
+/// the server times each request's wait from its issue.
 #[derive(Debug)]
 pub struct StationPool {
     states: Vec<StationState>,
@@ -94,17 +92,17 @@ impl StationPool {
         self.states[station.index()]
     }
 
-    /// Issues the next request for `station` at time `now` (the station
-    /// must be thinking). Returns the request id and referenced object.
-    /// Takes the station off the ready heap in O(stations); the server
-    /// issues through [`Self::issue_ready`] instead.
-    pub fn issue(&mut self, station: StationId, now: SimTime) -> (RequestId, ObjectId) {
+    /// Issues the next request for `station` (the station must be
+    /// thinking). Returns the request id and referenced object. Takes the
+    /// station off the ready heap in O(stations); the server issues
+    /// through [`Self::issue_ready`] instead.
+    pub fn issue(&mut self, station: StationId) -> (RequestId, ObjectId) {
         assert!(
             matches!(self.states[station.index()], StationState::Thinking),
             "{station} is not ready to issue"
         );
         self.ready.retain(|&Reverse((_, s))| s != station.0);
-        self.draw(station, now)
+        self.draw(station)
     }
 
     /// Issues a request for every thinking station ready by `now`, in
@@ -123,7 +121,7 @@ impl StationPool {
         // Draws in station order, as a scan over the stations would.
         issued.sort_unstable_by_key(|&(station, _)| station);
         for (station, object) in issued.iter_mut() {
-            *object = self.draw(*station, now).1;
+            *object = self.draw(*station).1;
         }
     }
 
@@ -135,29 +133,19 @@ impl StationPool {
 
     /// Draws `station`'s next object and marks the station waiting. The
     /// caller has taken it off the ready heap.
-    fn draw(&mut self, station: StationId, now: SimTime) -> (RequestId, ObjectId) {
+    fn draw(&mut self, station: StationId) -> (RequestId, ObjectId) {
         let request = RequestId(self.next_request);
         self.next_request += 1;
         let object = self.sampler.sample(&mut self.rng);
-        self.states[station.index()] = StationState::Waiting {
-            request,
-            object,
-            issued: now,
-        };
+        self.states[station.index()] = StationState::Waiting { request, object };
         (request, object)
     }
 
-    /// Marks the station's outstanding request as now displaying; returns
-    /// the time it waited.
-    pub fn start_display(&mut self, station: StationId, now: SimTime) -> SimDuration {
+    /// Marks the station's outstanding request as now displaying.
+    pub fn start_display(&mut self, station: StationId) {
         match self.states[station.index()] {
-            StationState::Waiting {
-                request,
-                object,
-                issued,
-            } => {
+            StationState::Waiting { request, object } => {
                 self.states[station.index()] = StationState::Displaying { request, object };
-                now.duration_since(issued)
             }
             other => panic!("{station} cannot start display from {other:?}"),
         }
@@ -320,14 +308,13 @@ mod tests {
     fn station_lifecycle() {
         let mut p = pool(2);
         assert_eq!(p.len(), 2);
-        let (r0, _obj) = p.issue(StationId(0), SimTime::ZERO);
+        let (r0, _obj) = p.issue(StationId(0));
         assert_eq!(r0, RequestId(0));
         assert!(matches!(
             p.state(StationId(0)),
             StationState::Waiting { .. }
         ));
-        let waited = p.start_display(StationId(0), SimTime::from_secs(7));
-        assert_eq!(waited, SimDuration::from_secs(7));
+        p.start_display(StationId(0));
         assert!(matches!(
             p.state(StationId(0)),
             StationState::Displaying { .. }
@@ -336,7 +323,7 @@ mod tests {
         assert_eq!(done, r0);
         assert_eq!(p.state(StationId(0)), StationState::Thinking);
         // Request ids are global and monotone.
-        let (r1, _) = p.issue(StationId(1), SimTime::ZERO);
+        let (r1, _) = p.issue(StationId(1));
         assert_eq!(r1, RequestId(1));
     }
 
@@ -353,8 +340,8 @@ mod tests {
             SimTime::from_secs(1),
             "activation"
         );
-        p.issue(StationId(0), SimTime::from_secs(1));
-        p.start_display(StationId(0), SimTime::from_secs(2));
+        p.issue(StationId(0));
+        p.start_display(StationId(0));
         p.complete_at(StationId(0), SimTime::from_secs(100));
         assert_eq!(p.ready_from(StationId(0)), SimTime::from_secs(130));
         // `complete_at` delegates to `complete`: the station thinks again.
@@ -379,12 +366,12 @@ mod tests {
         // Station by station, as `issue` in index order would draw.
         let mut q = pool();
         let expect: Vec<_> = (0..3)
-            .map(|k| (StationId(k), q.issue(StationId(k), s(3)).1))
+            .map(|k| (StationId(k), q.issue(StationId(k)).1))
             .collect();
         assert_eq!(issued, expect);
         assert_eq!(p.next_ready(), Some(s(9)), "only station 3 still thinks");
         // A completion puts the station back at its think expiry.
-        p.start_display(StationId(1), s(3));
+        p.start_display(StationId(1));
         p.complete_at(StationId(1), s(2));
         assert_eq!(p.next_ready(), Some(s(7)));
         p.issue_ready(s(6), &mut issued);
@@ -409,15 +396,15 @@ mod tests {
     #[should_panic(expected = "not ready")]
     fn double_issue_panics() {
         let mut p = pool(1);
-        p.issue(StationId(0), SimTime::ZERO);
-        p.issue(StationId(0), SimTime::ZERO);
+        p.issue(StationId(0));
+        p.issue(StationId(0));
     }
 
     #[test]
     #[should_panic(expected = "cannot complete")]
     fn complete_without_display_panics() {
         let mut p = pool(1);
-        p.issue(StationId(0), SimTime::ZERO);
+        p.issue(StationId(0));
         p.complete(StationId(0));
     }
 

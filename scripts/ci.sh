@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, rustdoc, the tier-1 test suite, and a smoke
-# run of the engine performance baseline. Run from anywhere inside the repo.
+# CI gate: formatting, lints, rustdoc, tier-1 and every crate's tests, the
+# examples, the benchmark's pinned and seed-7 digests, the property suites,
+# the grid bins' floors, the trace_dump and ops_report self-checks and
+# same-seed reruns on both schemes, and perf_baseline's regression gates.
+# Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,6 +147,7 @@ echo "==> trace_dump --quick (observability export + reconciliation gate)"
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace --format perfetto
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace --format jsonl
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace --format csv
+cargo run --release -p ss-bench --bin trace_dump -- --quick --vdr --out target/ci-trace-vdr --format jsonl
 cargo run --release -p ss-bench --bin trace_dump -- --quick --vdr --out target/ci-trace-vdr --format csv
 # On both schemes the registry's two interval-indexed artifacts must
 # agree row for row, and every heatmap line must hold as many fields as
@@ -161,16 +165,22 @@ for dir in target/ci-trace target/ci-trace-vdr; do
   fi
   echo "    $dir heatmap/series: $((heat_rows - 1)) interval rows each, every line as wide as the header"
 done
-# Same seed, same bytes: rerun and compare the journal and both CSVs.
+# Same seed, same bytes: rerun both schemes and compare each journal and
+# both CSVs. The VDR trace is the only run here whose series rows come
+# from the frozen replay branch (one sample per skipped range).
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace-rerun --format jsonl
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace-rerun --format csv
-for f in trace.jsonl heatmap.csv series.csv; do
-  if ! cmp -s "target/ci-trace/$f" "target/ci-trace-rerun/$f"; then
-    echo "ci.sh: same-seed trace_dump artifacts differ between reruns ($f)" >&2
-    exit 1
-  fi
+cargo run --release -p ss-bench --bin trace_dump -- --quick --vdr --out target/ci-trace-vdr-rerun --format jsonl
+cargo run --release -p ss-bench --bin trace_dump -- --quick --vdr --out target/ci-trace-vdr-rerun --format csv
+for dir in target/ci-trace target/ci-trace-vdr; do
+  for f in trace.jsonl heatmap.csv series.csv; do
+    if ! cmp -s "$dir/$f" "$dir-rerun/$f"; then
+      echo "ci.sh: same-seed trace_dump artifacts differ between reruns ($dir/$f)" >&2
+      exit 1
+    fi
+  done
+  echo "    $dir: $(wc -l < "$dir/trace.jsonl") events; journal and both CSVs byte-identical across reruns"
 done
-echo "    journal: $(wc -l < target/ci-trace/trace.jsonl) events; journal and both CSVs byte-identical across reruns"
 
 echo "==> ops_report --quick (SLO/QoS reconciliation + alert-determinism gates)"
 # ops_report replays a faulted multi-node crash+scrub demo config on

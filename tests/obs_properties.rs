@@ -382,8 +382,8 @@ proptest! {
         prop_assert_eq!(registry.counter("admissions"), accepts);
         let rejects = count(&events_a, |e| matches!(e, ss_obs::Event::AdmitReject { .. }));
         prop_assert_eq!(registry.counter("rejections"), rejects);
-        // One heatmap row and one series point per executed boundary.
-        prop_assert_eq!(registry.heatmap_len(), registry.series("utilization").len());
+        // One heatmap row and one series row per boundary.
+        prop_assert_eq!(registry.heatmap_len(), registry.series().len());
         prop_assert!(registry.heatmap_len() > 0);
     }
 }
@@ -408,9 +408,11 @@ fn journal_planes_are_populated_under_faults() {
     assert_eq!(count(&events, |e| matches!(e, Event::EngineStop { .. })), 1);
     assert!(registry.heatmap_len() > 0);
     // The wasted-fraction series exists and stays within [0, 1].
-    let wasted = registry.series("wasted_fraction");
-    assert!(!wasted.is_empty());
-    assert!(wasted.iter().all(|&(_, v)| (0.0..=1.0).contains(&v)));
+    let series = registry.series();
+    assert!(!series.is_empty());
+    assert!(series
+        .iter()
+        .all(|r| (0.0..=1.0).contains(&r.wasted_fraction)));
 }
 
 /// The VDR baseline populates its cluster plane.

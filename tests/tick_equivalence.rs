@@ -4,8 +4,9 @@
 //!
 //! The property sweeps both schemes and all three arrival models over
 //! randomized small configurations, with and without the storage plane
-//! (power losses, torn writes and the scrub) armed; the deterministic
-//! tests pin down
+//! (power losses, torn writes and the scrub) armed, and striping under
+//! each admission policy: contiguous, fragmented, and §3.1's naive
+//! clusters; the deterministic tests pin down
 //! that the sparse scheduler actually skips work on paper-scale
 //! Figure-8 cells (a vacuous equivalence would pass the property), and
 //! that each refusal the clock may or may not sleep through is handled
@@ -28,7 +29,9 @@ use staggered_striping::server::{StripingServer, VdrServer};
 /// refuse displays, and the storage plane: stochastic power losses and
 /// torn writes, a scrub at 1–4 fragments per interval, or both, over
 /// striping farms with and without parity (where the scrub repairs in
-/// place).
+/// place). Striping admits contiguously, fragmented at stride 1 (4–64
+/// buffers, a 1–16-interval delay window), or in §3.1's naive 5-disk
+/// clusters at stride 5.
 fn config_strategy() -> impl Strategy<Value = ServerConfig> {
     (
         1u32..=12,       // stations
@@ -40,7 +43,8 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
         // warmup / measure seconds; zero think time, or 1–240 s
         (60u64..=240, 300u64..=900, prop::bool::ANY, 1u64..=240),
         // fault plan, farm capacity, sharing and interconnect selectors;
-        // storage plane selector, scrub rate, parity (striping only)
+        // storage plane selector, scrub rate, parity and the admission
+        // policy with its fragmented bounds (striping only)
         (
             0u8..4,
             0u8..4,
@@ -49,12 +53,13 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
             0u8..4,
             1u64..=4,
             prop::bool::ANY,
+            (0u8..3, 4u64..=64, 1u64..=16),
         ),
     )
         .prop_map(
             |(stations, seed, arrival, vdr, preload, queue, timing, planes)| {
                 let (warmup, measure, thinks, think) = timing;
-                let (faults, capacity, sharing, link, storage, scrub, parity) = planes;
+                let (faults, capacity, sharing, link, storage, scrub, parity, admission) = planes;
                 let mut c = ServerConfig::small_test(stations, seed);
                 c.warmup = SimDuration::from_secs(warmup);
                 c.measure = SimDuration::from_secs(measure);
@@ -112,6 +117,29 @@ fn config_strategy() -> impl Strategy<Value = ServerConfig> {
                 } else {
                     if parity {
                         c.parity = Some(ParityConfig::group(4));
+                    }
+                    let (policy, max_buffer_fragments, max_delay_intervals) = admission;
+                    match policy {
+                        1 => {
+                            c.scheme = Scheme::Striping {
+                                stride: 1,
+                                policy: AdmissionPolicy::Fragmented {
+                                    max_buffer_fragments,
+                                    max_delay_intervals,
+                                },
+                                cluster_round: None,
+                            };
+                        }
+                        // `validate` refuses clusters narrower than the
+                        // uneven mix's 6-disk objects.
+                        2 if c.mix.is_none() => {
+                            c.scheme = Scheme::Striping {
+                                stride: 5,
+                                policy: AdmissionPolicy::Contiguous,
+                                cluster_round: Some(5),
+                            };
+                        }
+                        _ => {} // contiguous at stride 5
                     }
                     match arrival {
                         1 => {
