@@ -34,6 +34,13 @@ pub trait PlacementPolicy: Sized {
     /// Whether the storage plane runs before the admission passes
     /// (striping) or after the fetch pump (VDR).
     const STORAGE_BEFORE_ADMISSION: bool;
+    /// Whether each scrub chunk books scheduler bandwidth when it starts
+    /// (striping's `hold_busy`). A walk that books none is metadata-only
+    /// and repairs each latent it finds by an in-place resync, so no
+    /// other phase reads what a chunk changes: its chunk ends are not
+    /// wakeups, and the kernel completes the chunks that ended between
+    /// two ticks at the top of the later one (DESIGN.md §3.2).
+    const SCRUB_BOOKS_BANDWIDTH: bool;
     /// Whether the farm's busy state is frozen between executed ticks.
     /// When it is, a skipped range is sampled once, at its first
     /// boundary, and the sample is replayed at every boundary of the
@@ -976,6 +983,19 @@ impl<P: PlacementPolicy> Kernel<P> {
 
     fn tick(&mut self, now: SimTime) {
         let Kernel { core, scheme } = self;
+        // A metadata-only scrub walk sleeps through its chunk ends. Each
+        // chunk that ended before this tick completes first, at its own
+        // end, every latent it finds resynced in place (not a parity
+        // rebuild): no ledger has changed since (every plane mutation
+        // happens inside a tick), and its events precede all of this
+        // tick's. A chunk ending at the tick completes in the storage
+        // hook.
+        if let Some(p) = core.plane.as_mut().filter(|_| !P::SCRUB_BOOKS_BANDWIDTH) {
+            let t = now.as_micros() / core.interval.as_micros();
+            if let Some(last) = t.checked_sub(1) {
+                p.process_scrub(last, core.interval, |_, _| false);
+            }
+        }
         if !core.metrics.measuring() && now.duration_since(SimTime::ZERO) >= core.config.warmup {
             core.metrics.start_measurement(now);
         }
@@ -1156,13 +1176,15 @@ impl<P: PlacementPolicy> Kernel<P> {
         for &(_, _, done) in &core.pending_rebuilds {
             horizon = horizon.min(SimTime::from_micros(done * us));
         }
-        // Crash events and scrub chunk completions are wakeup sources of
-        // the storage plane.
+        // Crash events are wakeup sources of the storage plane, and so
+        // are the chunk ends of a scrub walk that books bandwidth: the
+        // next chunk's booking changes what admission plans against. A
+        // metadata-only walk catches up at the next tick instead.
         if let Some(p) = &core.plane {
             if let Some(at) = p.next_crash_at() {
                 horizon = horizon.min(at);
             }
-            if let Some(end) = p.next_scrub_end() {
+            if let Some(end) = p.next_scrub_end().filter(|_| P::SCRUB_BOOKS_BANDWIDTH) {
                 horizon = horizon.min(SimTime::from_micros(end * us));
             }
         }

@@ -25,7 +25,10 @@
 //!   [`ss_core::IntervalScheduler`] bandwidth (like the rebuild drain),
 //!   so scrubbing competes with display admissions; VDR's plane is
 //!   metadata-only (its farm model has no interval scheduler to
-//!   charge), mirroring the same asymmetry the rebuild path has.
+//!   charge), mirroring the same asymmetry the rebuild path has. Each
+//!   chunk completes at its own end interval, so a metadata-only walk
+//!   can be caught up at a later tick: the kernel does not wake for its
+//!   chunk ends.
 //!
 //! Everything here is deterministic: the plane is built with its crash
 //! schedule, compiled with salts from the `rng.derive("crash")` stream,
@@ -37,7 +40,7 @@
 use crate::metrics::CrashStats;
 use ss_disk::{DiskMetadata, LatentError};
 use ss_sim::{CrashEvent, CrashKind};
-use ss_types::SimTime;
+use ss_types::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 
 /// Longest a single scrub chunk may run, in time intervals. Chunks cap
@@ -328,23 +331,30 @@ impl StoragePlane {
         self.scrub.is_some().then(|| self.start_chunk(t))
     }
 
-    /// Advances the scrub walk at interval `t` (time `now`): when the
-    /// current chunk is complete, scans its slot window — every latent
-    /// error in the window is detected, handed to `repair` (returns
-    /// `true` when parity reconstructed the slot in place, `false` for
-    /// evict-and-refetch / replica resync), and counted — then the next
-    /// chunk starts, further along the same drive or on the next one.
-    /// Returns newly started chunks for bandwidth booking.
+    /// Advances the scrub walk through interval `t`: completes every
+    /// chunk that ends at or before `t`, each at its own end interval
+    /// `b` on a clock of `interval`-long intervals. A chunk scans its
+    /// slot window — every latent error in the window is detected,
+    /// handed to `repair` (returns `true` when parity reconstructed the
+    /// slot in place, `false` for evict-and-refetch / replica resync),
+    /// and counted with its dwell up to `b` — and the next chunk starts
+    /// at `b`, further along the same drive or on the next one. The
+    /// chunk's journal events are stamped at `b`, and the ambient clock
+    /// is restored after them. Returns newly started chunks for
+    /// bandwidth booking.
     pub fn process_scrub(
         &mut self,
         t: u64,
-        now: SimTime,
+        interval: SimDuration,
         mut repair: impl FnMut(u32, u64) -> bool,
     ) -> Vec<ScrubChunk> {
         let mut started = Vec::new();
-        while self.scrub.as_ref().is_some_and(|w| w.chunk_end <= t) {
+        while let Some(b) = self.next_scrub_end().filter(|&b| b <= t) {
             let walk = self.scrub.as_ref().expect("checked above");
             let (disk, lo, hi, fragments) = (walk.disk, walk.offset, walk.hi, walk.chunk_fragments);
+            let at = SimTime::from_micros(b * interval.as_micros());
+            let clock = ss_obs::now();
+            ss_obs::set_clock(at.as_micros());
             let found = self.disks[disk].scrub_scan_range(lo, hi);
             self.stats.latent_found += found.len() as u64;
             ss_obs::obs!(ss_obs::Event::ScrubChunk {
@@ -354,8 +364,9 @@ impl StoragePlane {
             });
             for latent in found {
                 let parity = repair(disk as u32, latent.object);
-                self.count_repair(disk, &latent, now, parity);
+                self.count_repair(disk, &latent, at, parity);
             }
+            ss_obs::set_clock(clock);
             let drive_done = hi >= self.disks[disk].slots();
             let walk = self.scrub.as_mut().expect("checked above");
             if drive_done {
@@ -367,7 +378,7 @@ impl StoragePlane {
             } else {
                 walk.offset = hi;
             }
-            started.push(self.start_chunk(t));
+            started.push(self.start_chunk(b));
         }
         started
     }
@@ -453,6 +464,9 @@ impl StoragePlane {
 mod tests {
     use super::*;
 
+    /// A one-second interval clock: interval `t` begins at second `t`.
+    const SECOND: SimDuration = SimDuration::from_secs(1);
+
     /// Compiles crash events of `(disk, kind)` at time zero on a farm of
     /// `disks` drives, salted from `seed`.
     fn compile(events: &[(u32, CrashKind)], disks: u32, seed: u64) -> Vec<CrashEvent> {
@@ -506,8 +520,8 @@ mod tests {
             }
         );
         assert_eq!(p.next_scrub_end(), Some(2));
-        assert!(p.process_scrub(1, SimTime::ZERO, |_, _| true).is_empty());
-        let started = p.process_scrub(2, SimTime::ZERO, |_, _| true);
+        assert!(p.process_scrub(1, SECOND, |_, _| true).is_empty());
+        let started = p.process_scrub(2, SECOND, |_, _| true);
         // Drive 1 is empty: a one-interval chunk.
         assert_eq!(
             started,
@@ -517,7 +531,7 @@ mod tests {
                 end: 3
             }]
         );
-        let started = p.process_scrub(3, SimTime::ZERO, |_, _| true);
+        let started = p.process_scrub(3, SECOND, |_, _| true);
         assert_eq!(started[0].disk, 0, "walk wraps to drive 0");
         assert_eq!(p.stats.scrub_passes, 1);
         assert_eq!(p.stats.scrub_chunks, 3);
@@ -544,7 +558,7 @@ mod tests {
         assert_eq!(p.latent_len(), 2);
         let mut repaired = Vec::new();
         for t in 1..=2 {
-            p.process_scrub(t, SimTime::from_secs(t), |disk, object| {
+            p.process_scrub(t, SECOND, |disk, object| {
                 repaired.push((disk, object));
                 true
             });
@@ -554,6 +568,66 @@ mod tests {
         assert_eq!(p.stats.latent_repaired, 2);
         assert_eq!(repaired.len(), 2);
         assert!(p.stats.latent_dwell_s > 0.0);
+    }
+
+    /// One catch-up call over several chunk ends leaves the plane where
+    /// completing each chunk at its own end does: the same counts, the
+    /// same dwell sum bit for bit, the same next chunk end, and the same
+    /// journal events, each stamped at its chunk's end.
+    #[test]
+    fn a_caught_up_walk_matches_one_completed_at_every_chunk_end() {
+        let interval = SimDuration::from_micros(604_800);
+        let caught_up_to = 40;
+        // Four drives of 25–40 fragments, three torn writes each,
+        // scrubbed 3 fragments per interval: chunks of 1–4 intervals.
+        let plane = || {
+            let torn: Vec<_> = (0..12).map(|i| (i % 4, CrashKind::TornWrite)).collect();
+            let mut p = StoragePlane::new(4, 60, Some(3), compile(&torn, 4, 11)).per_ledger();
+            for disk in 0..4 {
+                p.seed(u64::from(disk), [(disk, 25 + 5 * disk)]);
+            }
+            p.checkpoint();
+            p.begin_scrub(0);
+            p.process_crashes(SimTime::ZERO, |_| false);
+            p
+        };
+        let journal = |step: &mut dyn FnMut()| {
+            let recorder = ss_obs::VecRecorder::new();
+            let events = recorder.handle();
+            ss_obs::install(Box::new(recorder), ss_obs::Registry::default());
+            step();
+            ss_obs::uninstall();
+            let events = events.lock().expect("journal").clone();
+            events
+        };
+        let mut caught_up = plane();
+        let tick = SimTime::from_micros(caught_up_to * interval.as_micros());
+        let caught_up_events = journal(&mut || {
+            ss_obs::set_clock(tick.as_micros());
+            caught_up.process_scrub(caught_up_to, interval, |_, _| false);
+            assert_eq!(ss_obs::now(), tick.as_micros(), "the clock is restored");
+        });
+        let mut dense = plane();
+        let dense_events = journal(&mut || {
+            while let Some(b) = dense.next_scrub_end().filter(|&b| b <= caught_up_to) {
+                ss_obs::set_clock(b * interval.as_micros());
+                dense.process_scrub(b, interval, |_, _| false);
+            }
+        });
+        assert!(caught_up.stats.latent_found > 0, "the walk found latents");
+        assert!(caught_up.stats.scrub_chunks > 5, "several chunks caught up");
+        assert_eq!(caught_up.stats, dense.stats);
+        assert_eq!(
+            caught_up.stats.latent_dwell_s.to_bits(),
+            dense.stats.latent_dwell_s.to_bits()
+        );
+        assert_eq!(caught_up.next_scrub_end(), dense.next_scrub_end());
+        assert!(caught_up.next_scrub_end() > Some(caught_up_to));
+        assert!(caught_up_events
+            .iter()
+            .any(|(at, ev)| matches!(ev, ss_obs::Event::ScrubRepair { .. })
+                && *at < tick.as_micros()));
+        assert_eq!(caught_up_events, dense_events);
     }
 
     #[test]

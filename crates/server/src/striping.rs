@@ -94,7 +94,11 @@ impl DistState {
     /// The plan reads inside `[min read_start, max read_start +
     /// subobjects)`, so the per-interval counts go into a dense array over
     /// that window and come out already in ascending interval order: one
-    /// pass over the reads, no search and no sort.
+    /// pass over the reads, no search and no sort. Each virtual disk's
+    /// physical disk is computed once, at its first read, and then walked:
+    /// the frame moves it by the reduced stride each interval, wrapping
+    /// at `D`. A read is remote iff its disk lies outside the home node's
+    /// range `[home·dpn, min((home+1)·dpn, D))`, so no read divides.
     fn remote_spans(
         &mut self,
         frame: &VirtualFrame,
@@ -114,14 +118,23 @@ impl DistState {
         let n = u64::from(subobjects);
         self.counts.clear();
         self.counts.resize((hi - lo + n) as usize, 0);
+        let disks = frame.disks();
+        let dpn = self.topology.disks_per_node;
+        let first = home.0 * dpn;
+        let local = first..(first + dpn).min(disks);
+        // Adding the stride `k < D` wraps iff the disk is at `D − k` or
+        // past it; subtracting `D − k` there never overflows.
+        let (k, wrap) = (frame.stride(), disks - frame.stride());
         let mut remote_frags = 0u64;
         for (&v, &base) in virtual_disks.iter().zip(read_start) {
             let mut any = false;
-            for u in base..base + n {
-                if self.topology.node_of(frame.physical(v, u)) != home {
+            let mut p = frame.physical(v, base);
+            for count in &mut self.counts[(base - lo) as usize..(base - lo + n) as usize] {
+                if !local.contains(&p) {
                     any = true;
-                    self.counts[(u - lo) as usize] += 1;
+                    *count += 1;
                 }
+                p = if p >= wrap { p - wrap } else { p + k };
             }
             remote_frags += u64::from(any);
         }
@@ -232,6 +245,7 @@ impl PlacementPolicy for StripingPolicy {
     type Display = StripingDisplay;
     const NAME: &'static str = "striping";
     const STORAGE_BEFORE_ADMISSION: bool = true;
+    const SCRUB_BOOKS_BANDWIDTH: bool = true;
     const FROZEN_BETWEEN_TICKS: bool = false;
 
     fn build(config: &ServerConfig) -> Result<(Self, usize)> {
@@ -625,7 +639,7 @@ impl PlacementPolicy for StripingPolicy {
         let t = core.interval_index(now);
         let parity = core.config.parity.is_some();
         let mut scrub_evicted: Vec<u64> = Vec::new();
-        let chunks = plane.process_scrub(t, now, |_, object| {
+        let chunks = plane.process_scrub(t, core.interval, |_, object| {
             if parity {
                 true // the parity group reconstructs the slot in place
             } else {
@@ -1896,5 +1910,104 @@ mod tests {
         // Crash-armed runs stay deterministic.
         let again = StripingServer::new(mk()).unwrap().run();
         assert_eq!(report, again);
+    }
+
+    /// The per-read computation `remote_spans` walks instead of: each
+    /// read's physical disk from `frame.physical`, its node from
+    /// `node_of`. Returns the `(interval, fragments)` spans and the count
+    /// of fragments with a remote read.
+    fn reference_spans(
+        topology: NodeTopology,
+        frame: &VirtualFrame,
+        home: NodeId,
+        virtual_disks: &[u32],
+        read_start: &[u64],
+        subobjects: u32,
+    ) -> (Vec<(u64, u64)>, u64) {
+        let read_start = &read_start[..virtual_disks.len()];
+        let (Some(&lo), Some(&hi)) = (read_start.iter().min(), read_start.iter().max()) else {
+            return (Vec::new(), 0);
+        };
+        if topology.nodes <= 1 {
+            return (Vec::new(), 0);
+        }
+        let n = u64::from(subobjects);
+        let mut counts = vec![0u64; (hi - lo + n) as usize];
+        let mut remote_frags = 0u64;
+        for (&v, &base) in virtual_disks.iter().zip(read_start) {
+            let mut any = false;
+            for u in base..base + n {
+                if topology.node_of(frame.physical(v, u)) != home {
+                    any = true;
+                    counts[(u - lo) as usize] += 1;
+                }
+            }
+            remote_frags += u64::from(any);
+        }
+        let spans = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(k, &c)| (lo + k as u64, c))
+            .collect();
+        (spans, remote_frags)
+    }
+
+    /// The walked `remote_spans` agrees with the per-read reference on
+    /// every farm of 1–60 disks at every stride from 0 to `2D` (a
+    /// stationary frame, and strides past `disks_per_node`), split over
+    /// 1–6 nodes (trailing disks included), for any home node, degrees
+    /// 1 to `D`, 1–50 subobjects and read starts spread over 20
+    /// intervals.
+    #[test]
+    fn walked_remote_spans_match_the_per_read_reference() {
+        let mut rng = DeterministicRng::seed_from_u64(9);
+        for disks in 1u32..=60 {
+            for stride in 0..=2 * disks {
+                let frame = VirtualFrame::new(disks, stride);
+                for _ in 0..3 {
+                    let nodes = 1 + rng.next_below(u64::from(disks.min(6))) as u32;
+                    let topology = NodeTopology::even(nodes, disks);
+                    let mut dist = DistState {
+                        topology,
+                        latency_intervals: 0,
+                        router: crate::router::NodeRouter::new(
+                            topology,
+                            crate::config::RouterPolicy::LeastLoaded,
+                            rng.derive("router"),
+                        ),
+                        ledger: ss_core::interconnect::InterconnectLedger::new(nodes, None, None),
+                        latency_buffer_fragments: 0,
+                        node_outages: 0,
+                        scratch: Vec::new(),
+                        counts: Vec::new(),
+                    };
+                    let home = NodeId(rng.next_below(u64::from(nodes)) as u32);
+                    let degree = 1 + rng.next_below(u64::from(disks)) as usize;
+                    let subobjects = 1 + rng.next_below(50) as u32;
+                    let first = rng.next_below(1_000);
+                    let virtual_disks: Vec<u32> = (0..degree)
+                        .map(|_| rng.next_below(u64::from(disks)) as u32)
+                        .collect();
+                    let read_start: Vec<u64> =
+                        (0..degree).map(|_| first + rng.next_below(20)).collect();
+                    let frags =
+                        dist.remote_spans(&frame, home, &virtual_disks, &read_start, subobjects);
+                    let (spans, reference) = reference_spans(
+                        topology,
+                        &frame,
+                        home,
+                        &virtual_disks,
+                        &read_start,
+                        subobjects,
+                    );
+                    assert_eq!(
+                        (&dist.scratch, frags),
+                        (&spans, reference),
+                        "D {disks}, k {stride}, {nodes} nodes, home {home:?}"
+                    );
+                }
+            }
+        }
     }
 }

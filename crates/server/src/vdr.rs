@@ -318,6 +318,7 @@ impl PlacementPolicy for VdrPolicy {
     type Display = ClusterId;
     const NAME: &'static str = "vdr";
     const STORAGE_BEFORE_ADMISSION: bool = false;
+    const SCRUB_BOOKS_BANDWIDTH: bool = false;
     const FROZEN_BETWEEN_TICKS: bool = true;
 
     fn build(config: &ServerConfig) -> Result<(Self, usize)> {
@@ -572,8 +573,10 @@ impl PlacementPolicy for VdrPolicy {
         }
         // Every scrub finding is repaired by resyncing the replica in
         // place from a surviving copy (`false` = not a parity rebuild);
-        // the farm is untouched, so no eviction or refetch follows.
-        plane.process_scrub(core.interval_index(now), now, |_, _| false);
+        // the farm is untouched, so no eviction or refetch follows. The
+        // kernel completed the chunks that ended before this tick; one
+        // ending at the tick completes here, after its crash events.
+        plane.process_scrub(core.interval_index(now), core.interval, |_, _| false);
         self.sync_plane(&mut plane, crashed);
         core.plane = Some(plane);
     }

@@ -60,7 +60,9 @@ cargo run --release --offline --manifest-path crates/bench/src/bin/benchmark/Car
 
 echo "==> benchmark --workload degraded (pinned full-size digest)"
 # The full-size degraded cell pair at the pinned seed, checked against
-# its pinned digest and end-of-run invariants (about 2 s). Its VDR cell
+# its pinned digest and end-of-run invariants (about 2 s, most of it the
+# one-second repetition budget: a rep takes about 0.12 s since VDR's
+# scrub walk stopped waking the clock at each chunk end). Its VDR cell
 # is the only benchmark cell whose farm evicts replicas while the
 # storage plane is armed, which the quick pass does not reach. A hard
 # gate, like the quick pass.

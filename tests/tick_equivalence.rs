@@ -6,11 +6,12 @@
 //! randomized small configurations, with and without the storage plane
 //! (power losses, torn writes and the scrub) armed, and striping under
 //! each admission policy: contiguous, fragmented, and §3.1's naive
-//! clusters; the deterministic tests pin down
+//! clusters. A second property compares the dense and sparse journals
+//! with the storage plane armed. The deterministic tests pin down
 //! that the sparse scheduler actually skips work on paper-scale
-//! Figure-8 cells (a vacuous equivalence would pass the property), and
-//! that each refusal the clock may or may not sleep through is handled
-//! as a dense run would.
+//! Figure-8 cells (a vacuous equivalence would pass the property) and
+//! through a VDR scrub walk's chunk ends, and that each refusal the
+//! clock may or may not sleep through is handled as a dense run would.
 
 use proptest::prelude::*;
 use staggered_striping::prelude::*;
@@ -275,6 +276,86 @@ proptest! {
     }
 }
 
+/// A small farm of either scheme with the whole storage plane armed:
+/// power losses (MTBF 240 s), torn writes (MTBF 90 s) and a scrub at
+/// `scrub` fragments per interval, striping with parity group 4 when
+/// `parity`, over a 120 s warm-up and 900 s measured.
+fn armed_plane(vdr: bool, stations: u32, seed: u64, scrub: u64, parity: bool) -> ServerConfig {
+    let mut c = if vdr {
+        ServerConfig::small_vdr_test(stations, seed)
+    } else {
+        ServerConfig::small_test(stations, seed)
+    };
+    c.warmup = SimDuration::from_secs(120);
+    c.measure = SimDuration::from_secs(900);
+    c.faults.crash = Some(CrashFaults {
+        power_loss_mtbf: Some(SimDuration::from_secs(240)),
+        torn_write_mtbf: Some(SimDuration::from_secs(90)),
+        ..Default::default()
+    });
+    c.scrub = Some(ScrubConfig::rate(scrub));
+    if parity && !vdr {
+        c.parity = Some(ParityConfig::group(4));
+    }
+    c
+}
+
+/// `cfg`'s journal, without the two kinds a sparse run may record
+/// differently: `engine_stop` carries the executed-tick count, and a
+/// dense run plans (and rejects) sleeping waiters a sparse run skips.
+fn journal(cfg: &ServerConfig) -> Vec<(u64, ss_obs::Event)> {
+    let recorder = ss_obs::VecRecorder::new();
+    let handle = recorder.handle();
+    ss_obs::install(
+        Box::new(recorder),
+        ss_obs::Registry::new(ss_obs::RegistrySpec {
+            disks: cfg.disks,
+            interval_us: cfg.interval().as_micros(),
+            ..Default::default()
+        }),
+    );
+    staggered_striping::server::run(cfg).expect("valid config");
+    ss_obs::uninstall().expect("installed above");
+    let events = std::mem::take(&mut *handle.lock().expect("run finished"));
+    events
+        .into_iter()
+        .filter(|(_, ev)| {
+            !matches!(
+                ev,
+                ss_obs::Event::EngineStop { .. } | ss_obs::Event::AdmitReject { .. }
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// With power losses, torn writes and the scrub armed, the sparse
+    /// run records the dense run's journal: every crash, recovery, scrub
+    /// chunk and repair, in the same order and at the same instant. The
+    /// VDR walk's chunk ends are not wakeups, so this pins the stamps
+    /// and the order of the chunks it completes when it catches up.
+    #[test]
+    fn dense_and_sparse_journals_match_with_the_storage_plane_armed(
+        vdr in prop::bool::ANY,
+        stations in 0u32..3,
+        seed in 0u64..1_000,
+        scrub in 1u64..=4,
+        parity in prop::bool::ANY,
+    ) {
+        let mut cfg = armed_plane(vdr, 4 << stations, seed, scrub, parity);
+        let sparse = journal(&cfg);
+        cfg.dense_ticks = true;
+        let dense = journal(&cfg);
+        prop_assert!(
+            sparse.iter().any(|(_, ev)| matches!(ev, ss_obs::Event::ScrubChunk { .. })),
+            "the scrub walked"
+        );
+        prop_assert_eq!(sparse, dense);
+    }
+}
+
 /// Steps `server` to its deadline and returns its executed and skipped
 /// ticks.
 fn tick_counts<P: PlacementPolicy>(mut server: Server<P>) -> (u64, u64) {
@@ -309,6 +390,35 @@ fn figure8_vdr_cell_skips_ticks() {
     let (executed, skipped) = tick_counts(VdrServer::new(cfg).expect("paper cell"));
     assert!(skipped > 0, "expected skipped intervals, got {skipped}");
     assert_eq!(executed, 5, "executed ticks");
+}
+
+/// VDR's metadata-only scrub walk sleeps through its chunk ends and
+/// completes them at the next tick, so a scrub-armed cell with torn
+/// writes executes fewer ticks than its walk completes chunks: 137 of
+/// 3,474 boundaries for 1,365 chunks (1,436 when every chunk end was a
+/// wakeup), with the dense run's report.
+#[test]
+fn a_vdr_scrub_walk_sleeps_through_its_chunk_ends() {
+    let mut cfg = ServerConfig::small_vdr_test(4, 1994);
+    cfg.scrub = Some(ScrubConfig::rate(1));
+    cfg.faults.crash = Some(CrashFaults {
+        torn_write_mtbf: Some(SimDuration::from_secs(90)),
+        ..Default::default()
+    });
+    let (report, _) = sparse_equals_dense(&cfg);
+    let crash = report.crash.expect("scrub armed");
+    let (executed, skipped) = tick_counts(VdrServer::new(cfg).expect("valid config"));
+    assert!(crash.latent_found > 0, "the walk found torn writes");
+    assert!(
+        executed < crash.scrub_chunks,
+        "{executed} ticks for {} chunks",
+        crash.scrub_chunks
+    );
+    assert_eq!(
+        (executed, skipped),
+        (137, 3_337),
+        "executed and skipped ticks"
+    );
 }
 
 /// A station waits out its think time before its next request: on the
