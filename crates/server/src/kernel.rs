@@ -41,11 +41,6 @@ pub trait PlacementPolicy: Sized {
     /// wakeups, and the kernel completes the chunks that ended between
     /// two ticks at the top of the later one (DESIGN.md §3.2).
     const SCRUB_BOOKS_BANDWIDTH: bool;
-    /// Whether the farm's busy state is frozen between executed ticks.
-    /// When it is, a skipped range is sampled once, at its first
-    /// boundary, and the sample is replayed at every boundary of the
-    /// range; otherwise each skipped boundary is sampled on its own.
-    const FROZEN_BETWEEN_TICKS: bool;
 
     /// Builds the scheme's placement state from `config` (preload
     /// included), returning it with the catalog size.
@@ -101,6 +96,11 @@ pub trait PlacementPolicy: Sized {
     );
 
     /// Busy fraction of the farm at boundary `at` (interval `t`).
+    ///
+    /// This hook, `wasted` and `heat_row` run at the end of every tick
+    /// and at every skipped boundary after it (millions of boundaries in
+    /// a long run), so they must answer cheaply, from the state the last
+    /// tick left.
     fn utilization(&mut self, t: u64, at: SimTime) -> f64;
 
     /// Fraction of farm capacity committed at `t` but not delivering
@@ -121,14 +121,12 @@ pub trait PlacementPolicy: Sized {
 
     /// At a skipped boundary `t`, the rotation of `t`'s heat row when
     /// its frame row is provably the one at `t − 1`, so the registry can
-    /// repeat it without a fill; `None` when it may differ. Only the
-    /// schemes not `FROZEN_BETWEEN_TICKS` are asked.
-    fn heat_repeat(&self, _t: u64) -> Option<u32> {
-        None
-    }
+    /// repeat it without a fill; `None` when it may differ.
+    fn heat_repeat(&self, t: u64) -> Option<u32>;
 
     /// The earliest instant a scheme-side event can change state, no
-    /// later than `core.deadline`; a value `<= now` ticks densely.
+    /// later than `core.deadline`; a value `<= now` ticks densely. The
+    /// landings in `core.in_flight` are the kernel's own term.
     fn wakeup(&self, core: &ServerCore<Self::Display>, now: SimTime) -> SimTime;
 
     /// Fragments display `d` reads from a node other than its home at
@@ -367,6 +365,66 @@ impl DisplayEnds {
     }
 }
 
+/// The objects in flight to disk (DESIGN.md §3.11): a striping
+/// materialization from tertiary or a VDR replica copy, each landing at
+/// one instant. The kernel wakes for the earliest landing, and the scheme
+/// lands the due ones at its own point of the tick.
+pub(crate) struct InFlight {
+    /// The landing instant of each object in flight, dense by object id.
+    at: Vec<Option<SimTime>>,
+    /// The ids in flight, in the order they were sent.
+    ids: Vec<ObjectId>,
+}
+
+impl InFlight {
+    fn new(objects: usize) -> Self {
+        InFlight {
+            at: vec![None; objects],
+            ids: Vec::new(),
+        }
+    }
+
+    /// When `object` lands, if it is in flight.
+    pub(crate) fn get(&self, object: ObjectId) -> Option<SimTime> {
+        self.at[object.index()]
+    }
+
+    /// Sends `object`, which is not in flight, to land at `at`.
+    pub(crate) fn insert(&mut self, object: ObjectId, at: SimTime) {
+        let slot = &mut self.at[object.index()];
+        debug_assert!(slot.is_none(), "{object} is already in flight");
+        *slot = Some(at);
+        self.ids.push(object);
+    }
+
+    /// Takes `object` out of flight; a no-op when it is not in flight.
+    pub(crate) fn remove(&mut self, object: ObjectId) {
+        if self.at[object.index()].take().is_some() {
+            self.ids.retain(|&o| o != object);
+        }
+    }
+
+    /// Retires every object landing by `now`, handing each to `f` in the
+    /// order they were sent.
+    pub(crate) fn land(&mut self, now: SimTime, mut f: impl FnMut(ObjectId)) {
+        let at = &mut self.at;
+        self.ids.retain(|&o| {
+            let slot = &mut at[o.index()];
+            if slot.is_some_and(|t| t > now) {
+                return true;
+            }
+            *slot = None;
+            f(o);
+            false
+        });
+    }
+
+    /// The earliest landing of an object in flight.
+    fn earliest(&self) -> Option<SimTime> {
+        self.ids.iter().filter_map(|o| self.at[o.index()]).min()
+    }
+}
+
 /// The shared simulation model: everything but the placement scheme.
 pub struct ServerCore<X> {
     pub(crate) config: ServerConfig,
@@ -392,7 +450,9 @@ pub struct ServerCore<X> {
     /// before the transfer can begin.
     pub(crate) fetch_queue: VecDeque<ObjectId>,
     /// Dense membership mirror of `fetch_queue` (O(1) duplicate check).
-    pub(crate) in_fetch_queue: Vec<bool>,
+    in_fetch_queue: Vec<bool>,
+    /// Objects on their way to disk, from tertiary or another cluster.
+    pub(crate) in_flight: InFlight,
     /// Per-object access counts, dense by object id, bumped once per
     /// issued request: both schemes' LFU eviction and the cache's
     /// popularity table read them.
@@ -526,6 +586,7 @@ impl<X> ServerCore<X> {
             tertiary: TertiaryDevice::new(config.tertiary.clone()),
             fetch_queue: VecDeque::new(),
             in_fetch_queue: vec![false; objects],
+            in_flight: InFlight::new(objects),
             freq: vec![0; objects],
             queue: Vec::new(),
             active: Vec::new(),
@@ -622,7 +683,9 @@ impl<X> ServerCore<X> {
     /// which case it replays the missed prefix from memory while holding
     /// `lag × degree` catch-up buffers for the live stream. Joins book
     /// **no** disk bandwidth or cluster. `shape` yields the object's
-    /// degree and its display span.
+    /// degree and its display span. Always false while sharing is off;
+    /// inlined, so that check costs no call per queued waiter.
+    #[inline]
     pub(crate) fn try_join_shared(
         &mut self,
         w: &Waiter,
@@ -630,7 +693,9 @@ impl<X> ServerCore<X> {
         t: u64,
         shape: impl FnOnce() -> (u32, SimDuration),
     ) -> bool {
-        let sh = self.config.sharing.expect("caller checked sharing is on");
+        let Some(sh) = self.config.sharing else {
+            return false;
+        };
         // Youngest live stream of the object (max delivery_start; index
         // tie-break keeps the pick deterministic).
         let candidate = self
@@ -876,6 +941,15 @@ impl<X> ServerCore<X> {
         (until, Some(job))
     }
 
+    /// Queues a tertiary fetch of `object` unless one is already queued.
+    pub(crate) fn request_fetch(&mut self, object: ObjectId) {
+        let queued = &mut self.in_fetch_queue[object.index()];
+        if !*queued {
+            *queued = true;
+            self.fetch_queue.push_back(object);
+        }
+    }
+
     /// Feeds the tertiary device: while it is free, offers the
     /// head-of-queue object to `fetch`, which submits (or drops) it and
     /// returns true, or returns false to retry next interval.
@@ -1037,22 +1111,40 @@ impl<P: PlacementPolicy> Kernel<P> {
         // One sample per series per tick: a same-instant set adds exactly
         // +0.0 to the time-weighted sum, so only the tick's final value
         // counts.
+        self.sample(t, now, false);
+    }
+
+    /// Samples boundary `at` (interval `t`): the two time-weighted series
+    /// and, while a registry is installed, the boundary's series row and
+    /// heat row. Runs at the end of every tick and at every boundary
+    /// skipped after it; at a `skipped` boundary the heat row is repeated
+    /// when [`PlacementPolicy::heat_repeat`] vouches that it has not
+    /// changed.
+    ///
+    /// Inlined: the replay loop runs it at millions of skipped boundaries.
+    #[inline]
+    fn sample(&mut self, t: u64, at: SimTime, skipped: bool) {
+        let Kernel { core, scheme } = self;
         let viewers = core.ends.viewers();
-        core.metrics.active.set(now, viewers);
-        let util = scheme.utilization(t, now);
-        core.metrics.utilization.set(now, util);
-        if ss_obs::enabled() {
-            let wasted = scheme.wasted(&core.active, viewers, t, now);
-            crate::metrics::obs_boundary_row(
-                t,
-                viewers,
-                core.queue.len() as f64,
-                util,
-                wasted,
-                None,
-                |row| scheme.heat_row(t, now, row),
-            );
+        let utilization = scheme.utilization(t, at);
+        core.metrics.sample_boundary(at, viewers, utilization);
+        if !ss_obs::enabled() {
+            return;
         }
+        let row = ss_obs::SeriesRow {
+            interval: t,
+            active_displays: viewers,
+            queue_depth: core.queue.len() as f64,
+            utilization,
+            wasted_fraction: scheme.wasted(&core.active, viewers, t, at),
+        };
+        let repeat = skipped.then(|| scheme.heat_repeat(t)).flatten();
+        ss_obs::with_registry(|r| {
+            r.series_row(row);
+            if !repeat.is_some_and(|offset| r.heatmap_repeat(t, offset)) {
+                r.heatmap_row_with(t, |row| scheme.heat_row(t, at, row));
+            }
+        });
     }
 
     /// Applies every timeline event due by `now`: updates the mask,
@@ -1217,6 +1309,11 @@ impl<P: PlacementPolicy> Kernel<P> {
         if !core.fetch_queue.is_empty() && free_at > now {
             horizon = horizon.min(free_at);
         }
+        // (e) An object in flight lands on disk: a materialization turns
+        // displayable, a replica copy registers and frees its source.
+        if let Some(at) = core.in_flight.earliest() {
+            horizon = horizon.min(at);
+        }
         // (c) The next open-system or trace arrival.
         if let Some((at, _)) = core.next_arrival {
             horizon = horizon.min(at);
@@ -1245,70 +1342,23 @@ impl<P: PlacementPolicy> Kernel<P> {
         horizon
     }
 
-    /// Replays the metric samples a dense model would have taken at every
-    /// boundary strictly between the last executed tick and `now`. At a
+    /// Samples every boundary strictly between the last executed tick and
+    /// `now`, as a dense model would have, counting each as skipped. At a
     /// skipped boundary the active set is provably unchanged (completions
     /// are wakeup sources), so one [`ss_sim::TimeWeighted::set`] per
     /// series reproduces the dense accumulation bit-for-bit: the dense
     /// model's repeated same-timestamp sets each contribute exactly +0.0
-    /// after the first. A scheme whose busy state is frozen between ticks
-    /// is sampled once per skipped range; the others once per boundary.
-    /// A heat row that cannot have changed since the previous boundary
-    /// is repeated, not filled: every boundary of a frozen range after
-    /// its first, and whatever [`PlacementPolicy::heat_repeat`] vouches
-    /// for.
+    /// after the first. The last tick sits on a boundary, so the interval
+    /// index advances by one per boundary.
     fn replay_skipped(&mut self, now: SimTime) {
-        let Kernel { core, scheme } = self;
-        let interval = core.interval;
-        let us = interval.as_micros();
-        let active = core.ends.viewers();
-        let queue_depth = core.queue.len() as f64;
-        if P::FROZEN_BETWEEN_TICKS {
-            let b = core.last_tick + interval;
-            if b >= now {
-                return;
-            }
-            let t = b.as_micros() / us;
-            let util = scheme.utilization(t, b);
-            let wasted = ss_obs::enabled().then(|| scheme.wasted(&core.active, active, t, b));
-            // The range's first boundary fills its row, sampled after the
-            // tick, and compares it with the tick's; the rest repeat it.
-            let mut offset = None;
-            core.metrics
-                .replay_boundaries(core.last_tick, interval, now, |at| {
-                    if let Some(wasted) = wasted {
-                        crate::metrics::obs_boundary_row(
-                            at.as_micros() / us,
-                            active,
-                            queue_depth,
-                            util,
-                            wasted,
-                            offset,
-                            |row| *offset.insert(scheme.heat_row(t, b, row)),
-                        );
-                    }
-                    (active, util)
-                });
-        } else {
-            let set = &core.active;
-            core.metrics
-                .replay_boundaries(core.last_tick, interval, now, |b| {
-                    let t = b.as_micros() / us;
-                    let util = scheme.utilization(t, b);
-                    if ss_obs::enabled() {
-                        let wasted = scheme.wasted(set, active, t, b);
-                        crate::metrics::obs_boundary_row(
-                            t,
-                            active,
-                            queue_depth,
-                            util,
-                            wasted,
-                            scheme.heat_repeat(t),
-                            |row| scheme.heat_row(t, b, row),
-                        );
-                    }
-                    (active, util)
-                });
+        let interval = self.core.interval;
+        let mut b = self.core.last_tick + interval;
+        let mut t = self.core.interval_index(b);
+        while b < now {
+            self.sample(t, b, true);
+            self.core.metrics.ticks_skipped += 1;
+            b += interval;
+            t += 1;
         }
     }
 
@@ -1805,6 +1855,38 @@ mod tests {
         });
         assert_eq!(heap, reference);
         assert_eq!(next, Some(SimTime::from_secs(12)), "the earliest live end");
+    }
+
+    /// Over interleaved sends and removals, the in-flight table lands the
+    /// due objects in the order they were sent (not the order they land
+    /// in), a removal of an object not in flight changes nothing, and the
+    /// earliest landing skips objects already landed or removed.
+    #[test]
+    fn in_flight_lands_in_send_order() {
+        let s = SimTime::from_secs;
+        let mut f = InFlight::new(8);
+        f.insert(ObjectId(5), s(30));
+        f.insert(ObjectId(2), s(10));
+        f.insert(ObjectId(7), s(20));
+        let before = (f.at.clone(), f.ids.clone());
+        f.remove(ObjectId(3));
+        assert_eq!((f.at.clone(), f.ids.clone()), before, "3 is not in flight");
+        assert_eq!(f.earliest(), Some(s(10)));
+        f.remove(ObjectId(2));
+        assert_eq!((f.get(ObjectId(2)), f.earliest()), (None, Some(s(20))));
+        f.insert(ObjectId(1), s(15));
+        f.insert(ObjectId(2), s(25));
+        let mut landed = Vec::new();
+        f.land(s(25), |o| landed.push(o.0));
+        assert_eq!(landed, [7, 1, 2], "send order");
+        assert_eq!(f.earliest(), Some(s(30)), "landed objects are gone");
+        let before = (f.at.clone(), f.ids.clone());
+        f.remove(ObjectId(7));
+        assert_eq!((f.at.clone(), f.ids.clone()), before, "7 has landed");
+        f.land(s(29), |o| landed.push(o.0));
+        assert_eq!((landed.len(), f.get(ObjectId(5))), (3, Some(s(30))));
+        f.land(s(30), |o| landed.push(o.0));
+        assert_eq!((landed, f.earliest()), (vec![7, 1, 2, 5], None));
     }
 
     #[test]

@@ -390,33 +390,6 @@ impl MetricsCollector {
         self.utilization.set(at, utilization);
     }
 
-    /// Replays the samples a dense model would have taken at every
-    /// boundary strictly between `last_tick` and `now`, counting each as
-    /// a skipped tick. `values(boundary)` supplies the
-    /// `(active, utilization)` pair for that boundary — constant for a
-    /// model whose curves freeze across quiescent intervals, recomputed
-    /// per boundary when (like the striping scheduler's committed
-    /// capacity) the curve is a pure function of untouched state. At a
-    /// skipped boundary the dense model's repeated same-timestamp sets
-    /// each contribute exactly +0.0 after the first, so one
-    /// [`ss_sim::TimeWeighted::set`] per series reproduces the dense
-    /// accumulation bit-for-bit.
-    pub fn replay_boundaries(
-        &mut self,
-        last_tick: SimTime,
-        interval: SimDuration,
-        now: SimTime,
-        mut values: impl FnMut(SimTime) -> (f64, f64),
-    ) {
-        let mut b = last_tick + interval;
-        while b < now {
-            let (active, utilization) = values(b);
-            self.sample_boundary(b, active, utilization);
-            self.ticks_skipped += 1;
-            b += interval;
-        }
-    }
-
     /// Builds the final report at `now`.
     #[allow(clippy::too_many_arguments)]
     pub fn report(
@@ -462,36 +435,6 @@ impl Default for MetricsCollector {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Feeds one interval-boundary row into the installed observability
-/// registry: the four scalar series (active displays, admission-queue
-/// depth, committed utilization, wasted-bandwidth fraction) plus one
-/// per-disk heatmap row. A no-op when no sink is installed. `repeat`
-/// carries the row's rotation when its frame row is the previous
-/// boundary's; `heat` fills it otherwise, and only when a sink is
-/// installed, so callers may defer the per-disk scan.
-pub(crate) fn obs_boundary_row(
-    t: u64,
-    active: f64,
-    queue_depth: f64,
-    utilization: f64,
-    wasted: f64,
-    repeat: Option<u32>,
-    heat: impl FnOnce(&mut Vec<f32>) -> u32,
-) {
-    ss_obs::with_registry(|r| {
-        r.series_row(ss_obs::SeriesRow {
-            interval: t,
-            active_displays: active,
-            queue_depth,
-            utilization,
-            wasted_fraction: wasted,
-        });
-        if !repeat.is_some_and(|offset| r.heatmap_repeat(t, offset)) {
-            r.heatmap_row_with(t, heat);
-        }
-    });
 }
 
 /// Formats a slice of reports as an aligned text table (one row per run).

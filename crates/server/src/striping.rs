@@ -188,15 +188,9 @@ pub struct StripingPolicy {
     placement: PlacementMap,
     scheduler: IntervalScheduler,
     /// Waiters per in-flight materialization, dense by object id (empty
-    /// Vec = none).
+    /// Vec = none). A materialization is in `ServerCore::in_flight`
+    /// until the object turns displayable.
     wait_tertiary: Vec<Vec<Waiter>>,
-    /// In-flight (or staged-but-not-yet-displayable) materializations,
-    /// dense by object id: the instant the object becomes displayable.
-    materializing: Vec<Option<SimTime>>,
-    /// Ids with `materializing[..]` set, in submission order: the tick
-    /// loop scans only the (few) in-flight transfers, and promotions
-    /// release waiters in a deterministic order.
-    materializing_ids: Vec<ObjectId>,
     /// Aligned start used by the next naive-mode placement.
     next_naive_start: u32,
     cylinders_per_fragment: u32,
@@ -246,7 +240,6 @@ impl PlacementPolicy for StripingPolicy {
     const NAME: &'static str = "striping";
     const STORAGE_BEFORE_ADMISSION: bool = true;
     const SCRUB_BOOKS_BANDWIDTH: bool = true;
-    const FROZEN_BETWEEN_TICKS: bool = false;
 
     fn build(config: &ServerConfig) -> Result<(Self, usize)> {
         let (stride, policy, cluster_round) = match config.scheme {
@@ -308,8 +301,6 @@ impl PlacementPolicy for StripingPolicy {
             placement,
             scheduler,
             wait_tertiary: vec![Vec::new(); n_objects],
-            materializing: vec![None; n_objects],
-            materializing_ids: Vec::new(),
             next_naive_start: 0,
             cylinders_per_fragment: config.cylinders_per_fragment,
             backoff_rng: DeterministicRng::seed_from_u64(config.seed).derive("backoff"),
@@ -401,7 +392,7 @@ impl PlacementPolicy for StripingPolicy {
             // never evicts one with a queued waiter, and `rollback_alloc`
             // moves an evicted object's waiters to the tertiary.
             debug_assert!(
-                self.displayable(w.object, now),
+                self.displayable(core, w.object, now),
                 "{} is queued but not displayable",
                 w.object
             );
@@ -409,14 +400,12 @@ impl PlacementPolicy for StripingPolicy {
                 core.queue.push(w);
                 continue;
             }
-            if core.config.sharing.is_some()
-                && core.try_join_shared(&w, now, t, || {
-                    let spec = self.catalog.get(w.object).expect("catalog object");
-                    let viewing = spec.display_time(self.b_disk, fragment);
-                    let span = viewing.max(interval * u64::from(spec.subobjects));
-                    (spec.degree(self.b_disk), span)
-                })
-            {
+            if core.try_join_shared(&w, now, t, || {
+                let spec = self.catalog.get(w.object).expect("catalog object");
+                let viewing = spec.display_time(self.b_disk, fragment);
+                let span = viewing.max(interval * u64::from(spec.subobjects));
+                (spec.degree(self.b_disk), span)
+            }) {
                 // Joined an in-flight shared stream.
                 continue;
             }
@@ -600,17 +589,15 @@ impl PlacementPolicy for StripingPolicy {
     }
 
     fn route(&mut self, core: &mut Core, w: Waiter, now: SimTime) {
-        if self.displayable(w.object, now) {
+        if self.displayable(core, w.object, now) {
             core.queue.push(w);
         } else {
             // Absent or still materializing: park the waiter on the
-            // object; enqueue a fetch if none is queued or in flight yet.
-            let o = w.object.index();
-            if self.materializing[o].is_none() && !core.in_fetch_queue[o] {
-                core.fetch_queue.push_back(w.object);
-                core.in_fetch_queue[o] = true;
+            // object; request a fetch unless one is in flight.
+            if core.in_flight.get(w.object).is_none() {
+                core.request_fetch(w.object);
             }
-            self.wait_tertiary[o].push(w);
+            self.wait_tertiary[w.object.index()].push(w);
         }
     }
 
@@ -801,12 +788,6 @@ impl PlacementPolicy for StripingPolicy {
         if let Some(at) = earliest.min() {
             horizon = horizon.min(SimTime::from_micros(at * core.interval.as_micros()));
         }
-        // Pending materializations become displayable.
-        for &o in &self.materializing_ids {
-            if let Some(ready) = self.materializing[o.index()] {
-                horizon = horizon.min(ready);
-            }
-        }
         horizon
     }
 
@@ -954,26 +935,20 @@ impl StripingPolicy {
 
     /// True iff `object` is resident *and* displayable (fully placed, and
     /// past its pipelined-start horizon if it is still materializing).
-    fn displayable(&self, object: ObjectId, now: SimTime) -> bool {
+    fn displayable(&self, core: &Core, object: ObjectId, now: SimTime) -> bool {
         self.placement.is_resident(object)
-            && self.materializing[object.index()].is_none_or(|ready| ready <= now)
+            && core.in_flight.get(object).is_none_or(|ready| ready <= now)
     }
 
+    /// Lands every materialization displayable by `now` and queues its
+    /// waiters, in the order the fetches were sent.
     fn promote_materializations(&mut self, core: &mut Core, now: SimTime) {
-        let mut i = 0;
-        while i < self.materializing_ids.len() {
-            let o = self.materializing_ids[i];
-            if self.materializing[o.index()].is_some_and(|t| t <= now) {
-                self.materializing[o.index()] = None;
-                self.materializing_ids.remove(i);
-                // A re-queued waiter wakes: its layout may have moved.
-                let waiters = std::mem::take(&mut self.wait_tertiary[o.index()]);
-                core.queue
-                    .extend(waiters.into_iter().map(|w| Waiter { wake: 0, ..w }));
-            } else {
-                i += 1;
-            }
-        }
+        core.in_flight.land(now, |o| {
+            // A re-queued waiter wakes: its layout may have moved.
+            let waiters = std::mem::take(&mut self.wait_tertiary[o.index()]);
+            core.queue
+                .extend(waiters.into_iter().map(|w| Waiter { wake: 0, ..w }));
+        });
     }
 
     /// Offers `object` at the head of the fetch queue to the tertiary
@@ -1003,8 +978,7 @@ impl StripingPolicy {
             MaterializeMode::AfterFull => schedule.done,
         };
         core.metrics.record_tertiary_fetch();
-        self.materializing[object.index()] = Some(ready);
-        self.materializing_ids.push(object);
+        core.in_flight.insert(object, ready);
         true
     }
 
@@ -1087,7 +1061,7 @@ impl StripingPolicy {
                         .resident_ids()
                         .filter(|o| {
                             core.active_per_object[o.index()] == 0
-                                && self.materializing[o.index()].is_none()
+                                && core.in_flight.get(*o).is_none()
                                 && core.queue.iter().all(|w| w.object != *o)
                                 && self.wait_tertiary[o.index()].is_empty()
                         })
@@ -1328,10 +1302,7 @@ impl StripingPolicy {
     /// a crash invalidates future admissions, not delivered intervals).
     fn rollback_alloc(&mut self, core: &mut Core, object: ObjectId) -> bool {
         let o = object.index();
-        if self.materializing[o].is_some() {
-            self.materializing[o] = None;
-            self.materializing_ids.retain(|&x| x != object);
-        }
+        core.in_flight.remove(object);
         let resident = self.placement.is_resident(object);
         if resident {
             self.placement.remove(object).expect("resident");
@@ -1345,9 +1316,8 @@ impl StripingPolicy {
                 i += 1;
             }
         }
-        if !self.wait_tertiary[o].is_empty() && !core.in_fetch_queue[o] {
-            core.fetch_queue.push_back(object);
-            core.in_fetch_queue[o] = true;
+        if !self.wait_tertiary[o].is_empty() {
+            core.request_fetch(object);
         }
         resident
     }

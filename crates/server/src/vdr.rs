@@ -37,11 +37,9 @@ pub struct VdrPolicy {
     /// Disks in the farm, whole clusters or not (the heat row's width).
     disks: u32,
     subobjects: u32,
-    /// Completion time of the copy/materialization in flight for each
-    /// object, dense by object id (`None` = no copy running).
-    copy_done: Vec<Option<SimTime>>,
-    /// Ids with `copy_done[..]` set (the handful of in-flight copies).
-    copy_ids: Vec<ObjectId>,
+    /// The busy clusters and their share of the farm as the tick's own
+    /// sample counted them; `release` clears it (see `busy()`).
+    busy: Option<(f64, f64)>,
     /// Per-object queued-request counts, reused across admission passes
     /// (entries are zeroed at the end of each pass).
     queue_len: Vec<u32>,
@@ -127,7 +125,7 @@ impl VdrPolicy {
     /// copied, are dropped. Returns false when no victim is available.
     fn fetch(&mut self, core: &mut Core, object: ObjectId, now: SimTime) -> bool {
         let qlen = core.queue.iter().filter(|w| w.object == object).count() as u32;
-        if qlen == 0 || self.copy_done[object.index()].is_some() {
+        if qlen == 0 || core.in_flight.get(object).is_some() {
             return true;
         }
         let Some(plan) = self.farm.plan_replica(object, qlen, now, true, &core.freq) else {
@@ -147,23 +145,29 @@ impl VdrPolicy {
                 schedule.done
             }
         };
-        self.begin_copy(plan, object, now, until);
+        self.begin_copy(core, plan, object, now, until);
         true
     }
 
     /// Commits a planned replica copy of `object` finishing at `until`.
-    fn begin_copy(&mut self, plan: CopyPlan, object: ObjectId, now: SimTime, until: SimTime) {
+    fn begin_copy(
+        &mut self,
+        core: &mut Core,
+        plan: CopyPlan,
+        object: ObjectId,
+        now: SimTime,
+        until: SimTime,
+    ) {
         let target = plan.target();
         self.farm
             .begin_copy(plan, object, now, until)
             .expect("planned copy commits");
-        self.note_copy(object, target, until);
+        Self::note_copy(core, object, target, until);
     }
 
     /// Marks `object`'s copy onto `target` in flight until `until`.
-    fn note_copy(&mut self, object: ObjectId, target: ClusterId, until: SimTime) {
-        self.copy_done[object.index()] = Some(until);
-        self.copy_ids.push(object);
+    fn note_copy(core: &mut Core, object: ObjectId, target: ClusterId, until: SimTime) {
+        core.in_flight.insert(object, until);
         ss_obs::obs!(ss_obs::Event::ClusterCopyStart {
             object: object.0,
             cluster: target.0,
@@ -183,7 +187,7 @@ impl VdrPolicy {
             // A dying copy loses both halves; clearing the in-flight
             // marker lets the policy re-plan it later.
             ClusterStatus::Copying { object, .. } | ClusterStatus::SourcingCopy { object, .. } => {
-                self.clear_copy(object, now);
+                self.clear_copy(core, object, now);
             }
             _ => {}
         }
@@ -252,7 +256,7 @@ impl VdrPolicy {
     /// Aborts both halves of the in-flight copy of `object` (the other
     /// half of a cluster-to-cluster copy dies with its peer) and clears
     /// the in-flight marker.
-    fn clear_copy(&mut self, object: ObjectId, now: SimTime) {
+    fn clear_copy(&mut self, core: &mut Core, object: ObjectId, now: SimTime) {
         for i in 0..self.vdr.clusters {
             let id = ClusterId(i);
             if matches!(
@@ -263,8 +267,7 @@ impl VdrPolicy {
                 self.farm.abort(id, now);
             }
         }
-        self.copy_done[object.index()] = None;
-        self.copy_ids.retain(|&o| o != object);
+        core.in_flight.remove(object);
     }
 
     /// The farm's replica set on cluster `c`, as plane object ids.
@@ -302,6 +305,24 @@ impl VdrPolicy {
         }
     }
 
+    /// The busy clusters and their share of the farm at `at`. The tick's
+    /// own sample, the first after `release`, counts them; every boundary
+    /// skipped after it reads that count, since no cluster changes status
+    /// between ticks (DESIGN.md §3.11). Debug builds recount.
+    fn busy(&mut self, at: SimTime) -> (f64, f64) {
+        let clusters = self.vdr.clusters;
+        let busy = *self.busy.get_or_insert_with(|| {
+            let busy = f64::from(clusters - self.farm.idle_count(at));
+            (busy, busy / f64::from(clusters))
+        });
+        debug_assert_eq!(
+            busy.0,
+            f64::from(clusters - self.farm.idle_count(at)),
+            "a cluster changed status between ticks, by {at}"
+        );
+        busy
+    }
+
     /// The cluster a disk belongs to, if it lies inside a whole cluster
     /// (disks beyond the last whole cluster serve no VDR data).
     fn cluster_of(&self, disk: u32) -> Option<u32> {
@@ -319,7 +340,6 @@ impl PlacementPolicy for VdrPolicy {
     const NAME: &'static str = "vdr";
     const STORAGE_BEFORE_ADMISSION: bool = false;
     const SCRUB_BOOKS_BANDWIDTH: bool = false;
-    const FROZEN_BETWEEN_TICKS: bool = true;
 
     fn build(config: &ServerConfig) -> Result<(Self, usize)> {
         let vdr = match &config.scheme {
@@ -379,8 +399,7 @@ impl PlacementPolicy for VdrPolicy {
             degree: config.degree(),
             disks: config.disks,
             subobjects: config.subobjects,
-            copy_done: vec![None; objects],
-            copy_ids: Vec::new(),
+            busy: None,
             queue_len: vec![0; objects],
             synced_changes: 0,
             gate_refused: false,
@@ -424,18 +443,12 @@ impl PlacementPolicy for VdrPolicy {
         plane
     }
 
-    /// Retires finished copies and refreshes every cluster's status, so
-    /// the fault pass sees the farm as of `now`.
-    fn release(&mut self, _core: &mut Core, now: SimTime) {
-        let copy_done = &mut self.copy_done;
-        self.copy_ids.retain(|o| {
-            if copy_done[o.index()].is_some_and(|done| done > now) {
-                true
-            } else {
-                copy_done[o.index()] = None;
-                false
-            }
-        });
+    /// Lands finished copies and refreshes every cluster's status, so
+    /// the fault pass sees the farm as of `now`; the busy count is taken
+    /// again at the tick's end.
+    fn release(&mut self, core: &mut Core, now: SimTime) {
+        core.in_flight.land(now, |_| {});
+        self.busy = None;
         self.farm.refresh(now);
     }
 
@@ -452,9 +465,7 @@ impl PlacementPolicy for VdrPolicy {
         self.gate_refused = false;
         for &w in &waiters {
             let o = w.object.index();
-            if core.config.sharing.is_some()
-                && core.try_join_shared(&w, now, t, || (self.degree, display_time))
-            {
+            if core.try_join_shared(&w, now, t, || (self.degree, display_time)) {
                 // Joined an in-flight shared stream: no cluster booked, no
                 // replica needed for this request.
                 self.queue_len[o] = self.queue_len[o].saturating_sub(1);
@@ -510,14 +521,14 @@ impl PlacementPolicy for VdrPolicy {
                 // tracking its demand (replicas of hot objects are never
                 // idle, so plain disk-to-disk copies cannot run).
                 let blocked = self.queue_len[o].saturating_sub(1);
-                if blocked >= 1 && self.copy_done[o].is_none() {
+                if blocked >= 1 && core.in_flight.get(w.object).is_none() {
                     if let Some(target) =
                         self.farm.plan_piggyback(w.object, blocked, now, &core.freq)
                     {
                         self.farm
                             .begin_stream_copy(target, w.object, now, ends)
                             .expect("planned piggyback commits");
-                        self.note_copy(w.object, target, ends);
+                        Self::note_copy(core, w.object, target, ends);
                     }
                 }
                 self.queue_len[o] = self.queue_len[o].saturating_sub(1);
@@ -527,17 +538,16 @@ impl PlacementPolicy for VdrPolicy {
             // this object is already on its way. Disk-to-disk copies are
             // attempted immediately; tertiary-sourced copies go through
             // the fetch queue and are planned when the device frees.
-            if self.copy_done[o].is_none() {
+            if core.in_flight.get(w.object).is_none() {
                 let qlen = self.queue_len[o].max(1);
                 if let Some(plan) = self
                     .farm
                     .plan_replica(w.object, qlen, now, false, &core.freq)
                 {
                     // A cluster-to-cluster copy takes one display time.
-                    self.begin_copy(plan, w.object, now, now + display_time);
-                } else if !core.in_fetch_queue[o] {
-                    core.fetch_queue.push_back(w.object);
-                    core.in_fetch_queue[o] = true;
+                    self.begin_copy(core, plan, w.object, now, now + display_time);
+                } else {
+                    core.request_fetch(w.object);
                 }
             }
             still.push(w);
@@ -622,16 +632,14 @@ impl PlacementPolicy for VdrPolicy {
     }
 
     fn utilization(&mut self, _t: u64, at: SimTime) -> f64 {
-        let busy = f64::from(self.vdr.clusters - self.farm.idle_count(at));
-        busy / f64::from(self.vdr.clusters)
+        self.busy(at).1
     }
 
     /// Busy clusters not delivering a primary display (copies, and the
     /// idle-but-unplannable).
     fn wasted(&mut self, _active: &[Active], viewers: f64, _t: u64, at: SimTime) -> f64 {
-        let clusters = f64::from(self.vdr.clusters);
-        let busy = f64::from(self.vdr.clusters - self.farm.idle_count(at));
-        ((busy - viewers) / clusters).max(0.0)
+        let (busy, _) = self.busy(at);
+        ((busy - viewers) / f64::from(self.vdr.clusters)).max(0.0)
     }
 
     /// A VDR cluster is one indivisible delivery pipeline, so all `M`
@@ -650,22 +658,27 @@ impl PlacementPolicy for VdrPolicy {
         0
     }
 
+    /// Clusters sit on fixed disks and keep their status between ticks,
+    /// so a skipped boundary repeats the tick's row.
+    fn heat_repeat(&self, _t: u64) -> Option<u32> {
+        Some(0)
+    }
+
     /// Every cluster-status transition happens at a display end or a copy
-    /// completion, and all farm decisions are deterministic in the
+    /// completion (the kernel wakes for both; a completion registers a
+    /// replica), and all farm decisions are deterministic in the
     /// statuses plus the (tick-only) LFU counts and queue lengths — so
     /// between these instants a tick is a provable no-op, waiters and a
-    /// refused tertiary fetch included. Copy completions register
-    /// replicas. One refusal is not a farm decision: a waiter whose
-    /// display the interconnect refused retries with a fresh router draw
-    /// at every boundary, so while one is queued the clock ticks densely.
+    /// refused tertiary fetch included. One refusal is not a farm
+    /// decision: a waiter whose display the interconnect refused retries
+    /// with a fresh router draw at every boundary, so while one is queued
+    /// the clock ticks densely.
     fn wakeup(&self, core: &Core, now: SimTime) -> SimTime {
         if self.gate_refused {
-            return now;
+            now
+        } else {
+            core.deadline
         }
-        self.copy_ids
-            .iter()
-            .filter_map(|o| self.copy_done[o.index()])
-            .fold(core.deadline, SimTime::min)
     }
 
     /// A live primary streams `degree` fragments per interval across the

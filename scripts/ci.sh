@@ -168,8 +168,9 @@ for dir in target/ci-trace target/ci-trace-vdr; do
   echo "    $dir heatmap/series: $((heat_rows - 1)) interval rows each, every line as wide as the header"
 done
 # Same seed, same bytes: rerun both schemes and compare each journal and
-# both CSVs. The VDR trace is the only run here whose series rows come
-# from the frozen replay branch (one sample per skipped range).
+# both CSVs. The VDR trace is the only run here whose skipped series rows
+# come from VDR's per-tick busy count and whose skipped heat rows all
+# repeat the tick's cluster row.
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace-rerun --format jsonl
 cargo run --release -p ss-bench --bin trace_dump -- --quick --out target/ci-trace-rerun --format csv
 cargo run --release -p ss-bench --bin trace_dump -- --quick --vdr --out target/ci-trace-vdr-rerun --format jsonl
